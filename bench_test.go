@@ -175,10 +175,10 @@ func BenchmarkRepartitionMultivariate(b *testing.B) {
 }
 
 // BenchmarkRepartitionMultivariateSequential pins Workers=1. The default
-// (BenchmarkRepartitionMultivariate, Workers unset = all cores) evaluates
-// speculative rung batches concurrently; this is the single-core baseline —
-// same grid, same θ, byte-identical result. The delta between the two is the
-// speedup of the parallel rung evaluation.
+// (BenchmarkRepartitionMultivariate, Workers unset = all cores) shards each
+// rung's allocate and loss sweeps across the cores; this is the single-core
+// baseline — same grid, same θ, byte-identical result. The delta between the
+// two is the speedup of the intra-rung sharding.
 func BenchmarkRepartitionMultivariateSequential(b *testing.B) {
 	ds := datagen.HomeSales(1, 32, 32)
 	b.ResetTimer()

@@ -13,8 +13,9 @@ import (
 	"spatialrepart/internal/obs"
 )
 
-// benchRegistry backs the -metrics-addr endpoint and every benchmark run, so
-// live metrics are visible while the benchmark executes.
+// benchRegistry backs the -metrics-addr endpoint (pprof, expvar, /metrics).
+// Benchmark entries do not record into it: each run report must describe
+// exactly one run, so every entry gets a private observer.
 var benchRegistry = obs.NewRegistry()
 
 // benchRows/benchCols fix the benchmark grid so BENCH_repartition.json files
@@ -72,7 +73,6 @@ func benchmark(cfg experiments.Config) (*benchFile, error) {
 				Threshold: theta,
 				Schedule:  core.ScheduleGeometric,
 				Workers:   workers,
-				Obs:       obs.WithRegistry(benchRegistry),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench %s workers=%d: %w", name, workers, err)

@@ -41,6 +41,11 @@ func TestBenchReportPopulated(t *testing.T) {
 				t.Errorf("entry %s/w=%d missing phase %s", e.Dataset, e.Workers, phase)
 			}
 		}
+		// Each entry's phases describe its own run only: one rung.eval span
+		// per evaluation, with nothing carried over from earlier entries.
+		if got, want := e.Report.Phases["rung.eval"].Count, int64(e.Report.Evaluations); got != want {
+			t.Errorf("entry %s/w=%d: %d rung.eval spans for %d evaluations", e.Dataset, e.Workers, got, want)
+		}
 	}
 	// Sequential and all-cores runs of the same dataset find the same answer.
 	for _, name := range benchDatasets {

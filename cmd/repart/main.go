@@ -78,7 +78,7 @@ func main() {
 	reportOut := flag.String("report", "", "output JSON with the instrumented run report (per-phase timings, IFL trajectory)")
 	threshold := flag.Float64("threshold", 0.05, "information-loss threshold θ ∈ [0,1]")
 	schedule := flag.String("schedule", "geometric", "iteration schedule: exact|geometric")
-	workers := flag.Int("workers", 0, "goroutines for the ladder search (0 = all cores, 1 = sequential; results are identical)")
+	workers := flag.Int("workers", 0, "goroutines for the variation field and each rung's allocate and loss sweeps (0 = all cores, 1 = sequential; results are identical)")
 	stats := flag.Bool("stats", true, "print summary statistics to stderr")
 	doRender := flag.Bool("render", false, "print an ASCII rendering of the partition to stdout")
 	bbox := flag.String("bounds", "0,1,0,1", "geographic bounds for -geojson as minLat,maxLat,minLon,maxLon")

@@ -40,12 +40,23 @@ func allocate(orig *grid.Grid, part *Partition, meanOnly bool) [][]float64 {
 func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi int, meanOnly bool) {
 	p := orig.NumAttrs()
 	vals := make([]float64, 0, 64)
+	// One backing array for the range's non-null vectors instead of one
+	// allocation per group; each vector is capped at p so an append copies
+	// it out.
+	valid := 0
+	for _, cg := range part.Groups[lo:hi] {
+		if !cg.Null {
+			valid++
+		}
+	}
+	backing := make([]float64, valid*p)
 	for gi := lo; gi < hi; gi++ {
 		cg := part.Groups[gi]
 		if cg.Null {
 			continue
 		}
-		fv := make([]float64, p)
+		fv := backing[:p:p]
+		backing = backing[p:]
 		for k := 0; k < p; k++ {
 			vals = vals[:0]
 			for r := cg.RBeg; r <= cg.REnd; r++ {
@@ -142,12 +153,12 @@ func mode(vals []float64) float64 {
 	return best
 }
 
-// allocateFeaturesObs is AllocateFeatures under observation: it times the
-// Algorithm 2 pass (span "rung.allocate") and counts calls. The feature
+// allocateFeaturesObs is AllocateFeaturesParallel under observation: it times
+// the Algorithm 2 pass (span "rung.allocate") and counts calls. The feature
 // vectors returned are exactly AllocateFeatures' — observation only reads.
-func allocateFeaturesObs(o *obs.Observer, orig *grid.Grid, part *Partition) [][]float64 {
+func allocateFeaturesObs(o *obs.Observer, orig *grid.Grid, part *Partition, workers int) [][]float64 {
 	sp := o.StartSpan("rung.allocate")
-	feats := AllocateFeatures(orig, part)
+	feats := AllocateFeaturesParallel(orig, part, workers)
 	sp.End()
 	o.Count("allocate.calls", 1)
 	return feats

@@ -93,7 +93,8 @@ func BenchmarkReconstructGrid(b *testing.B) {
 //   Field         — Repartition with Workers=1: one VariationField build,
 //                   each adjacency check is an array load.
 //   FieldParallel — Repartition with Workers=GOMAXPROCS: the field build is
-//                   row-sharded and speculative rung batches run concurrently.
+//                   row-sharded, and each rung's allocate and loss sweeps are
+//                   sharded across the workers.
 //
 // All three return byte-identical partitions (see parallel_test.go).
 
@@ -110,32 +111,16 @@ func repartitionSeedReference(g *grid.Grid, threshold float64) *Partition {
 	norm, _ := g.Normalized()
 	ladder := BuildLadder(norm)
 	best := Identity(g)
-	try := func(i int) bool {
+	// The pass callback never errs, so neither does the search.
+	_, _ = SearchLadder(ladder.Len(), ScheduleGeometric, func(i int) (bool, error) {
 		part := Extract(norm, ladder.Rung(i))
 		feats := seedAllocateFeatures(g, part)
-		if IFL(g, part, feats) <= threshold {
-			best = part
-			return true
+		if IFL(g, part, feats) > threshold {
+			return false, nil
 		}
-		return false
-	}
-	lastGood, firstBad := -1, ladder.Len()
-	for step := 1; lastGood+step < ladder.Len(); step *= 2 {
-		if i := lastGood + step; try(i) {
-			lastGood = i
-		} else {
-			firstBad = i
-			break
-		}
-	}
-	for lo, hi := lastGood+1, firstBad-1; lo <= hi; {
-		mid := (lo + hi) / 2
-		if try(mid) {
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
+		best = part
+		return true, nil
+	})
 	return best
 }
 

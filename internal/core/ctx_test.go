@@ -68,7 +68,7 @@ func TestRepartitionCtxPreCanceledDoesNoWork(t *testing.T) {
 }
 
 func TestRepartitionCtxCancelMidClimb(t *testing.T) {
-	g := ctxGrid(12, 12)
+	g := ctxGrid(40, 40) // taller than two IFL blocks: the parallel cases shard
 	for _, tc := range []struct {
 		name    string
 		sched   Schedule
@@ -81,7 +81,7 @@ func TestRepartitionCtxCancelMidClimb(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Let a handful of Err checks pass, then cancel: the run is
-			// mid-climb (the ladder has ~143 rungs at θ=1).
+			// mid-climb (the ladder has 32 rungs at this size).
 			ctx := newCountdownCtx(5)
 			_, err := RepartitionCtx(ctx, g, Options{
 				Threshold: 1, Schedule: tc.sched, Workers: tc.workers,
@@ -94,13 +94,13 @@ func TestRepartitionCtxCancelMidClimb(t *testing.T) {
 }
 
 func TestRepartitionCtxNeverCanceledMatchesRepartition(t *testing.T) {
-	g := ctxGrid(10, 10)
+	g := ctxGrid(40, 40)
 	for _, sched := range []Schedule{ScheduleExact, ScheduleGeometric} {
+		want, err := Repartition(g, Options{Threshold: 0.3, Schedule: sched, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 3} {
-			want, err := Repartition(g, Options{Threshold: 0.3, Schedule: sched, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := RepartitionCtx(context.Background(), g, Options{
 				Threshold: 0.3, Schedule: sched, Workers: workers,
 			})

@@ -65,20 +65,16 @@ func attrSpans(g *grid.Grid) []float64 {
 // IFL computes the information loss of Eq. 3 between the original grid and a
 // re-partitioned dataset (partition + allocated group features): the mean
 // absolute percentage error of the representative cell values against the
-// original ones, averaged over all valid cells and all attributes.
+// original ones, averaged over all valid cells and all attributes. It runs
+// the same block reduction as IFLParallel on one goroutine, so every path
+// that measures a partition — batch rungs, stream refresh, stream recompute
+// — gets the same bits.
 func IFL(orig *grid.Grid, part *Partition, feats [][]float64) float64 {
-	p := orig.NumAttrs()
-	spans := attrSpans(orig)
-	sum, valid := iflRows(orig, part, feats, spans, 0, orig.Rows)
-	if valid == 0 || p == 0 {
-		return 0
-	}
-	return sum / float64(valid*p)
+	return iflBlocks(orig, part, feats, attrSpans(orig), 1)
 }
 
 // iflRows accumulates the Eq. 3 numerator and valid-cell count over rows
-// [r0, r1), in row-major order — the shard primitive behind IFL (full range)
-// and IFLParallel (fixed row blocks).
+// [r0, r1), in row-major order — the per-block primitive of iflBlocks.
 func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, r0, r1 int) (sum float64, valid int) {
 	p := orig.NumAttrs()
 	for r := r0; r < r1; r++ {
@@ -99,12 +95,12 @@ func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans []float6
 	return sum, valid
 }
 
-// iflObs is IFL under observation: it times the Eq. 3 sweep (span
-// "rung.loss") and counts evaluations. The loss returned is exactly IFL's —
-// observation only reads it.
-func iflObs(o *obs.Observer, orig *grid.Grid, part *Partition, feats [][]float64) float64 {
+// iflObs is the IFL block reduction under observation: it times the Eq. 3
+// sweep (span "rung.loss") and counts evaluations. The loss returned is
+// exactly IFL's — observation only reads it.
+func iflObs(o *obs.Observer, orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, workers int) float64 {
 	sp := o.StartSpan("rung.loss")
-	loss := IFL(orig, part, feats)
+	loss := iflBlocks(orig, part, feats, spans, workers)
 	sp.End()
 	o.Count("loss.evaluations", 1)
 	return loss

@@ -1,17 +1,16 @@
 package core
 
 // This file holds the parallel variants of the re-partitioning hot paths
-// (DESIGN.md §3.11). Everything here is deterministic: the sharding
-// granularity never depends on the worker count, so any Workers value —
-// including 1 — produces the same bytes. Workers only controls how many
-// shards run at once.
+// (DESIGN.md §3.11). Everything here is deterministic: every output value
+// comes from a unit of work whose bounds never depend on the worker count — a
+// field row, a group, an IFL row block — so any Workers value, including 1,
+// produces the same bytes. Workers only controls how many shards run at once.
 
 import (
 	"runtime"
 	"sync"
 
 	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
 )
 
 // resolveWorkers maps the Options.Workers convention (0 = all cores) to a
@@ -77,7 +76,9 @@ func AllocateFeaturesParallel(orig *grid.Grid, part *Partition, workers int) [][
 		return AllocateFeatures(orig, part)
 	}
 	feats := make([][]float64, n)
-	parallelRanges(n, workers, workers, func(_, lo, hi int) {
+	// Group sizes vary widely, so the groups are cut into more ranges than
+	// workers and a worker that finishes early takes the next range.
+	parallelRanges(n, 16*workers, workers, func(_, lo, hi int) {
 		allocateRange(orig, part, feats, lo, hi, false)
 	})
 	return feats
@@ -87,135 +88,45 @@ func AllocateFeaturesParallel(orig *grid.Grid, part *Partition, workers int) [][
 // falls back to the sequential pass (goroutine overhead dominates).
 const minParallelGroups = 64
 
-// iflBlockRows is the fixed row height of one IFLParallel shard. It is a
+// iflBlockRows is the fixed row height of one IFL reduction block. It is a
 // constant rather than a function of the worker count so that the partial
 // sums are always taken over the same cell blocks and combined in the same
 // order — making IFLParallel's result identical for every Workers value.
 const iflBlockRows = 16
 
-// IFLParallel computes Eq. 3 with the cell sweep sharded into fixed
-// iflBlockRows-row blocks evaluated by up to `workers` goroutines
-// (0 = GOMAXPROCS). The result is deterministic and independent of the
-// worker count; it may differ from the sequential IFL in the last float64
-// bits because the per-block partial sums are combined block-by-block
-// instead of in one long accumulation.
+// IFLParallel is IFL with its fixed row blocks spread over up to `workers`
+// goroutines (0 = GOMAXPROCS). The blocks and their combination order never
+// depend on the worker count, so the result is bit-identical to IFL for every
+// value.
 func IFLParallel(orig *grid.Grid, part *Partition, feats [][]float64, workers int) float64 {
-	workers = resolveWorkers(workers)
-	p := orig.NumAttrs()
+	return iflBlocks(orig, part, feats, attrSpans(orig), resolveWorkers(workers))
+}
+
+// iflBlocks is the one Eq. 3 reduction behind IFL and IFLParallel: the cell
+// sweep is split into fixed iflBlockRows-row blocks, each block's partial sum
+// is taken in row-major order, and the partials are combined in block order.
+// Each block is its own shard, so a worker that finishes early takes the next
+// block. spans are the attribute range spans of orig (attrSpans), passed in so
+// a run that measures many partitions of one grid scans it once.
+func iflBlocks(orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, workers int) float64 {
 	blocks := (orig.Rows + iflBlockRows - 1) / iflBlockRows
-	if workers == 1 || blocks <= 1 {
-		return IFL(orig, part, feats)
-	}
-	spans := attrSpans(orig)
-	type partial struct {
-		sum   float64
-		valid int
-	}
-	parts := make([]partial, blocks)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for b := 0; b < blocks; b++ {
-		r0 := b * iflBlockRows
-		r1 := r0 + iflBlockRows
-		if r1 > orig.Rows {
-			r1 = orig.Rows
+	sums := make([]float64, blocks)
+	valids := make([]int, blocks)
+	parallelRanges(blocks, blocks, workers, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			r0 := b * iflBlockRows
+			sums[b], valids[b] = iflRows(orig, part, feats, spans, r0, min(r0+iflBlockRows, orig.Rows))
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b, r0, r1 int) {
-			defer wg.Done()
-			s, v := iflRows(orig, part, feats, spans, r0, r1)
-			parts[b] = partial{sum: s, valid: v}
-			<-sem
-		}(b, r0, r1)
-	}
-	wg.Wait()
+	})
 	var sum float64
 	valid := 0
-	for _, pt := range parts { // combine in block order: deterministic
-		sum += pt.sum
-		valid += pt.valid
+	for b := range sums { // combine in block order: deterministic
+		sum += sums[b]
+		valid += valids[b]
 	}
+	p := orig.NumAttrs()
 	if valid == 0 || p == 0 {
 		return 0
 	}
 	return sum / float64(valid*p)
-}
-
-// rungResult is one evaluated ladder rung: the partition it extracts, the
-// features it allocates, and whether its information loss passes the
-// threshold. canceled marks a placeholder produced after the run's context
-// was canceled: the evaluation was skipped, nothing in the result is valid,
-// and the driver converts it into an ErrCanceled return instead of ever
-// promoting it.
-type rungResult struct {
-	rung     int
-	part     *Partition
-	feats    [][]float64
-	loss     float64
-	ok       bool
-	canceled bool
-}
-
-// evalRungs evaluates the given ladder rungs concurrently on up to `workers`
-// goroutines. eval must be pure; results come back positionally.
-func evalRungs(eval func(int) rungResult, rungs []int, workers int) []rungResult {
-	out := make([]rungResult, len(rungs))
-	if len(rungs) == 1 || workers <= 1 {
-		for i, rg := range rungs {
-			out[i] = eval(rg)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, rg := range rungs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, rg int) {
-			defer wg.Done()
-			out[i] = eval(rg)
-			<-sem
-		}(i, rg)
-	}
-	wg.Wait()
-	return out
-}
-
-// evalRungsObs is evalRungs plus batch-level observation: it times each
-// speculative batch (span "parallel.batch") and counts batches and the rungs
-// they carry. Individual rung evaluations are timed inside eval itself, so
-// batch wall time vs summed rung time exposes worker utilization.
-func evalRungsObs(o *obs.Observer, eval func(int) rungResult, rungs []int, workers int) []rungResult {
-	if o == nil {
-		return evalRungs(eval, rungs, workers)
-	}
-	sp := o.StartSpan("parallel.batch")
-	out := evalRungs(eval, rungs, workers)
-	sp.End()
-	o.Count("parallel.batches", 1)
-	o.Count("parallel.batch_rungs", int64(len(rungs)))
-	return out
-}
-
-// speculativeMids returns up to `budget` rung indices that a sequential
-// binary search over [lo, hi] could visit next, in BFS order of the search's
-// decision tree. Evaluating all of them concurrently lets the caller replay
-// several sequential bisection steps from one batch, whatever the pass/fail
-// outcomes turn out to be.
-func speculativeMids(lo, hi, budget int) []int {
-	type span struct{ lo, hi int }
-	mids := make([]int, 0, budget)
-	queue := []span{{lo, hi}}
-	for len(queue) > 0 && len(mids) < budget {
-		s := queue[0]
-		queue = queue[1:]
-		if s.lo > s.hi {
-			continue
-		}
-		m := (s.lo + s.hi) / 2
-		mids = append(mids, m)
-		queue = append(queue, span{s.lo, m - 1}, span{m + 1, s.hi})
-	}
-	return mids
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"spatialrepart/internal/datagen"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
 )
@@ -57,6 +59,62 @@ func TestRepartitionWorkersByteIdentical(t *testing.T) {
 			}
 		}
 	}
+	for gi, g := range fanOutGrids() {
+		for _, tc := range fanOutCases {
+			seq, rep, err := RepartitionWithReport(g, Options{Threshold: tc.th, Schedule: tc.sched, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireFanOut(t, gi, rep)
+			for _, w := range []int{2, 4, 0} {
+				par, err := Repartition(g, Options{Threshold: tc.th, Schedule: tc.sched, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalRepartitioned(t, "fan-out "+schedLabel(tc.sched, tc.th, w), seq, par)
+			}
+		}
+	}
+}
+
+// fanOutGrids returns grids on which every sharded step really splits: at
+// least 33 rows, so IFLParallel sweeps three or more row blocks, and early
+// rungs with well over 2·minParallelGroups groups, so
+// AllocateFeaturesParallel leaves its sequential fallback. randomMultiGrid's
+// 2–10 × 2–10 grids clear neither bar.
+func fanOutGrids() []*grid.Grid {
+	return []*grid.Grid{
+		datagen.TaxiTripsMulti(1, 48, 48).Grid,
+		datagen.TaxiTripsMulti(2, 64, 64).Grid,
+	}
+}
+
+// fanOutCases covers both schedules on fanOutGrids. The exact schedule
+// climbs one rung per iteration, so its threshold is small enough to stop
+// within a few dozen rungs and keep the race-detector runs short.
+var fanOutCases = []struct {
+	sched Schedule
+	th    float64
+}{
+	{ScheduleExact, 0.0001},
+	{ScheduleGeometric, 0.1},
+}
+
+// requireFanOut fails unless the report shows an evaluated rung large enough
+// for AllocateFeaturesParallel to shard, and a grid tall enough for
+// IFLParallel to sweep more than one block.
+func requireFanOut(t *testing.T, gi int, rep *RunReport) {
+	t.Helper()
+	if rep.Rows <= 2*iflBlockRows {
+		t.Fatalf("fan-out grid %d: %d rows, want more than %d", gi, rep.Rows, 2*iflBlockRows)
+	}
+	for _, e := range rep.Trajectory {
+		if e.Groups >= 2*minParallelGroups {
+			return
+		}
+	}
+	t.Fatalf("fan-out grid %d (%s θ=%v): no evaluated rung reached %d groups: %+v",
+		gi, rep.Schedule, rep.Threshold, 2*minParallelGroups, rep.Trajectory)
 }
 
 func schedLabel(s Schedule, th float64, w int) string {
@@ -173,83 +231,128 @@ func TestAllocateFeaturesParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIFLParallelWorkerInvariant: the blocked IFL reduction must return the
-// same bits for every worker count (blocks are fixed and combined in block
-// order, independent of scheduling), and agree with the sequential IFL to
-// floating-point reassociation tolerance.
+// TestIFLParallelWorkerInvariant: IFL is one blocked reduction, so
+// IFLParallel must return exactly IFL's bits at every worker count. The grids
+// are taller than one iflBlockRows block, so the partial sums really are
+// combined across blocks and goroutines.
 func TestIFLParallelWorkerInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 10; trial++ {
-		g := randomMultiGrid(rng)
-		rp, err := Repartition(g, Options{Threshold: 0.25})
+	grids := fanOutGrids()
+	for trial := 0; trial < 8; trial++ {
+		grids = append(grids, randomMultiGridSized(rng, iflBlockRows+1+rng.Intn(40), 2+rng.Intn(30)))
+	}
+	for i, g := range grids {
+		rp, err := Repartition(g, Options{Threshold: 0.25, Schedule: ScheduleGeometric})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := IFLParallel(g, rp.Partition, rp.Features, 1)
-		for _, w := range []int{0, 2, 4, 16} {
-			if got := IFLParallel(g, rp.Partition, rp.Features, w); got != ref {
-				t.Fatalf("IFLParallel(workers=%d) = %v, want %v (must be worker-invariant)", w, got, ref)
+		for _, part := range []*Partition{Identity(g), rp.Partition} {
+			feats := AllocateFeatures(g, part)
+			want := IFL(g, part, feats)
+			for _, w := range []int{0, 1, 2, 4, 16} {
+				if got := IFLParallel(g, part, feats, w); got != want {
+					t.Fatalf("grid %d (%d rows): IFLParallel(workers=%d) = %v, IFL = %v; want identical bits",
+						i, g.Rows, w, got, want)
+				}
 			}
-		}
-		if seq := IFL(g, rp.Partition, rp.Features); math.Abs(seq-ref) > 1e-12 {
-			t.Fatalf("IFLParallel %v differs from IFL %v beyond reassociation tolerance", ref, seq)
 		}
 	}
 }
 
-// TestSpeculativeMids covers the bisection speculation helper: the first mid
-// must always be the sequential walk's next probe, every mid must lie in a
-// span the walk could still visit, and there must be no duplicates.
-func TestSpeculativeMids(t *testing.T) {
-	cases := []struct{ lo, hi, budget int }{
-		{0, 0, 4}, {0, 1, 4}, {0, 9, 1}, {0, 9, 4}, {3, 40, 8}, {5, 5, 2},
+// TestSearchLadder pins the one ladder search: for each schedule, the exact
+// visit order, the evaluation count, and the accepted (last passing) rung,
+// across ladder lengths and pass patterns — including a non-monotone one,
+// where the geometric schedule jumps over the hole the exact one stops at.
+func TestSearchLadder(t *testing.T) {
+	all := func(int) bool { return true }
+	none := func(int) bool { return false }
+	below := func(k int) func(int) bool { return func(i int) bool { return i < k } }
+	holes := func(i int) bool { return i < 40 && i != 10 && i != 11 }
+	seq := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	cases := []struct {
+		name             string
+		n                int
+		pass             func(int) bool
+		exact, geo       []int
+		exactAcc, geoAcc int
+	}{
+		{"n=0", 0, all, nil, nil, -1, -1},
+		{"n=1/all", 1, all, []int{0}, []int{0}, 0, 0},
+		{"n=1/none", 1, none, []int{0}, []int{0}, -1, -1},
+		{"n=2/all", 2, all, []int{0, 1}, []int{0, 1}, 1, 1},
+		{"n=2/none", 2, none, []int{0}, []int{0}, -1, -1},
+		{"n=2/first-fail-1", 2, below(1), []int{0, 1}, []int{0, 1}, 0, 0},
+		{"n=5/all", 5, all, seq(5), []int{0, 2, 3, 4}, 4, 4},
+		{"n=5/none", 5, none, []int{0}, []int{0}, -1, -1},
+		{"n=5/first-fail-3", 5, below(3), seq(4), []int{0, 2, 3}, 2, 2},
+		{"n=5/non-monotone", 5, func(i int) bool { return i != 2 }, seq(3), []int{0, 2, 1}, 1, 1},
+		{"n=64/all", 64, all, seq(64), []int{0, 2, 6, 14, 30, 62, 63}, 63, 63},
+		{"n=64/none", 64, none, []int{0}, []int{0}, -1, -1},
+		{"n=64/first-fail-20", 64, below(20), seq(21), []int{0, 2, 6, 14, 30, 22, 18, 20, 19}, 19, 19},
+		{"n=64/non-monotone", 64, holes, seq(11), []int{0, 2, 6, 14, 30, 62, 46, 38, 42, 40, 39}, 9, 39},
 	}
 	for _, tc := range cases {
-		mids := speculativeMids(tc.lo, tc.hi, tc.budget)
-		if len(mids) == 0 {
-			t.Fatalf("speculativeMids(%d,%d,%d): empty", tc.lo, tc.hi, tc.budget)
-		}
-		if len(mids) > tc.budget {
-			t.Fatalf("speculativeMids(%d,%d,%d): %d mids exceed budget", tc.lo, tc.hi, tc.budget, len(mids))
-		}
-		if mids[0] != (tc.lo+tc.hi)/2 {
-			t.Errorf("speculativeMids(%d,%d,%d): first mid %d is not the sequential probe %d",
-				tc.lo, tc.hi, tc.budget, mids[0], (tc.lo+tc.hi)/2)
-		}
-		seen := map[int]bool{}
-		for _, m := range mids {
-			if m < tc.lo || m > tc.hi {
-				t.Errorf("mid %d outside [%d,%d]", m, tc.lo, tc.hi)
+		for _, sc := range []struct {
+			sched    Schedule
+			visits   []int
+			accepted int
+		}{
+			{ScheduleExact, tc.exact, tc.exactAcc},
+			{ScheduleGeometric, tc.geo, tc.geoAcc},
+		} {
+			var visits []int
+			accepted := -1
+			n, err := SearchLadder(tc.n, sc.sched, func(i int) (bool, error) {
+				visits = append(visits, i)
+				ok := tc.pass(i)
+				if ok {
+					if i <= accepted {
+						t.Errorf("%s/%s: rung %d passed after coarser rung %d", tc.name, scheduleName(sc.sched), i, accepted)
+					}
+					accepted = i
+				}
+				return ok, nil
+			})
+			label := tc.name + "/" + scheduleName(sc.sched)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			if seen[m] {
-				t.Errorf("duplicate mid %d", m)
+			if !reflect.DeepEqual(visits, sc.visits) {
+				t.Errorf("%s: visited %v, want %v", label, visits, sc.visits)
 			}
-			seen[m] = true
+			if n != len(sc.visits) {
+				t.Errorf("%s: evaluated = %d, want %d", label, n, len(sc.visits))
+			}
+			if accepted != sc.accepted {
+				t.Errorf("%s: accepted rung %d, want %d", label, accepted, sc.accepted)
+			}
 		}
 	}
-}
 
-// TestMaxIterationsForcesSequentialCutoff: a finite iteration budget must
-// produce the identical truncated result regardless of the Workers setting
-// (the implementation forces the sequential path under a budget).
-func TestMaxIterationsForcesSequentialCutoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	g := randomMultiGrid(rng)
+	// An error stops the search at once and is returned as is, with the
+	// failing evaluation counted.
+	stop := errors.New("stop")
 	for _, sched := range []Schedule{ScheduleExact, ScheduleGeometric} {
-		for _, budget := range []int{1, 2, 3} {
-			a, err := Repartition(g, Options{Threshold: 1, Schedule: sched, MaxIterations: budget, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
+		var visits []int
+		n, err := SearchLadder(64, sched, func(i int) (bool, error) {
+			visits = append(visits, i)
+			if len(visits) == 3 {
+				return false, stop
 			}
-			b, err := Repartition(g, Options{Threshold: 1, Schedule: sched, MaxIterations: budget, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalRepartitioned(t, "budgeted", a, b)
-			if a.Iterations > budget {
-				t.Errorf("iterations %d exceed budget %d", a.Iterations, budget)
-			}
+			return true, nil
+		})
+		if !errors.Is(err, stop) || n != 3 || len(visits) != 3 {
+			t.Errorf("%s: err %v after %d evaluations (%v), want stop after 3", scheduleName(sched), err, n, visits)
 		}
+	}
+	if _, err := SearchLadder(5, Schedule(99), func(int) (bool, error) { return true, nil }); err == nil {
+		t.Error("unknown schedule: want error")
 	}
 }
 
@@ -260,46 +363,54 @@ func TestMaxIterationsForcesSequentialCutoff(t *testing.T) {
 // be byte-identical to the bare uninstrumented result for workers ∈
 // {1, 4, all}.
 func TestRepartitionObserverByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	schedules := []Schedule{ScheduleExact, ScheduleGeometric}
-	thresholds := []float64{0, 0.05, 0.2, 1}
-	for trial := 0; trial < 12; trial++ {
-		g := randomMultiGrid(rng)
-		for _, sched := range schedules {
-			for _, th := range thresholds {
-				bare, err := Repartition(g, Options{Threshold: th, Schedule: sched, Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range []int{1, 4, 0} {
-					o := obs.New()
-					observed, err := Repartition(g, Options{Threshold: th, Schedule: sched, Workers: w, Obs: o})
-					if err != nil {
-						t.Fatal(err)
-					}
-					equalRepartitioned(t, "observed "+schedLabel(sched, th, w), bare, observed)
-					if o.Registry().Counter("rung.evaluated").Value() == 0 && bare.Iterations > 0 {
-						t.Errorf("observer attached but no rung evaluations recorded (%s)", schedLabel(sched, th, w))
-					}
+	check := func(g *grid.Grid, sched Schedule, th float64) {
+		t.Helper()
+		bare, err := Repartition(g, Options{Threshold: th, Schedule: sched, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4, 0} {
+			o := obs.New()
+			observed, err := Repartition(g, Options{Threshold: th, Schedule: sched, Workers: w, Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalRepartitioned(t, "observed "+schedLabel(sched, th, w), bare, observed)
+			if o.Registry().Counter("rung.evaluated").Value() == 0 && bare.Iterations > 0 {
+				t.Errorf("observer attached but no rung evaluations recorded (%s)", schedLabel(sched, th, w))
+			}
 
-					reported, rep, err := RepartitionWithReport(g, Options{Threshold: th, Schedule: sched, Workers: w})
-					if err != nil {
-						t.Fatal(err)
-					}
-					equalRepartitioned(t, "reported "+schedLabel(sched, th, w), bare, reported)
-					if rep.Iterations != bare.Iterations {
-						t.Errorf("report iterations %d, want %d", rep.Iterations, bare.Iterations)
-					}
-					if rep.Evaluations < rep.Iterations {
-						t.Errorf("report evaluations %d < iterations %d", rep.Evaluations, rep.Iterations)
-					}
-					if rep.IFL != bare.IFL || rep.Groups != bare.NumGroups() {
-						t.Errorf("report IFL/groups (%v, %d) disagree with result (%v, %d)",
-							rep.IFL, rep.Groups, bare.IFL, bare.NumGroups())
-					}
-				}
+			reported, rep, err := RepartitionWithReport(g, Options{Threshold: th, Schedule: sched, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalRepartitioned(t, "reported "+schedLabel(sched, th, w), bare, reported)
+			if rep.Iterations != bare.Iterations {
+				t.Errorf("report iterations %d, want %d", rep.Iterations, bare.Iterations)
+			}
+			if rep.Evaluations != rep.Iterations {
+				t.Errorf("report evaluations %d, want iterations %d", rep.Evaluations, rep.Iterations)
+			}
+			if rep.IFL != bare.IFL || rep.Groups != bare.NumGroups() {
+				t.Errorf("report IFL/groups (%v, %d) disagree with result (%v, %d)",
+					rep.IFL, rep.Groups, bare.IFL, bare.NumGroups())
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 12; trial++ {
+		g := randomMultiGrid(rng)
+		for _, sched := range []Schedule{ScheduleExact, ScheduleGeometric} {
+			for _, th := range []float64{0, 0.05, 0.2, 1} {
+				check(g, sched, th)
+			}
+		}
+	}
+	// One fan-out grid keeps the race-detector run short;
+	// TestRepartitionWorkersByteIdentical covers both sizes.
+	g := fanOutGrids()[0]
+	for _, tc := range fanOutCases {
+		check(g, tc.sched, tc.th)
 	}
 }
 

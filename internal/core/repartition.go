@@ -33,15 +33,12 @@ type Options struct {
 	Threshold float64
 	// Schedule picks the iteration schedule; default ScheduleExact.
 	Schedule Schedule
-	// MaxIterations caps the number of extract/allocate/loss iterations.
-	// 0 means unlimited. A finite cap forces the sequential path so the
-	// budget cuts off the search at exactly the evaluation the paper's
-	// loop would have reached.
-	MaxIterations int
-	// Workers bounds the goroutines used for the variation-field build and
-	// for speculative rung evaluation. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces the sequential path. The returned Partition, Features, and
-	// IFL are byte-identical for every value.
+	// Workers bounds the goroutines used for the variation-field build and,
+	// within each rung, for feature allocation and the information-loss
+	// sweep. 0 means runtime.GOMAXPROCS(0); 1 forces the sequential path.
+	// Rungs are evaluated one at a time and no value depends on how the work
+	// is sharded, so the returned Partition, Features, and IFL are
+	// byte-identical for every value.
 	Workers int
 	// Obs, when non-nil, receives metrics and per-phase span timings from
 	// the run (DESIGN.md §3.14). Instrumentation only reads values the
@@ -49,11 +46,11 @@ type Options struct {
 	// returned dataset; when nil, every hook is a single predictable branch.
 	Obs *obs.Observer
 	// Ctx, when non-nil, cancels the run: the driver checks it before every
-	// rung evaluation and between speculative batches, and returns an error
-	// wrapping ErrCanceled (and the context's own error) within at most one
-	// in-flight rung of the cancellation. Nil means the run is never
-	// canceled. An un-canceled context never changes the returned dataset —
-	// the checkpoints are read-only branches.
+	// rung evaluation and returns an error wrapping ErrCanceled (and the
+	// context's own error) within at most one in-flight rung of the
+	// cancellation. Nil means the run is never canceled. An un-canceled
+	// context never changes the returned dataset — the checkpoints are
+	// read-only branches.
 	Ctx context.Context
 }
 
@@ -120,10 +117,10 @@ func canceledErr(ctx context.Context) error {
 }
 
 // RepartitionCtx is Repartition with cancellation: the search observes ctx at
-// cheap checkpoints (before each rung evaluation and between speculative
-// batches) and abandons the run with an error wrapping ErrCanceled within at
-// most one in-flight rung. Everything else — determinism across worker
-// counts included — is identical to Repartition.
+// a cheap checkpoint before each rung evaluation and abandons the run with an
+// error wrapping ErrCanceled within at most one in-flight rung. Everything
+// else — determinism across worker counts included — is identical to
+// Repartition.
 // ctx must be non-nil, as throughout the standard library's context
 // conventions; pass context.Background() explicitly (or use Repartition)
 // when no cancellation is wanted.
@@ -140,12 +137,10 @@ func RepartitionCtx(ctx context.Context, g *grid.Grid, opts Options) (*Repartiti
 // IFL ≤ θ (the identity partition, with IFL 0, if even the first merge
 // overshoots).
 //
-// With Options.Workers > 1 the ladder climb evaluates speculative rung
-// batches concurrently; each rung evaluation is pure given the field, and
-// passing rungs are promoted in the exact order the sequential loop would
-// have visited them, so the result — including Iterations, which counts only
-// the evaluations the sequential loop would have performed — is
-// byte-identical to the Workers = 1 path.
+// The rungs are visited one at a time by SearchLadder; with
+// Options.Workers > 1 each rung's feature allocation and loss sweep are
+// sharded across goroutines, and since no value depends on the sharding the
+// result — Iterations included — is byte-identical to the Workers = 1 path.
 func Repartition(g *grid.Grid, opts Options) (*Repartitioned, error) {
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
@@ -183,9 +178,6 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rec.start = time.Now()
 	}
 	workers := resolveWorkers(opts.Workers)
-	if opts.MaxIterations > 0 {
-		workers = 1 // a finite budget replays the sequential cut-off exactly
-	}
 	o.Count("repart.runs", 1)
 	o.SetGauge("repart.workers", float64(workers))
 
@@ -213,114 +205,43 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		Partition:       Identity(g),
 		MinAdjVariation: -1,
 	}
-	best.Features = AllocateFeatures(g, best.Partition)
+	best.Features = AllocateFeaturesParallel(g, best.Partition, workers)
+	spans := attrSpans(g) // constant across rungs: scan the grid once
 
-	iterBudget := opts.MaxIterations
-	if iterBudget <= 0 {
-		iterBudget = int(^uint(0) >> 1)
-	}
-	iters := 0
-
-	// eval evaluates one ladder rung: pure given the field, so rungs can be
-	// evaluated speculatively and concurrently. A canceled context short-
-	// circuits the evaluation — the run is about to return an error, so the
-	// placeholder result is never promoted.
-	eval := func(i int) rungResult {
+	// pass evaluates one ladder rung and installs it as the new best when its
+	// loss is within θ. SearchLadder only ever passes rungs coarser than every
+	// rung passed before, so the last installed rung is the one the search
+	// accepts.
+	pass := func(i int) (bool, error) {
 		if ctx.Err() != nil {
-			return rungResult{rung: i, canceled: true}
+			return false, canceledErr(ctx)
 		}
 		// rung.eval joins the request trace; its sub-phases (rung.extract,
 		// rung.allocate, rung.loss) stay histogram-only so the flight
 		// recorder holds one event per rung, not four.
 		_, spe := o.StartSpanCtx(ctx, "rung.eval")
 		part := extractFieldObs(o, field, ladder.Rung(i))
-		feats := allocateFeaturesObs(o, g, part)
-		loss := iflObs(o, g, part, feats)
+		feats := allocateFeaturesObs(o, g, part, workers)
+		loss := iflObs(o, g, part, feats, spans, workers)
 		spe.End()
 		ok := loss <= opts.Threshold
 		o.Count("rung.evaluated", 1)
 		rec.record(i, ladder.Rung(i), loss, len(part.Groups), ok)
-		return rungResult{rung: i, part: part, feats: feats, loss: loss, ok: ok}
+		if ok {
+			o.Count("rung.promoted", 1)
+			best = &Repartitioned{
+				Source:          g,
+				Partition:       part,
+				Features:        feats,
+				IFL:             loss,
+				MinAdjVariation: ladder.Rung(i),
+			}
+		}
+		return ok, nil
 	}
-	// promote installs a passing rung as the new best. Callers invoke it in
-	// ascending sequential-visit order, so the final best is the same rung
-	// the sequential loop accepts.
-	promote := func(rr rungResult) {
-		o.Count("rung.promoted", 1)
-		best = &Repartitioned{
-			Source:          g,
-			Partition:       rr.part,
-			Features:        rr.feats,
-			IFL:             rr.loss,
-			MinAdjVariation: ladder.Rung(rr.rung),
-		}
-	}
-
-	switch opts.Schedule {
-	case ScheduleExact:
-		if workers > 1 {
-			var err error
-			iters, err = exactParallel(ctx, o, eval, promote, ladder.Len(), workers)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for i := 0; i < ladder.Len() && iters < iterBudget; i++ {
-				iters++
-				rr := eval(i)
-				if rr.canceled {
-					return nil, canceledErr(ctx)
-				}
-				if !rr.ok {
-					break
-				}
-				promote(rr)
-			}
-		}
-	case ScheduleGeometric:
-		if workers > 1 {
-			var err error
-			iters, err = geometricParallel(ctx, o, eval, promote, ladder.Len(), workers)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// Exponential search for the frontier, then bisection.
-			lastGood, firstBad := -1, ladder.Len()
-			for step := 1; lastGood+step < ladder.Len() && iters < iterBudget; step *= 2 {
-				i := lastGood + step
-				iters++
-				o.Count("geometric.probes", 1)
-				rr := eval(i)
-				if rr.canceled {
-					return nil, canceledErr(ctx)
-				}
-				if rr.ok {
-					promote(rr)
-					lastGood = i
-				} else {
-					firstBad = i
-					break
-				}
-			}
-			for lo, hi := lastGood+1, firstBad-1; lo <= hi && iters < iterBudget; {
-				mid := (lo + hi) / 2
-				iters++
-				o.Count("geometric.bisections", 1)
-				rr := eval(mid)
-				if rr.canceled {
-					return nil, canceledErr(ctx)
-				}
-				if rr.ok {
-					promote(rr)
-					lo = mid + 1
-				} else {
-					hi = mid - 1
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown schedule %d", opts.Schedule)
+	iters, err := SearchLadder(ladder.Len(), opts.Schedule, pass)
+	if err != nil {
+		return nil, err
 	}
 
 	best.Iterations = iters
@@ -329,114 +250,59 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	return best, nil
 }
 
-// exactParallel climbs the ladder rung by rung like the sequential
-// ScheduleExact loop, evaluating speculative batches of `workers` rungs at a
-// time. Results are scanned in rung order, so promotion order, the stopping
-// rung, and the returned iteration count all match the sequential loop;
-// batch entries past the first failure are discarded speculation. Context
-// cancellation is observed between batches and inside each evaluation, so the
-// climb aborts within one in-flight batch.
-func exactParallel(ctx context.Context, o *obs.Observer, eval func(int) rungResult, promote func(rungResult), n, workers int) (int, error) {
-	iters := 0
-	for start := 0; start < n; start += workers {
-		if ctx.Err() != nil {
-			return iters, canceledErr(ctx)
-		}
-		end := start + workers
-		if end > n {
-			end = n
-		}
-		rungs := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			rungs = append(rungs, i)
-		}
-		results := evalRungsObs(o, eval, rungs, workers)
-		for scanned, rr := range results {
-			if rr.canceled {
-				return iters, canceledErr(ctx)
-			}
-			iters++
-			if !rr.ok {
-				o.Count("parallel.speculative_waste", int64(len(results)-scanned-1))
-				return iters, nil
-			}
-			promote(rr)
-		}
+// SearchLadder climbs an n-rung variation ladder under schedule s, calling
+// pass on each rung it visits, and returns the number of rungs evaluated.
+// pass reports whether the rung's partition satisfies the caller's loss
+// bound; a non-nil error (e.g. cancellation) stops the search and is
+// returned as is.
+//
+// ScheduleExact visits 0, 1, 2, … up to and including the first failing
+// rung. ScheduleGeometric probes lastGood+1, +2, +4, … (lastGood being the
+// latest passing probe) until a probe fails or the ladder ends, then bisects
+// the open interval (lastGood, firstBad). Either way every passing rung is
+// coarser than all rungs passed before it, so the last rung pass accepted is
+// the search's answer.
+func SearchLadder(n int, s Schedule, pass func(rung int) (bool, error)) (evaluated int, err error) {
+	try := func(i int) (bool, error) {
+		evaluated++
+		return pass(i)
 	}
-	return iters, nil
-}
-
-// geometricParallel mirrors the sequential ScheduleGeometric search with
-// speculative batches. The exponential probe sequence is predetermined while
-// probes keep passing, so whole batches of probes run concurrently; the
-// bisection phase evaluates the next few levels of the binary-search
-// decision tree per batch (speculativeMids) and then replays the sequential
-// walk against the collected results. Promotions happen in the sequential
-// visit order, so the outcome is byte-identical to Workers = 1. Context
-// cancellation is observed between batches and inside each evaluation.
-func geometricParallel(ctx context.Context, o *obs.Observer, eval func(int) rungResult, promote func(rungResult), n, workers int) (int, error) {
-	iters := 0
-	var probes []int
-	for lg, step := -1, 1; lg+step < n; step *= 2 {
-		probes = append(probes, lg+step)
-		lg += step
-	}
-	lastGood, firstBad := -1, n
-	failed := false
-	for start := 0; start < len(probes) && !failed; start += workers {
-		if ctx.Err() != nil {
-			return iters, canceledErr(ctx)
-		}
-		end := start + workers
-		if end > len(probes) {
-			end = len(probes)
-		}
-		for _, rr := range evalRungsObs(o, eval, probes[start:end], workers) {
-			if rr.canceled {
-				return iters, canceledErr(ctx)
+	switch s {
+	case ScheduleExact:
+		for i := 0; i < n; i++ {
+			if ok, err := try(i); err != nil || !ok {
+				return evaluated, err
 			}
-			iters++
-			o.Count("geometric.probes", 1)
-			if rr.ok {
-				promote(rr)
-				lastGood = rr.rung
-			} else {
-				firstBad = rr.rung
-				failed = true
+		}
+	case ScheduleGeometric:
+		// Exponential search for the frontier, then bisection.
+		lastGood, firstBad := -1, n
+		for step := 1; lastGood+step < n; step *= 2 {
+			i := lastGood + step
+			ok, err := try(i)
+			if err != nil {
+				return evaluated, err
+			}
+			if !ok {
+				firstBad = i
 				break
 			}
+			lastGood = i
 		}
-	}
-	for lo, hi := lastGood+1, firstBad-1; lo <= hi; {
-		if ctx.Err() != nil {
-			return iters, canceledErr(ctx)
-		}
-		mids := speculativeMids(lo, hi, workers)
-		res := make(map[int]rungResult, len(mids))
-		for _, rr := range evalRungsObs(o, eval, mids, workers) {
-			if rr.canceled {
-				return iters, canceledErr(ctx)
-			}
-			res[rr.rung] = rr
-		}
-		consumed := 0
-		for lo <= hi {
+		for lo, hi := lastGood+1, firstBad-1; lo <= hi; {
 			mid := (lo + hi) / 2
-			rr, have := res[mid]
-			if !have {
-				break // narrowed past this batch's speculation: refill
+			ok, err := try(mid)
+			if err != nil {
+				return evaluated, err
 			}
-			consumed++
-			iters++
-			o.Count("geometric.bisections", 1)
-			if rr.ok {
-				promote(rr)
+			if ok {
 				lo = mid + 1
 			} else {
 				hi = mid - 1
 			}
 		}
-		o.Count("parallel.speculative_waste", int64(len(mids)-consumed))
+	default:
+		return 0, fmt.Errorf("core: unknown schedule %d", s)
 	}
-	return iters, nil
+	return evaluated, nil
 }

@@ -156,17 +156,6 @@ func TestRepartitionGeometricFewerIterations(t *testing.T) {
 	}
 }
 
-func TestRepartitionMaxIterations(t *testing.T) {
-	g := randomUniGrid(13, 10, 10, 0)
-	rp, err := Repartition(g, Options{Threshold: 0.5, MaxIterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Iterations > 3 {
-		t.Errorf("iterations = %d, want ≤ 3", rp.Iterations)
-	}
-}
-
 func TestRepartitionSingleCellGrid(t *testing.T) {
 	g := grid.New(1, 1, uniAttrs())
 	g.Set(0, 0, 0, 42)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"spatialrepart/internal/grid"
@@ -77,9 +76,9 @@ type RunReport struct {
 	Field       FieldStats `json:"field"`
 	LadderRungs int        `json:"ladder_rungs"`
 
-	// Iterations counts the evaluations the sequential loop would have
-	// performed; Evaluations additionally includes discarded speculative
-	// rung evaluations, so Evaluations − Iterations is the parallel waste.
+	// Iterations is the result's iteration count; Evaluations counts the
+	// rung evaluations recorded in Trajectory. Rungs are evaluated one at a
+	// time and never speculatively, so the two are always equal.
 	Iterations  int `json:"iterations"`
 	Evaluations int `json:"evaluations"`
 
@@ -91,10 +90,6 @@ type RunReport struct {
 	PeakGroups int `json:"peak_groups"`
 
 	TotalNS int64 `json:"total_ns"`
-	// WorkerUtilization is the fraction of worker-time spent inside rung
-	// evaluations: Σ(rung.eval durations) / (Workers × TotalNS). Values near
-	// 1/Workers indicate a sequential bottleneck; 0 when nothing was timed.
-	WorkerUtilization float64 `json:"worker_utilization,omitempty"`
 
 	// Phases holds per-phase timing stats keyed by span name
 	// (varfield.build, rung.extract, rung.allocate, rung.loss, …).
@@ -111,18 +106,15 @@ type runRecorder struct {
 	field   FieldStats
 	rungs   int
 	workers int
-
-	mu    sync.Mutex
-	evals []EvalPoint
+	evals   []EvalPoint
 }
 
-// record appends one rung evaluation. Called concurrently from speculative
-// workers; the report sorts by rung, so append order does not matter.
+// record appends one rung evaluation in visit order; the report sorts by
+// rung.
 func (rec *runRecorder) record(rung int, minAdjVariation, loss float64, groups int, pass bool) {
 	if rec == nil {
 		return
 	}
-	rec.mu.Lock()
 	rec.evals = append(rec.evals, EvalPoint{
 		Rung:            rung,
 		MinAdjVariation: minAdjVariation,
@@ -130,7 +122,6 @@ func (rec *runRecorder) record(rung int, minAdjVariation, loss float64, groups i
 		Groups:          groups,
 		Pass:            pass,
 	})
-	rec.mu.Unlock()
 }
 
 // scheduleName returns the schedule's report label.
@@ -171,16 +162,13 @@ func (rec *runRecorder) buildReport(g *grid.Grid, opts Options, rp *Repartitione
 		Trajectory:      rec.evals,
 	}
 	r.Phases = PhaseStatsFrom(rec.obs.Registry().Snapshot())
-	if busy, ok := r.Phases["rung.eval"]; ok && total > 0 && rec.workers > 0 {
-		r.WorkerUtilization = float64(busy.TotalNS) / (float64(rec.workers) * float64(total))
-	}
 	return r
 }
 
 // RepartitionWithReport is Repartition plus a machine-readable RunReport of
 // the search: per-phase timings, the full IFL trajectory, ladder statistics,
-// iteration/evaluation counts, and worker utilization. The returned dataset
-// is byte-identical to Repartition's for the same grid and options.
+// and iteration/evaluation counts. The returned dataset is byte-identical to
+// Repartition's for the same grid and options.
 //
 // When opts.Obs is nil a private observer collects the phase timings; when
 // the caller supplies one, the report's Phases reflect that observer's

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
 )
 
@@ -12,32 +13,40 @@ import (
 // running with request-scoped tracing active — a trace context in ctx, a
 // seeded observer recording spans into the flight recorder — returns a
 // dataset byte-identical to the bare uninstrumented run, for both schedules
-// and for sequential and speculative worker counts.
+// and for sequential and sharded worker counts.
 func TestRepartitionTracedByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
 	remote, ok := obs.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	if !ok {
 		t.Fatal("failed to parse fixture traceparent")
 	}
+	check := func(g *grid.Grid, sched Schedule, th float64, seed int64) {
+		t.Helper()
+		bare, err := Repartition(g, Options{Threshold: th, Schedule: sched, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4} {
+			o := obs.NewSeeded(seed)
+			ctx := obs.ContextWithTrace(context.Background(), remote)
+			traced, err := RepartitionCtx(ctx, g, Options{Threshold: th, Schedule: sched, Workers: w, Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalRepartitioned(t, "traced "+schedLabel(sched, th, w), bare, traced)
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 6; trial++ {
 		g := randomMultiGrid(rng)
 		for _, sched := range []Schedule{ScheduleExact, ScheduleGeometric} {
 			for _, th := range []float64{0.05, 0.3} {
-				bare, err := Repartition(g, Options{Threshold: th, Schedule: sched, Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range []int{1, 4} {
-					o := obs.NewSeeded(int64(trial))
-					ctx := obs.ContextWithTrace(context.Background(), remote)
-					traced, err := RepartitionCtx(ctx, g, Options{Threshold: th, Schedule: sched, Workers: w, Obs: o})
-					if err != nil {
-						t.Fatal(err)
-					}
-					equalRepartitioned(t, "traced "+schedLabel(sched, th, w), bare, traced)
-				}
+				check(g, sched, th, int64(trial))
 			}
 		}
+	}
+	g := fanOutGrids()[0] // one size is enough; WorkersByteIdentical covers both
+	for _, tc := range fanOutCases {
+		check(g, tc.sched, tc.th, 0)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"spatialrepart/internal/grid"
@@ -190,6 +191,12 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 					visited[rr*cols+cc] = true
 					p.CellToGroup[rr*cols+cc] = id
 				}
+			}
+			if len(p.Groups) == cap(p.Groups) {
+				// Double: append grows large slices by only 1.25×, and near
+				// a million groups its repeated copies cost more than the
+				// rectangle search itself.
+				p.Groups = slices.Grow(p.Groups, len(p.Groups))
 			}
 			p.Groups = append(p.Groups, cg)
 		}

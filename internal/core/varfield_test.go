@@ -14,7 +14,11 @@ import (
 // occasionally categorical) and a fraction of null cells — the adversarial
 // input shared by the field/parallel equivalence tests.
 func randomMultiGrid(rng *rand.Rand) *grid.Grid {
-	rows, cols := 2+rng.Intn(9), 2+rng.Intn(9)
+	return randomMultiGridSized(rng, 2+rng.Intn(9), 2+rng.Intn(9))
+}
+
+// randomMultiGridSized is randomMultiGrid at a caller-chosen size.
+func randomMultiGridSized(rng *rand.Rand, rows, cols int) *grid.Grid {
 	nAttrs := 1 + rng.Intn(3)
 	attrs := make([]grid.Attribute, nAttrs)
 	for k := range attrs {

@@ -90,7 +90,10 @@ func ExtractorAblation(cfg Config) ([]ExtractorAblationRow, error) {
 				{func(v float64) *core.Partition { return core.ExtractField(field, v) }, &row.GreedyGroups, &row.GreedyIFL},
 				{func(v float64) *core.Partition { return core.QuadtreeExtract(norm, v) }, &row.QuadtreeGroups, &row.QuadtreeIFL},
 			} {
-				groups, ifl := coarsestWithin(d.Grid, ladder, theta, ex.extract)
+				groups, ifl, err := coarsestWithin(d.Grid, ladder, theta, ex.extract)
+				if err != nil {
+					return nil, err
+				}
 				*ex.groups, *ex.ifl = groups, ifl
 			}
 			rows = append(rows, row)
@@ -102,7 +105,7 @@ func ExtractorAblation(cfg Config) ([]ExtractorAblationRow, error) {
 // coarsestWithin runs the geometric ladder search with an arbitrary
 // extractor, returning the non-null group count and IFL of the coarsest
 // partition whose loss stays within theta.
-func coarsestWithin(g *grid.Grid, ladder *core.VariationLadder, theta float64, extract func(float64) *core.Partition) (int, float64) {
+func coarsestWithin(g *grid.Grid, ladder *core.VariationLadder, theta float64, extract func(float64) *core.Partition) (int, float64, error) {
 	eval := func(part *core.Partition) (int, float64) {
 		feats := core.AllocateFeatures(g, part)
 		valid := 0
@@ -114,34 +117,15 @@ func coarsestWithin(g *grid.Grid, ladder *core.VariationLadder, theta float64, e
 		return valid, core.IFL(g, part, feats)
 	}
 	bestGroups, bestIFL := eval(core.Identity(g))
-	tryRung := func(i int) bool {
-		part := extract(ladder.Rung(i))
-		groups, ifl := eval(part)
-		if ifl <= theta {
-			bestGroups, bestIFL = groups, ifl
-			return true
+	_, err := core.SearchLadder(ladder.Len(), core.ScheduleGeometric, func(i int) (bool, error) {
+		groups, ifl := eval(extract(ladder.Rung(i)))
+		if ifl > theta {
+			return false, nil
 		}
-		return false
-	}
-	lastGood, firstBad := -1, ladder.Len()
-	for step := 1; lastGood+step < ladder.Len(); step *= 2 {
-		i := lastGood + step
-		if tryRung(i) {
-			lastGood = i
-		} else {
-			firstBad = i
-			break
-		}
-	}
-	for lo, hi := lastGood+1, firstBad-1; lo <= hi; {
-		mid := (lo + hi) / 2
-		if tryRung(mid) {
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return bestGroups, bestIFL
+		bestGroups, bestIFL = groups, ifl
+		return true, nil
+	})
+	return bestGroups, bestIFL, err
 }
 
 // ScheduleAblation runs the exact (paper-faithful, one heap pop per

@@ -70,8 +70,8 @@ func PrepareOriginal(d *datagen.Dataset) (*Reduction, error) {
 
 // PrepareRepartitioning runs the framework at threshold θ and converts the
 // result to a Reduction. It returns the Repartitioned as well so callers can
-// reuse the partition count for the baselines. workers bounds the goroutines
-// of the ladder search (0 = GOMAXPROCS); the result is identical for every
+// reuse the partition count for the baselines. workers is forwarded to
+// core.Options.Workers (0 = GOMAXPROCS); the result is identical for every
 // setting. The Reduction carries the run's core.RunReport so experiment
 // drivers can aggregate per-phase timings (DESIGN.md §3.14).
 func PrepareRepartitioning(d *datagen.Dataset, theta float64, workers int) (*Reduction, *core.Repartitioned, error) {

@@ -26,8 +26,8 @@ type Summary struct {
 	Runs    []RepartitionRun `json:"runs"`
 	// TotalRepartitionNS sums the TotalNS of every recorded run.
 	TotalRepartitionNS int64 `json:"total_repartition_ns"`
-	// TotalIterations and TotalEvaluations aggregate the search effort
-	// (evaluations − iterations = speculative parallel waste).
+	// TotalIterations and TotalEvaluations aggregate the search effort; rungs
+	// are never evaluated speculatively, so the two are equal.
 	TotalIterations  int `json:"total_iterations"`
 	TotalEvaluations int `json:"total_evaluations"`
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"spatialrepart/internal/core"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
 )
@@ -121,6 +123,52 @@ func TestRefreshKeepsPartitionUnderSmallDrift(t *testing.T) {
 	}
 	if st.Refreshes < 1 {
 		t.Errorf("refreshes = %d, want ≥ 1 (drift was representable)", st.Refreshes)
+	}
+}
+
+// TestRefreshMatchesRecomputeIFL: the refresh and the full recompute measure
+// a partition with the same IFL reduction, so with θ set to exactly the IFL
+// a recompute served, the next check on unchanged aggregates must be a
+// refresh that keeps the partition and serves the same bits. The grid is
+// taller than one 16-row IFL block, so a refresh that combined the block
+// partial sums differently from the recompute would flip the verdict or the
+// served value.
+func TestRefreshMatchesRecomputeIFL(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s, err := New(testBounds(), 40, 40, testAttrs(), Options{
+			Threshold: 0.1, Schedule: core.ScheduleGeometric, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 20000; i++ {
+			lat, lon := rng.Float64()*10, rng.Float64()*10
+			if err := s.Add(grid.Record{Lat: lat, Lon: lon, Values: []float64{1, 10 + lat + rng.Float64()}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := s.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if before.Recomputes != 1 || v.IFL == 0 {
+			t.Fatalf("workers %d: first serve not a lossy recompute: IFL %v, %+v", workers, v.IFL, before)
+		}
+
+		s.opts.Threshold = v.IFL
+		w, err := s.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.Stats()
+		if after.Refreshes != before.Refreshes+1 || after.Recomputes != before.Recomputes {
+			t.Errorf("workers %d: θ = served IFL did not refresh: before %+v, after %+v", workers, before, after)
+		}
+		if math.Float64bits(w.IFL) != math.Float64bits(v.IFL) {
+			t.Errorf("workers %d: refresh IFL %v, recompute IFL %v: want identical bits", workers, w.IFL, v.IFL)
+		}
 	}
 }
 

@@ -138,7 +138,7 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 // partitions come from the variation ladder of the temporal-mean grid
 // (merging cells that are similar on average); acceptance is checked against
 // every individual slice, so the bound holds for the real data rather than
-// its average. Exponential search plus bisection over the ladder, mirroring
+// its average. The ladder is climbed by core.SearchLadder under
 // core.ScheduleGeometric.
 func spatialPhase(c *Cube, budget float64) (*core.Partition, float64, error) {
 	mean := meanGrid(c)
@@ -167,33 +167,16 @@ func spatialPhase(c *Cube, budget float64) (*core.Partition, float64, error) {
 		// zero-span guard on degenerate data); keep the identity partition.
 		return best, bestIFL, nil
 	}
-	tryRung := func(i int) bool {
+	_, err := core.SearchLadder(ladder.Len(), core.ScheduleGeometric, func(i int) (bool, error) {
 		part := core.ExtractField(field, ladder.Rung(i))
-		if ifl := worstSliceIFL(part); ifl <= budget {
-			best, bestIFL = part, ifl
-			return true
+		ifl := worstSliceIFL(part)
+		if ifl > budget {
+			return false, nil
 		}
-		return false
-	}
-	lastGood, firstBad := -1, ladder.Len()
-	for step := 1; lastGood+step < ladder.Len(); step *= 2 {
-		i := lastGood + step
-		if tryRung(i) {
-			lastGood = i
-		} else {
-			firstBad = i
-			break
-		}
-	}
-	for lo, hi := lastGood+1, firstBad-1; lo <= hi; {
-		mid := (lo + hi) / 2
-		if tryRung(mid) {
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return best, bestIFL, nil
+		best, bestIFL = part, ifl
+		return true, nil
+	})
+	return best, bestIFL, err
 }
 
 // meanGrid averages each cell's feature vector over the slices where it is

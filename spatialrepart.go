@@ -92,8 +92,8 @@ type W = weights.W
 type Observer = obs.Observer
 
 // RunReport is the machine-readable summary RepartitionWithReport produces:
-// per-phase timings, the IFL trajectory, ladder statistics, and worker
-// utilization.
+// per-phase timings, the IFL trajectory, ladder statistics, and iteration
+// counts.
 type RunReport = core.RunReport
 
 // NewGrid allocates an all-null rows×cols grid with the given attributes.
@@ -126,9 +126,9 @@ func Repartition(g *Grid, opts Options) (*Repartitioned, error) {
 var ErrCanceled = core.ErrCanceled
 
 // RepartitionCtx is Repartition observing ctx: cancellation and deadlines are
-// honored at rung boundaries and between parallel evaluation batches, so a
-// long climb stops within one rung of the signal. When ctx is never canceled
-// the result is byte-identical to Repartition's.
+// honored before every rung evaluation, so a long climb stops within one rung
+// of the signal. When ctx is never canceled the result is byte-identical to
+// Repartition's.
 func RepartitionCtx(ctx context.Context, g *Grid, opts Options) (*Repartitioned, error) {
 	return core.RepartitionCtx(ctx, g, opts)
 }
