@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
 )
 
 // AllocateFeatures implements Algorithm 2: it computes the feature vector of
@@ -51,31 +50,38 @@ func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi i
 	}
 	backing := make([]float64, valid*p)
 	for gi := lo; gi < hi; gi++ {
-		cg := part.Groups[gi]
+		cg := &part.Groups[gi]
 		if cg.Null {
 			continue
 		}
 		fv := backing[:p:p]
 		backing = backing[p:]
-		for k := 0; k < p; k++ {
-			vals = vals[:0]
-			for r := cg.RBeg; r <= cg.REnd; r++ {
-				for c := cg.CBeg; c <= cg.CEnd; c++ {
-					vals = append(vals, orig.At(r, c, k))
-				}
-			}
-			if meanOnly && orig.Attrs[k].Agg == grid.Average && !orig.Attrs[k].Categorical {
-				a := mean(vals)
-				if orig.Attrs[k].Integer {
-					a = math.Round(a)
-				}
-				fv[k] = a
-				continue
-			}
-			fv[k] = allocateAttr(orig.Attrs[k], vals)
-		}
+		vals = allocateGroup(orig, cg, fv, vals, meanOnly)
 		feats[gi] = fv
 	}
+}
+
+// allocateGroup writes the Algorithm 2 feature vector of the non-null group
+// cg into fv (length NumAttrs). vals is scratch space, returned for reuse.
+func allocateGroup(orig *grid.Grid, cg *CellGroup, fv, vals []float64, meanOnly bool) []float64 {
+	for k := range fv {
+		vals = vals[:0]
+		for r := cg.RBeg; r <= cg.REnd; r++ {
+			for c := cg.CBeg; c <= cg.CEnd; c++ {
+				vals = append(vals, orig.At(r, c, k))
+			}
+		}
+		if meanOnly && orig.Attrs[k].Agg == grid.Average && !orig.Attrs[k].Categorical {
+			a := mean(vals)
+			if orig.Attrs[k].Integer {
+				a = math.Round(a)
+			}
+			fv[k] = a
+			continue
+		}
+		fv[k] = allocateAttr(orig.Attrs[k], vals)
+	}
+	return vals
 }
 
 // allocateAttr computes one attribute's representative value for a group's
@@ -151,15 +157,4 @@ func mode(vals []float64) float64 {
 		}
 	}
 	return best
-}
-
-// allocateFeaturesObs is AllocateFeaturesParallel under observation: it times
-// the Algorithm 2 pass (span "rung.allocate") and counts calls. The feature
-// vectors returned are exactly AllocateFeatures' — observation only reads.
-func allocateFeaturesObs(o *obs.Observer, orig *grid.Grid, part *Partition, workers int) [][]float64 {
-	sp := o.StartSpan("rung.allocate")
-	feats := AllocateFeaturesParallel(orig, part, workers)
-	sp.End()
-	o.Count("allocate.calls", 1)
-	return feats
 }

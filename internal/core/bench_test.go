@@ -34,7 +34,7 @@ func BenchmarkExtract(b *testing.B) {
 	minVar := ladder.Rung(ladder.Len() / 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Extract(norm, minVar)
+		extractDirect(norm, minVar)
 	}
 }
 
@@ -113,7 +113,7 @@ func repartitionSeedReference(g *grid.Grid, threshold float64) *Partition {
 	best := Identity(g)
 	// The pass callback never errs, so neither does the search.
 	_, _ = SearchLadder(ladder.Len(), ScheduleGeometric, func(i int) (bool, error) {
-		part := Extract(norm, ladder.Rung(i))
+		part := extractDirect(norm, ladder.Rung(i))
 		feats := seedAllocateFeatures(g, part)
 		if IFL(g, part, feats) > threshold {
 			return false, nil

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
-)
+import "spatialrepart/internal/grid"
 
 // CellGroup is a rectangular group of adjacent cells (paper §II). The bounds
 // are inclusive: the group spans rows [RBeg, REnd] and columns [CBeg, CEnd].
@@ -61,107 +58,9 @@ func Identity(g *grid.Grid) *Partition {
 // (c) the maximal-area rectangle in which every pair of adjacent cells has
 // variation ≤ minAdjVariation. Null cells group only with adjacent null
 // cells. Every cell ends up in exactly one rectangular cell-group.
+//
+// It builds the variation field of norm and runs ExtractField over it; a
+// caller extracting several rungs of one grid should build the field once.
 func Extract(norm *grid.Grid, minAdjVariation float64) *Partition {
-	rows, cols := norm.Rows, norm.Cols
-	visited := make([]bool, rows*cols)
-	p := &Partition{
-		Rows:        rows,
-		Cols:        cols,
-		CellToGroup: make([]int, rows*cols),
-	}
-
-	// vRun returns the number of consecutive unvisited cells downward from
-	// (r, c) — including (r, c) — such that each vertically adjacent pair has
-	// variation ≤ minAdjVariation.
-	vRun := func(r, c int) int {
-		if visited[r*cols+c] {
-			return 0
-		}
-		n := 1
-		for r+n < rows && !visited[(r+n)*cols+c] &&
-			cellVariation(norm, r+n-1, c, r+n, c) <= minAdjVariation {
-			n++
-		}
-		return n
-	}
-	hRun := func(r, c int) int {
-		if visited[r*cols+c] {
-			return 0
-		}
-		n := 1
-		for c+n < cols && !visited[r*cols+c+n] &&
-			cellVariation(norm, r, c+n-1, r, c+n) <= minAdjVariation {
-			n++
-		}
-		return n
-	}
-
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if visited[r*cols+c] {
-				continue
-			}
-			vCount := vRun(r, c)
-			hCount := hRun(r, c)
-
-			// Grow the best rectangle from (r, c): width w sweeps rightward
-			// along the horizontal run; the feasible height shrinks
-			// monotonically as columns are added because every vertical pair
-			// within each column and every horizontal pair between adjacent
-			// columns must stay within minAdjVariation.
-			bestW, bestH, bestArea := 1, vCount, vCount
-			h := vCount
-			for w := 2; w <= hCount && h > 1; w++ {
-				col := c + w - 1
-				if vr := vRun(r, col); vr < h {
-					h = vr
-				}
-				for t := 1; t < h; t++ { // row r pairs already vetted by hRun
-					if cellVariation(norm, r+t, col-1, r+t, col) > minAdjVariation {
-						h = t
-						break
-					}
-				}
-				if h <= 1 {
-					break
-				}
-				if area := w * h; area > bestArea {
-					bestW, bestH, bestArea = w, h, area
-				}
-			}
-
-			var cg CellGroup
-			switch {
-			case bestArea >= hCount && bestArea >= vCount:
-				cg = CellGroup{RBeg: r, REnd: r + bestH - 1, CBeg: c, CEnd: c + bestW - 1}
-			case hCount >= vCount:
-				cg = CellGroup{RBeg: r, REnd: r, CBeg: c, CEnd: c + hCount - 1}
-			default:
-				cg = CellGroup{RBeg: r, REnd: r + vCount - 1, CBeg: c, CEnd: c}
-			}
-			cg.Null = !norm.Valid(r, c)
-
-			id := len(p.Groups)
-			for rr := cg.RBeg; rr <= cg.REnd; rr++ {
-				for cc := cg.CBeg; cc <= cg.CEnd; cc++ {
-					visited[rr*cols+cc] = true
-					p.CellToGroup[rr*cols+cc] = id
-				}
-			}
-			p.Groups = append(p.Groups, cg)
-		}
-	}
-	return p
-}
-
-// extractFieldObs is ExtractField under observation: it times the extraction
-// (span "rung.extract") and counts extractions and produced groups. The
-// partition returned is exactly ExtractField's — observation only reads it.
-func extractFieldObs(o *obs.Observer, f *VariationField, minAdjVariation float64) *Partition {
-	sp := o.StartSpan("rung.extract")
-	p := ExtractField(f, minAdjVariation)
-	sp.End()
-	o.Count("extract.calls", 1)
-	o.Count("extract.groups", int64(len(p.Groups)))
-	return p
+	return ExtractField(BuildField(norm), minAdjVariation)
 }

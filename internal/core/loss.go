@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
 )
 
 // Representative returns the value attribute k of the re-partitioned dataset
@@ -66,42 +65,67 @@ func attrSpans(g *grid.Grid) []float64 {
 // re-partitioned dataset (partition + allocated group features): the mean
 // absolute percentage error of the representative cell values against the
 // original ones, averaged over all valid cells and all attributes. It runs
-// the same block reduction as IFLParallel on one goroutine, so every path
-// that measures a partition — batch rungs, stream refresh, stream recompute
-// — gets the same bits.
+// the same reduction as IFLParallel on one goroutine, so every path that
+// measures a partition — batch rungs, stream refresh, stream recompute —
+// gets the same bits.
 func IFL(orig *grid.Grid, part *Partition, feats [][]float64) float64 {
-	return iflBlocks(orig, part, feats, attrSpans(orig), 1)
+	return IFLParallel(orig, part, feats, 1)
 }
 
-// iflRows accumulates the Eq. 3 numerator and valid-cell count over rows
-// [r0, r1), in row-major order — the per-block primitive of iflBlocks.
-func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, r0, r1 int) (sum float64, valid int) {
-	p := orig.NumAttrs()
-	for r := r0; r < r1; r++ {
-		for c := 0; c < orig.Cols; c++ {
+// groupLoss returns group cg's share of the Eq. 3 numerator: the terms of
+// its valid cells in row-major order within the rectangle, attributes
+// innermost, against its feature vector fv. It depends only on the rectangle
+// and the grid, which is what lets the ladder search memoize it. cg is a
+// pointer because the refresh path calls this once per group, where copying
+// the rectangle into every call was a measurable share of the IFL sweep.
+func groupLoss(orig *grid.Grid, cg *CellGroup, fv, spans []float64) float64 {
+	size := cg.Size()
+	var sum float64
+	for r := cg.RBeg; r <= cg.REnd; r++ {
+		for c := cg.CBeg; c <= cg.CEnd; c++ {
 			if !orig.Valid(r, c) {
 				continue
 			}
-			valid++
-			gi := part.GroupOf(r, c)
-			fv := feats[gi]
-			size := part.Groups[gi].Size()
-			for k := 0; k < p; k++ {
+			for k := range orig.Attrs {
 				rep := Representative(orig.Attrs[k], fv[k], size)
 				sum += IFLTermAttr(orig.Attrs[k], orig.At(r, c, k), rep, spans[k])
 			}
 		}
 	}
-	return sum, valid
+	return sum
 }
 
-// iflObs is the IFL block reduction under observation: it times the Eq. 3
-// sweep (span "rung.loss") and counts evaluations. The loss returned is
-// exactly IFL's — observation only reads it.
-func iflObs(o *obs.Observer, orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, workers int) float64 {
-	sp := o.StartSpan("rung.loss")
-	loss := iflBlocks(orig, part, feats, spans, workers)
-	sp.End()
-	o.Count("loss.evaluations", 1)
-	return loss
+// lossChunk is the number of consecutive groups whose loss sums make up one
+// partial of the IFL reduction. It is a constant rather than a function of
+// the worker count, so the partials are always taken over the same groups
+// and combined in the same order, whatever the sharding.
+const lossChunk = 1024
+
+// lossChunks returns the number of lossChunk-group chunks covering n groups.
+func lossChunks(n int) int { return (n + lossChunk - 1) / lossChunk }
+
+// sumChunks is the first half of the one Eq. 3 reduction (DESIGN.md §3.11):
+// for each chunk in [lo, hi) it adds the chunk's group loss sums in group
+// order into partials[ch]. Disjoint chunk ranges can run concurrently.
+func sumChunks(partials []float64, lo, hi, groups int, groupSum func(gi int) float64) {
+	for ch := lo; ch < hi; ch++ {
+		var s float64
+		for gi := ch * lossChunk; gi < min(groups, (ch+1)*lossChunk); gi++ {
+			s += groupSum(gi)
+		}
+		partials[ch] = s
+	}
+}
+
+// meanLoss is the second half: it adds the chunk partials in chunk order and
+// divides by the number of valid cells times the number of attributes.
+func meanLoss(partials []float64, valid, attrs int) float64 {
+	var sum float64
+	for _, s := range partials {
+		sum += s
+	}
+	if valid == 0 || attrs == 0 {
+		return 0
+	}
+	return sum / float64(valid*attrs)
 }

@@ -3,8 +3,9 @@ package core
 // This file holds the parallel variants of the re-partitioning hot paths
 // (DESIGN.md §3.11). Everything here is deterministic: every output value
 // comes from a unit of work whose bounds never depend on the worker count — a
-// field row, a group, an IFL row block — so any Workers value, including 1,
-// produces the same bytes. Workers only controls how many shards run at once.
+// field row, a group, a chunk of lossChunk groups — so any Workers value,
+// including 1, produces the same bytes. Workers only controls how many shards
+// run at once.
 
 import (
 	"runtime"
@@ -88,45 +89,20 @@ func AllocateFeaturesParallel(orig *grid.Grid, part *Partition, workers int) [][
 // falls back to the sequential pass (goroutine overhead dominates).
 const minParallelGroups = 64
 
-// iflBlockRows is the fixed row height of one IFL reduction block. It is a
-// constant rather than a function of the worker count so that the partial
-// sums are always taken over the same cell blocks and combined in the same
-// order — making IFLParallel's result identical for every Workers value.
-const iflBlockRows = 16
-
-// IFLParallel is IFL with its fixed row blocks spread over up to `workers`
-// goroutines (0 = GOMAXPROCS). The blocks and their combination order never
+// IFLParallel is IFL with its fixed group chunks spread over up to `workers`
+// goroutines (0 = GOMAXPROCS). The chunks and their combination order never
 // depend on the worker count, so the result is bit-identical to IFL for every
-// value.
+// value. It allocates one partial per chunk of lossChunk groups, never one
+// value per group.
 func IFLParallel(orig *grid.Grid, part *Partition, feats [][]float64, workers int) float64 {
-	return iflBlocks(orig, part, feats, attrSpans(orig), resolveWorkers(workers))
-}
-
-// iflBlocks is the one Eq. 3 reduction behind IFL and IFLParallel: the cell
-// sweep is split into fixed iflBlockRows-row blocks, each block's partial sum
-// is taken in row-major order, and the partials are combined in block order.
-// Each block is its own shard, so a worker that finishes early takes the next
-// block. spans are the attribute range spans of orig (attrSpans), passed in so
-// a run that measures many partitions of one grid scans it once.
-func iflBlocks(orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, workers int) float64 {
-	blocks := (orig.Rows + iflBlockRows - 1) / iflBlockRows
-	sums := make([]float64, blocks)
-	valids := make([]int, blocks)
-	parallelRanges(blocks, blocks, workers, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			r0 := b * iflBlockRows
-			sums[b], valids[b] = iflRows(orig, part, feats, spans, r0, min(r0+iflBlockRows, orig.Rows))
-		}
+	workers = resolveWorkers(workers)
+	spans := attrSpans(orig)
+	n := len(part.Groups)
+	partials := make([]float64, lossChunks(n))
+	parallelRanges(len(partials), 16*workers, workers, func(_, lo, hi int) {
+		sumChunks(partials, lo, hi, n, func(gi int) float64 {
+			return groupLoss(orig, &part.Groups[gi], feats[gi], spans)
+		})
 	})
-	var sum float64
-	valid := 0
-	for b := range sums { // combine in block order: deterministic
-		sum += sums[b]
-		valid += valids[b]
-	}
-	p := orig.NumAttrs()
-	if valid == 0 || p == 0 {
-		return 0
-	}
-	return sum / float64(valid*p)
+	return meanLoss(partials, orig.ValidCount(), orig.NumAttrs())
 }

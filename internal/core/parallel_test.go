@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -77,11 +78,91 @@ func TestRepartitionWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// fanOutGrids returns grids on which every sharded step really splits: at
-// least 33 rows, so IFLParallel sweeps three or more row blocks, and early
-// rungs with well over 2·minParallelGroups groups, so
-// AllocateFeaturesParallel leaves its sequential fallback. randomMultiGrid's
-// 2–10 × 2–10 grids clear neither bar.
+// TestRepartitionMemoMatchesRecompute: the rung memo must be invisible in
+// the result. Every evaluated rung's IFL equals a fresh extract, Algorithm 2
+// and IFL pass bit for bit; the accepted rung's features equal a fresh
+// Algorithm 2 pass over its partition; and the memo's hit and group counts
+// are the same for every Workers value — with hits, so the memo really
+// served rectangles.
+func TestRepartitionMemoMatchesRecompute(t *testing.T) {
+	for gi, g := range fanOutGrids() {
+		norm, _ := g.Normalized()
+		field := BuildField(norm)
+		for _, tc := range fanOutCases {
+			var ref *RunReport
+			for _, w := range []int{1, 2, 4, 0} {
+				label := fmt.Sprintf("grid %d %s", gi, schedLabel(tc.sched, tc.th, w))
+				rp, rep, err := RepartitionWithReport(g, Options{Threshold: tc.th, Schedule: tc.sched, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 1 {
+					for _, e := range rep.Trajectory {
+						part := ExtractField(field, e.MinAdjVariation)
+						if loss := IFL(g, part, AllocateFeatures(g, part)); loss != e.IFL || len(part.Groups) != e.Groups {
+							t.Errorf("%s rung %d: IFL %v over %d groups, recomputed %v over %d",
+								label, e.Rung, e.IFL, e.Groups, loss, len(part.Groups))
+						}
+					}
+				}
+				if !reflect.DeepEqual(rp.Features, AllocateFeatures(g, rp.Partition)) {
+					t.Errorf("%s: features differ from AllocateFeatures over the accepted partition", label)
+				}
+				if want := IFL(g, rp.Partition, rp.Features); rp.IFL != want {
+					t.Errorf("%s: IFL %v, recomputed %v", label, rp.IFL, want)
+				}
+				if rep.MemoHits <= 0 || rep.MemoHits > rep.GroupsEvaluated {
+					t.Errorf("%s: %d memo hits of %d groups evaluated", label, rep.MemoHits, rep.GroupsEvaluated)
+				}
+				if ref == nil {
+					ref = rep
+				} else if rep.MemoHits != ref.MemoHits || rep.GroupsEvaluated != ref.GroupsEvaluated {
+					t.Errorf("%s: %d hits of %d groups, Workers 1 had %d of %d",
+						label, rep.MemoHits, rep.GroupsEvaluated, ref.MemoHits, ref.GroupsEvaluated)
+				}
+			}
+		}
+	}
+}
+
+// TestRungLoopAllocs pins the rung loop's allocations: rungs reuse the
+// partition and feature buffers of superseded rungs and the memo allocated
+// once per run, so the allocations of a Repartition do not grow with the
+// number of rungs it evaluates. An exact-schedule run that climbs well over
+// 20 rungs must allocate no more than a geometric run of the same grid that
+// evaluates far fewer. Workers is 1 because sharding starts goroutines,
+// which allocate, per pass.
+func TestRungLoopAllocs(t *testing.T) {
+	g := fanOutGrids()[1]
+	run := func(sched Schedule, th float64) (allocs float64, rungs int) {
+		opts := Options{Threshold: th, Schedule: sched, Workers: 1}
+		rp, err := Repartition(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Repartition(g, opts); err != nil {
+				t.Fatal(err)
+			}
+		}), rp.Iterations
+	}
+	exact, exactRungs := run(ScheduleExact, 0.0001)
+	geo, geoRungs := run(ScheduleGeometric, 0.1)
+	t.Logf("exact: %.0f allocations over %d rungs; geometric: %.0f over %d", exact, exactRungs, geo, geoRungs)
+	if exactRungs < 20 || exactRungs < geoRungs+8 {
+		t.Fatalf("exact run evaluated %d rungs, geometric %d: want at least 20 and 8 more than geometric", exactRungs, geoRungs)
+	}
+	if exact > geo {
+		t.Errorf("exact run: %.0f allocations over %d rungs; geometric run: %.0f over %d; want no growth with rungs",
+			exact, exactRungs, geo, geoRungs)
+	}
+}
+
+// fanOutGrids returns grids on which every sharded step really splits: early
+// rungs with more than 2·lossChunk groups, so the IFL reduction combines
+// three or more chunks and AllocateFeaturesParallel (from 2·minParallelGroups
+// groups up) leaves its sequential fallback. randomMultiGrid's 2–10 × 2–10
+// grids clear neither bar.
 func fanOutGrids() []*grid.Grid {
 	return []*grid.Grid{
 		datagen.TaxiTripsMulti(1, 48, 48).Grid,
@@ -101,20 +182,17 @@ var fanOutCases = []struct {
 }
 
 // requireFanOut fails unless the report shows an evaluated rung large enough
-// for AllocateFeaturesParallel to shard, and a grid tall enough for
-// IFLParallel to sweep more than one block.
+// for the IFL reduction to span three or more chunks of lossChunk groups,
+// which also makes AllocateFeaturesParallel shard.
 func requireFanOut(t *testing.T, gi int, rep *RunReport) {
 	t.Helper()
-	if rep.Rows <= 2*iflBlockRows {
-		t.Fatalf("fan-out grid %d: %d rows, want more than %d", gi, rep.Rows, 2*iflBlockRows)
-	}
 	for _, e := range rep.Trajectory {
-		if e.Groups >= 2*minParallelGroups {
+		if e.Groups > 2*lossChunk {
 			return
 		}
 	}
 	t.Fatalf("fan-out grid %d (%s θ=%v): no evaluated rung reached %d groups: %+v",
-		gi, rep.Schedule, rep.Threshold, 2*minParallelGroups, rep.Trajectory)
+		gi, rep.Schedule, rep.Threshold, 2*lossChunk+1, rep.Trajectory)
 }
 
 func schedLabel(s Schedule, th float64, w int) string {
@@ -231,17 +309,20 @@ func TestAllocateFeaturesParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIFLParallelWorkerInvariant: IFL is one blocked reduction, so
-// IFLParallel must return exactly IFL's bits at every worker count. The grids
-// are taller than one iflBlockRows block, so the partial sums really are
-// combined across blocks and goroutines.
+// TestIFLParallelWorkerInvariant: IFL is one chunked reduction, so
+// IFLParallel must return exactly IFL's bits at every worker count. Every
+// identity partition here spans at least three chunks of lossChunk groups, so
+// the partial sums really are combined across chunks and goroutines.
 func TestIFLParallelWorkerInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	grids := fanOutGrids()
 	for trial := 0; trial < 8; trial++ {
-		grids = append(grids, randomMultiGridSized(rng, iflBlockRows+1+rng.Intn(40), 2+rng.Intn(30)))
+		grids = append(grids, randomMultiGridSized(rng, 48+rng.Intn(40), 48+rng.Intn(24)))
 	}
 	for i, g := range grids {
+		if chunks := lossChunks(g.NumCells()); chunks < 3 {
+			t.Fatalf("grid %d: identity partition spans %d chunks, want at least 3", i, chunks)
+		}
 		rp, err := Repartition(g, Options{Threshold: 0.25, Schedule: ScheduleGeometric})
 		if err != nil {
 			t.Fatal(err)
@@ -251,8 +332,8 @@ func TestIFLParallelWorkerInvariant(t *testing.T) {
 			want := IFL(g, part, feats)
 			for _, w := range []int{0, 1, 2, 4, 16} {
 				if got := IFLParallel(g, part, feats, w); got != want {
-					t.Fatalf("grid %d (%d rows): IFLParallel(workers=%d) = %v, IFL = %v; want identical bits",
-						i, g.Rows, w, got, want)
+					t.Fatalf("grid %d (%d groups): IFLParallel(workers=%d) = %v, IFL = %v; want identical bits",
+						i, len(part.Groups), w, got, want)
 				}
 			}
 		}

@@ -141,6 +141,9 @@ func RepartitionCtx(ctx context.Context, g *grid.Grid, opts Options) (*Repartiti
 // Options.Workers > 1 each rung's feature allocation and loss sweep are
 // sharded across goroutines, and since no value depends on the sharding the
 // result — Iterations included — is byte-identical to the Workers = 1 path.
+// Within a run, a group whose rectangle is the last one evaluated at its
+// top-left cell reuses that rectangle's features and loss sum instead of
+// recomputing them (DESIGN.md §3.22).
 func Repartition(g *grid.Grid, opts Options) (*Repartitioned, error) {
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
@@ -200,18 +203,14 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rec.workers = workers
 	}
 
-	best := &Repartitioned{
-		Source:          g,
-		Partition:       Identity(g),
-		MinAdjVariation: -1,
-	}
-	best.Features = AllocateFeaturesParallel(g, best.Partition, workers)
-	spans := attrSpans(g) // constant across rungs: scan the grid once
-
-	// pass evaluates one ladder rung and installs it as the new best when its
-	// loss is within θ. SearchLadder only ever passes rungs coarser than every
-	// rung passed before, so the last installed rung is the one the search
-	// accepts.
+	memo := newRungMemo(g, workers)
+	var best *rungBuffers // the accepted rung, nil until a rung passes
+	next := &rungBuffers{}
+	// pass evaluates one ladder rung into next and, when its loss is within
+	// θ, makes it the new best and recycles the superseded best's buffers as
+	// the next scratch rung. SearchLadder only ever passes rungs coarser than
+	// every rung passed before, so the last installed rung is the one the
+	// search accepts.
 	pass := func(i int) (bool, error) {
 		if ctx.Err() != nil {
 			return false, canceledErr(ctx)
@@ -220,21 +219,29 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		// rung.allocate, rung.loss) stay histogram-only so the flight
 		// recorder holds one event per rung, not four.
 		_, spe := o.StartSpanCtx(ctx, "rung.eval")
-		part := extractFieldObs(o, field, ladder.Rung(i))
-		feats := allocateFeaturesObs(o, g, part, workers)
-		loss := iflObs(o, g, part, feats, spans, workers)
+		sp := o.StartSpan("rung.extract")
+		field.extractInto(&next.part, ladder.Rung(i))
+		sp.End()
+		sp = o.StartSpan("rung.allocate")
+		hits := memo.allocate(next)
+		sp.End()
+		sp = o.StartSpan("rung.loss")
+		loss := memo.ifl()
+		sp.End()
 		spe.End()
+		groups := len(next.part.Groups)
 		ok := loss <= opts.Threshold
 		o.Count("rung.evaluated", 1)
-		rec.record(i, ladder.Rung(i), loss, len(part.Groups), ok)
+		o.Count("extract.calls", 1)
+		o.Count("extract.groups", int64(groups))
+		o.Count("memo.hits", int64(hits))
+		rec.record(i, ladder.Rung(i), loss, groups, hits, ok)
 		if ok {
 			o.Count("rung.promoted", 1)
-			best = &Repartitioned{
-				Source:          g,
-				Partition:       part,
-				Features:        feats,
-				IFL:             loss,
-				MinAdjVariation: ladder.Rung(i),
+			next.ifl, next.minAdjVariation = loss, ladder.Rung(i)
+			best, next = next, best
+			if next == nil {
+				next = &rungBuffers{}
 			}
 		}
 		return ok, nil
@@ -244,10 +251,199 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		return nil, err
 	}
 
-	best.Iterations = iters
-	o.SetGauge("repart.last_ifl", best.IFL)
-	o.SetGauge("repart.last_groups", float64(len(best.Partition.Groups)))
-	return best, nil
+	var rp *Repartitioned
+	if best != nil {
+		rp = best.result(g)
+	} else {
+		// No rung passed: the identity partition, IFL 0.
+		part := Identity(g)
+		rp = &Repartitioned{
+			Source:          g,
+			Partition:       part,
+			Features:        AllocateFeaturesParallel(g, part, workers),
+			MinAdjVariation: -1,
+		}
+	}
+	rp.Iterations = iters
+	o.SetGauge("repart.last_ifl", rp.IFL)
+	o.SetGauge("repart.last_groups", float64(len(rp.Partition.Groups)))
+	return rp, nil
+}
+
+// rungBuffers is one evaluated rung: its partition, the features of its
+// groups (group gi's vector at feat[gi*attrs:], unused for null groups) and
+// its loss. The search keeps two — the accepted rung and a scratch rung —
+// and extracts each new rung into the scratch one, so per-rung buffers are
+// allocated only when a rung outgrows them.
+type rungBuffers struct {
+	part            Partition
+	feat            []float64
+	ifl             float64
+	minAdjVariation float64
+}
+
+// result copies the rung into a Repartitioned that owns exact-size buffers:
+// no spare capacity and nothing shared with the memo, whose memory is
+// dropped when the run returns.
+func (b *rungBuffers) result(g *grid.Grid) *Repartitioned {
+	p := g.NumAttrs()
+	groups := make([]CellGroup, len(b.part.Groups))
+	copy(groups, b.part.Groups)
+	valid := 0
+	for _, cg := range groups {
+		if !cg.Null {
+			valid++
+		}
+	}
+	backing := make([]float64, valid*p)
+	feats := make([][]float64, len(groups))
+	for gi, cg := range groups {
+		if cg.Null {
+			continue
+		}
+		fv := backing[:p:p]
+		backing = backing[p:]
+		copy(fv, b.feat[gi*p:])
+		feats[gi] = fv
+	}
+	return &Repartitioned{
+		Source:          g,
+		Partition:       &Partition{Rows: g.Rows, Cols: g.Cols, Groups: groups, CellToGroup: b.part.CellToGroup},
+		Features:        feats,
+		IFL:             b.ifl,
+		MinAdjVariation: b.minAdjVariation,
+	}
+}
+
+// rungMemo evaluates the rungs of one run (DESIGN.md §3.22). For every
+// anchor (top-left) cell it keeps the last rectangle evaluated there with
+// that rectangle's Algorithm 2 features and Eq. 3 loss sum. Both depend only
+// on the rectangle, so a group whose extents match its anchor's slot copies
+// them, and allocation and loss cost work only for new rectangles. Within
+// one partition each anchor belongs to one group, so the sharded passes
+// never write the same slot and the hit count does not depend on the
+// sharding. The arrays are flat and pointer-free, allocated once per run.
+type rungMemo struct {
+	g       *grid.Grid
+	spans   []float64 // attribute range spans, for Eq. 3
+	valid   int       // valid cells of g
+	workers int
+
+	// rEnd and cEnd hold each slot's rectangle extents, indexed by anchor
+	// cell. rEnd is -1 while a slot is empty and while the allocate pass has
+	// rewritten its features but the loss pass has not yet stored its loss.
+	rEnd, cEnd []int32
+	feat       []float64 // cells × attrs features
+	loss       []float64 // per-cell loss sums
+
+	// The rung being evaluated and the per-pass scratch the sharded passes
+	// write: one hit count and one Algorithm 2 scratch slice per allocation
+	// shard, one partial per loss chunk.
+	rung      *rungBuffers
+	hits      []int
+	scratch   [][]float64
+	partials  []float64
+	allocPass func(shard, lo, hi int)
+	lossPass  func(shard, lo, hi int)
+}
+
+func newRungMemo(g *grid.Grid, workers int) *rungMemo {
+	cells := g.NumCells()
+	m := &rungMemo{
+		g:        g,
+		spans:    attrSpans(g),
+		valid:    g.ValidCount(),
+		workers:  workers,
+		rEnd:     make([]int32, cells),
+		cEnd:     make([]int32, cells),
+		feat:     make([]float64, cells*g.NumAttrs()),
+		loss:     make([]float64, cells),
+		hits:     make([]int, 16*workers),
+		scratch:  make([][]float64, 16*workers),
+		partials: make([]float64, 0, lossChunks(cells)),
+	}
+	for i := range m.rEnd {
+		m.rEnd[i] = -1
+	}
+	// Bound once, so evaluating a rung allocates nothing.
+	m.allocPass, m.lossPass = m.allocRange, m.lossRange
+	return m
+}
+
+// allocate fills b's features from the memo, running Algorithm 2 on the
+// groups whose rectangle it does not hold, and returns the number of groups
+// it did hold. Groups are cut into 16 ranges per worker, as in
+// AllocateFeaturesParallel, because their sizes vary widely.
+func (m *rungMemo) allocate(b *rungBuffers) int {
+	n, p := len(b.part.Groups), m.g.NumAttrs()
+	if cap(b.feat) < n*p {
+		b.feat = make([]float64, n*p)
+	}
+	b.feat = b.feat[:n*p]
+	m.rung = b
+	clear(m.hits)
+	workers := m.workers
+	if n < 2*minParallelGroups {
+		workers = 1
+	}
+	parallelRanges(n, 16*m.workers, workers, m.allocPass)
+	hits := 0
+	for _, h := range m.hits {
+		hits += h
+	}
+	return hits
+}
+
+// allocRange is allocate's shard: groups [lo, hi) of the current rung.
+func (m *rungMemo) allocRange(shard, lo, hi int) {
+	p, cols := m.g.NumAttrs(), m.g.Cols
+	vals := m.scratch[shard]
+	hits := 0
+	for gi := lo; gi < hi; gi++ {
+		cg := &m.rung.part.Groups[gi]
+		a := cg.RBeg*cols + cg.CBeg
+		slot := m.feat[a*p : a*p+p]
+		if int(m.rEnd[a]) == cg.REnd && int(m.cEnd[a]) == cg.CEnd {
+			hits++
+		} else {
+			m.rEnd[a] = -1
+			if !cg.Null {
+				vals = allocateGroup(m.g, cg, slot, vals, false)
+			}
+		}
+		if !cg.Null {
+			copy(m.rung.feat[gi*p:gi*p+p], slot)
+		}
+	}
+	m.scratch[shard] = vals
+	m.hits[shard] = hits
+}
+
+// ifl returns the information loss of the rung allocate last filled: the
+// IFL reduction over the memo's loss sums, computing and storing the sums of
+// the rectangles allocate wrote.
+func (m *rungMemo) ifl() float64 {
+	m.partials = m.partials[:lossChunks(len(m.rung.part.Groups))]
+	parallelRanges(len(m.partials), 16*m.workers, m.workers, m.lossPass)
+	return meanLoss(m.partials, m.valid, m.g.NumAttrs())
+}
+
+// lossRange is ifl's shard: loss chunks [lo, hi) of the current rung.
+func (m *rungMemo) lossRange(_, lo, hi int) {
+	sumChunks(m.partials, lo, hi, len(m.rung.part.Groups), m.lossOf)
+}
+
+// lossOf returns group gi's loss sum, computing and storing it when allocate
+// rewrote the group's slot.
+func (m *rungMemo) lossOf(gi int) float64 {
+	cg := &m.rung.part.Groups[gi]
+	a := cg.RBeg*m.g.Cols + cg.CBeg
+	if m.rEnd[a] < 0 {
+		p := m.g.NumAttrs()
+		m.loss[a] = groupLoss(m.g, cg, m.feat[a*p:a*p+p], m.spans)
+		m.rEnd[a], m.cEnd[a] = int32(cg.REnd), int32(cg.CEnd)
+	}
+	return m.loss[a]
 }
 
 // SearchLadder climbs an n-rung variation ladder under schedule s, calling

@@ -88,6 +88,12 @@ type RunReport struct {
 	ValidGroups     int     `json:"valid_groups"`
 	// PeakGroups is the largest partition any evaluated rung produced.
 	PeakGroups int `json:"peak_groups"`
+	// GroupsEvaluated sums the group counts of every evaluated rung;
+	// MemoHits counts the groups among them whose rectangle the run had
+	// already evaluated, so their features and loss sum came from the memo
+	// (DESIGN.md §3.22). Both are identical for every Workers value.
+	GroupsEvaluated int `json:"groups_evaluated"`
+	MemoHits        int `json:"memo_hits"`
 
 	TotalNS int64 `json:"total_ns"`
 
@@ -107,14 +113,18 @@ type runRecorder struct {
 	rungs   int
 	workers int
 	evals   []EvalPoint
+	groups  int // groups evaluated, summed over rungs
+	hits    int // memo hits, summed over rungs
 }
 
 // record appends one rung evaluation in visit order; the report sorts by
 // rung.
-func (rec *runRecorder) record(rung int, minAdjVariation, loss float64, groups int, pass bool) {
+func (rec *runRecorder) record(rung int, minAdjVariation, loss float64, groups, hits int, pass bool) {
 	if rec == nil {
 		return
 	}
+	rec.groups += groups
+	rec.hits += hits
 	rec.evals = append(rec.evals, EvalPoint{
 		Rung:            rung,
 		MinAdjVariation: minAdjVariation,
@@ -158,6 +168,8 @@ func (rec *runRecorder) buildReport(g *grid.Grid, opts Options, rp *Repartitione
 		Groups:          rp.NumGroups(),
 		ValidGroups:     rp.ValidGroups(),
 		PeakGroups:      peak,
+		GroupsEvaluated: rec.groups,
+		MemoHits:        rec.hits,
 		TotalNS:         total,
 		Trajectory:      rec.evals,
 	}

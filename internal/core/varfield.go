@@ -105,12 +105,25 @@ func (f *VariationField) Ladder() *VariationLadder {
 // output to Extract(norm, minAdjVariation) for the field built from the same
 // normalized grid, with every adjacency check reduced to one array load.
 func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
+	p := &Partition{}
+	f.extractInto(p, minAdjVariation)
+	return p
+}
+
+// extractInto is ExtractField writing into p, whose buffers it reuses: the
+// ladder search extracts every rung into the partition of a superseded rung
+// instead of allocating a new one. Nothing of p's previous contents survives.
+func (f *VariationField) extractInto(p *Partition, minAdjVariation float64) {
 	rows, cols := f.Rows, f.Cols
-	visited := make([]bool, rows*cols)
-	p := &Partition{
-		Rows:        rows,
-		Cols:        cols,
-		CellToGroup: make([]int, rows*cols),
+	p.Rows, p.Cols = rows, cols
+	p.Groups = p.Groups[:0]
+	if len(p.CellToGroup) != rows*cols {
+		p.CellToGroup = make([]int, rows*cols)
+	}
+	// A cell is visited once it has a group: -1 marks the unvisited ones.
+	cellGroup := p.CellToGroup
+	for i := range cellGroup {
+		cellGroup[i] = -1
 	}
 	hVar, vVar := f.H, f.V
 
@@ -118,22 +131,22 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 	// (r, c) — including (r, c) — such that each vertically adjacent pair has
 	// variation ≤ minAdjVariation.
 	vRun := func(r, c int) int {
-		if visited[r*cols+c] {
+		if cellGroup[r*cols+c] >= 0 {
 			return 0
 		}
 		n := 1
-		for r+n < rows && !visited[(r+n)*cols+c] &&
+		for r+n < rows && cellGroup[(r+n)*cols+c] < 0 &&
 			vVar[(r+n-1)*cols+c] <= minAdjVariation {
 			n++
 		}
 		return n
 	}
 	hRun := func(r, c int) int {
-		if visited[r*cols+c] {
+		if cellGroup[r*cols+c] >= 0 {
 			return 0
 		}
 		n := 1
-		for c+n < cols && !visited[r*cols+c+n] &&
+		for c+n < cols && cellGroup[r*cols+c+n] < 0 &&
 			hVar[r*cols+c+n-1] <= minAdjVariation {
 			n++
 		}
@@ -142,7 +155,7 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			if visited[r*cols+c] {
+			if cellGroup[r*cols+c] >= 0 {
 				continue
 			}
 			vCount := vRun(r, c)
@@ -188,8 +201,7 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 			id := len(p.Groups)
 			for rr := cg.RBeg; rr <= cg.REnd; rr++ {
 				for cc := cg.CBeg; cc <= cg.CEnd; cc++ {
-					visited[rr*cols+cc] = true
-					p.CellToGroup[rr*cols+cc] = id
+					cellGroup[rr*cols+cc] = id
 				}
 			}
 			if len(p.Groups) == cap(p.Groups) {
@@ -201,7 +213,6 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 			p.Groups = append(p.Groups, cg)
 		}
 	}
-	return p
 }
 
 // FieldStats summarizes a variation field for run reports: how many adjacent

@@ -89,7 +89,9 @@ func TestFieldMatchesCellVariation(t *testing.T) {
 
 // TestExtractFieldMatchesExtract: Algorithm 1 over the precomputed field
 // must produce exactly the partition the direct extractor produces, at every
-// ladder rung.
+// ladder rung — both into a fresh partition and into one recycled partition
+// that carries the whole ladder, climbing and then descending, so stale
+// Groups or CellToGroup entries from an earlier rung show up as a mismatch.
 func TestExtractFieldMatchesExtract(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -97,16 +99,23 @@ func TestExtractFieldMatchesExtract(t *testing.T) {
 		norm, _ := g.Normalized()
 		field := BuildField(norm)
 		ladder := field.Ladder()
+		// Also at a threshold below every rung (identity-ish) and above all.
+		vs := []float64{-1}
 		for i := 0; i < ladder.Len(); i++ {
-			want := Extract(norm, ladder.Rung(i))
-			got := ExtractField(field, ladder.Rung(i))
-			if !reflect.DeepEqual(want, got) {
+			vs = append(vs, ladder.Rung(i))
+		}
+		vs = append(vs, math.MaxFloat64)
+		for i := len(vs) - 2; i >= 0; i-- {
+			vs = append(vs, vs[i])
+		}
+		var recycled Partition
+		for _, v := range vs {
+			want := extractDirect(norm, v)
+			if !reflect.DeepEqual(want, ExtractField(field, v)) {
 				return false
 			}
-		}
-		// Also at a threshold below every rung (identity-ish) and above all.
-		for _, v := range []float64{-1, math.MaxFloat64} {
-			if !reflect.DeepEqual(Extract(norm, v), ExtractField(field, v)) {
+			field.extractInto(&recycled, v)
+			if !reflect.DeepEqual(*want, recycled) {
 				return false
 			}
 		}

@@ -2,8 +2,10 @@ package grid
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -288,6 +290,82 @@ func TestCSVRoundTrip(t *testing.T) {
 			for k := 0; k < 3; k++ {
 				if got.At(r, c, k) != g.At(r, c, k) {
 					t.Errorf("value mismatch at (%d,%d,%d): %v vs %v", r, c, k, got.At(r, c, k), g.At(r, c, k))
+				}
+			}
+		}
+	}
+}
+
+// TestWriteCSVMatchesEncodingCSV: WriteCSV encodes cell records without
+// encoding/csv, so its bytes must equal what encoding/csv writes for the same
+// records — across null cells, negative zero, extreme magnitudes, NaN and
+// infinities, and attribute names and tags that do need quoting.
+func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
+	attrs := []Attribute{
+		{Name: "a b", Agg: Average},
+		{Name: "n,1", Agg: Sum, Integer: true},
+		{Name: "zone", Agg: Average, Categorical: true},
+	}
+	g := New(4, 5, attrs)
+	inf := math.Inf(1)
+	rows := [][]float64{
+		{0, math.Copysign(0, -1), 1e-300},
+		{1e300, -1e300, math.NaN()},
+		{inf, -inf, 3},
+		{-2.5, 123456789, 0.1},
+		{5e-324, math.MaxFloat64, -1},
+	}
+	for i, fv := range rows {
+		g.SetVector(i%4, (2*i)%5, fv)
+	}
+	g.SetVector(3, 4, []float64{7, 8, 9})
+
+	var want bytes.Buffer
+	cw := csv.NewWriter(&want)
+	header := []string{"row", "col", "a b:average", "n,1:sum:int", "zone:average:cat"}
+	for _, rec := range [][]string{{"#grid", "4", "5"}, header} {
+		if err := cw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			if !g.Valid(r, c) {
+				continue
+			}
+			rec := []string{strconv.Itoa(r), strconv.Itoa(c)}
+			for k := range attrs {
+				rec = append(rec, strconv.FormatFloat(g.At(r, c, k), 'g', -1, 64))
+			}
+			if err := cw.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cw.Flush()
+	var got bytes.Buffer
+	if err := g.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteCSV wrote\n%s\nencoding/csv writes\n%s", got.Bytes(), want.Bytes())
+	}
+	back, err := ReadCSV(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			if back.Valid(r, c) != g.Valid(r, c) {
+				t.Fatalf("validity mismatch at (%d,%d)", r, c)
+			}
+			if !g.Valid(r, c) {
+				continue
+			}
+			for k := range attrs {
+				v, w := back.At(r, c, k), g.At(r, c, k)
+				if math.IsNaN(w) && !math.IsNaN(v) || !math.IsNaN(w) && math.Float64bits(v) != math.Float64bits(w) {
+					t.Errorf("(%d,%d,%d): read back %v, wrote %v", r, c, k, v, w)
 				}
 			}
 		}

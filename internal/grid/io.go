@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -15,8 +16,14 @@ import (
 // followed by a column header "row,col,<attr>[:sum|:average][:int]..." and
 // one record per valid cell. Null cells are omitted and reconstructed as
 // null on read.
+//
+// The two header records go through encoding/csv; the cell records are
+// encoded straight into one reused line buffer. Their fields are integers
+// and strconv 'g' floats, which never need quoting, so the bytes are the
+// ones encoding/csv would write.
 func (g *Grid) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
+	bw := bufio.NewWriter(w)
+	cw := csv.NewWriter(bw)
 	if err := cw.Write([]string{"#grid", strconv.Itoa(g.Rows), strconv.Itoa(g.Cols)}); err != nil {
 		return err
 	}
@@ -34,30 +41,39 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	rec := make([]string, len(header))
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	var line []byte
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
 			if !g.Valid(r, c) {
 				continue
 			}
-			rec[0] = strconv.Itoa(r)
-			rec[1] = strconv.Itoa(c)
-			for k := range g.Attrs {
-				rec[2+k] = strconv.FormatFloat(g.At(r, c, k), 'g', -1, 64)
+			line = strconv.AppendInt(line[:0], int64(r), 10)
+			line = append(line, ',')
+			line = strconv.AppendInt(line, int64(c), 10)
+			for _, v := range g.Vector(r, c) {
+				line = append(line, ',')
+				line = strconv.AppendFloat(line, v, 'g', -1, 64)
 			}
-			if err := cw.Write(rec); err != nil {
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // ReadCSV parses a grid previously written by WriteCSV.
 func ReadCSV(r io.Reader) (*Grid, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	// Each record is fully consumed before the next Read, so Read may reuse
+	// the record slice.
+	cr.ReuseRecord = true
 	meta, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("grid: reading metadata: %w", err)

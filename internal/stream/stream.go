@@ -49,7 +49,9 @@ type Options struct {
 	// the cached view until at least this many records arrived since the
 	// last check (0 = check on every call).
 	MinRecordsBetweenChecks int
-	// Schedule for full recomputations (default geometric).
+	// Schedule for full recomputations. The zero value is
+	// core.ScheduleExact; callers that want the logarithmic search set
+	// core.ScheduleGeometric.
 	Schedule core.Schedule
 	// Workers bounds the goroutines used by refreshes and full recomputes
 	// (0 = GOMAXPROCS); passed through to core.Options.Workers.

@@ -129,20 +129,20 @@ func TestRefreshKeepsPartitionUnderSmallDrift(t *testing.T) {
 // TestRefreshMatchesRecomputeIFL: the refresh and the full recompute measure
 // a partition with the same IFL reduction, so with θ set to exactly the IFL
 // a recompute served, the next check on unchanged aggregates must be a
-// refresh that keeps the partition and serves the same bits. The grid is
-// taller than one 16-row IFL block, so a refresh that combined the block
-// partial sums differently from the recompute would flip the verdict or the
-// served value.
+// refresh that keeps the partition and serves the same bits. The served
+// partition spans more than two of core's 1,024-group IFL chunks, so a
+// refresh that summed groups or combined chunk partials differently from the
+// recompute's memoized sums would flip the verdict or the served value.
 func TestRefreshMatchesRecomputeIFL(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		s, err := New(testBounds(), 40, 40, testAttrs(), Options{
+		s, err := New(testBounds(), 96, 96, testAttrs(), Options{
 			Threshold: 0.1, Schedule: core.ScheduleGeometric, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 20000; i++ {
+		for i := 0; i < 80000; i++ {
 			lat, lon := rng.Float64()*10, rng.Float64()*10
 			if err := s.Add(grid.Record{Lat: lat, Lon: lon, Values: []float64{1, 10 + lat + rng.Float64()}}); err != nil {
 				t.Fatal(err)
@@ -155,6 +155,9 @@ func TestRefreshMatchesRecomputeIFL(t *testing.T) {
 		before := s.Stats()
 		if before.Recomputes != 1 || v.IFL == 0 {
 			t.Fatalf("workers %d: first serve not a lossy recompute: IFL %v, %+v", workers, v.IFL, before)
+		}
+		if v.NumGroups() <= 2*1024 {
+			t.Fatalf("workers %d: served %d groups, want more than two IFL chunks", workers, v.NumGroups())
 		}
 
 		s.opts.Threshold = v.IFL
