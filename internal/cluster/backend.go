@@ -19,10 +19,41 @@ import (
 // breaker — the shard was never contacted.
 var errShardRefused = errors.New("cluster: backend circuit breaker open")
 
-// maxShardBody caps how much of a shard response the coordinator will buffer
-// (16 MiB — far above any real /view, pure defense against a confused or
-// hostile backend).
-const maxShardBody = 16 << 20
+// A backend's body cap bounds how much of one shard answer the coordinator
+// buffers — defense against a confused or hostile backend — and grows with
+// the band, because a /view holds at most one group per band cell. One
+// group's JSON is about 120 bytes of keys and integers plus up to 25 bytes
+// per feature, and a healthy 4-attribute view measures about 83 bytes per
+// cell, so shardBodyPerCell covers a view of one group per cell up to five
+// attributes. shardBodyFloor covers the answers that do not grow with the
+// band: /stats, /readyz, /cell and error bodies.
+const (
+	shardBodyFloor   = 16 << 20
+	shardBodyPerCell = 256
+)
+
+// oversizeError is a shard answer above its backend's body cap. The shard
+// answered, so it is no breaker failure, and a retry would fetch the same
+// body; the caller treats the shard as missing.
+type oversizeError struct {
+	shard       int
+	size, limit int64 // size is -1 when the shard sent no Content-Length
+}
+
+func (e *oversizeError) Error() string {
+	size := "more than " + strconv.FormatInt(e.limit, 10)
+	if e.size > e.limit {
+		size = strconv.FormatInt(e.size, 10)
+	}
+	return fmt.Sprintf("cluster: shard %d answered %s bytes, above its %d-byte body cap", e.shard, size, e.limit)
+}
+
+// answered reports whether a round trip got the shard's answer back: no
+// error, or an answer over the body cap.
+func answered(err error) bool {
+	var oe *oversizeError
+	return err == nil || errors.As(err, &oe)
+}
 
 // latRingSize is the per-backend latency reservoir size. 128 successful
 // samples are plenty for a p99 hedge threshold while keeping the sort cheap.
@@ -32,8 +63,9 @@ const latRingSize = 128
 // circuit breaker, and the success-latency ring behind the hedge delay. All
 // mutable state is guarded by mu — the breaker itself is not self-locking.
 type backend struct {
-	index int
-	base  string
+	index   int
+	base    string
+	maxBody int64 // body cap: shardBodyFloor + shardBodyPerCell per band cell
 
 	mu      sync.Mutex
 	brk     *breaker.Breaker
@@ -76,9 +108,10 @@ func (b *backend) hedgeDelay(min int) (time.Duration, bool) {
 	return samples[idx], true
 }
 
-// fetchResult is one shard response: status and body, verbatim.
+// fetchResult is one shard response: status, headers and body, verbatim.
 type fetchResult struct {
 	Status int
+	Header http.Header
 	Body   []byte
 }
 
@@ -94,15 +127,17 @@ type outcome struct {
 // admission, up to 1+RetryMax attempts with the breaker's capped jittered
 // backoff between them, per-attempt shard deadline, and optional hedging
 // (attempt launches a duplicate request after the backend's p99 delay and
-// takes whichever answers first). 4xx statuses are successes to the breaker
-// — the shard answered; only transport errors and 5xx count as failures.
+// takes whichever answers first). 4xx statuses and answers over the body
+// cap are successes to the breaker — the shard answered; only transport
+// errors and 5xx count as failures. An answer over the cap comes back as
+// its *oversizeError.
 func (c *Coordinator) fetch(ctx context.Context, b *backend, pq string) (fetchResult, error) {
 	ctx, sp := c.obs.StartSpanCtx(ctx, "cluster.fetch", "backend", strconv.Itoa(b.index), "path", pq)
 	defer sp.End()
 	label := strconv.Itoa(b.index)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.RetryMax; attempt++ {
-		now := c.clock.Now()
+		now := c.Clock().Now()
 		b.mu.Lock()
 		allowed := b.brk.Allow(now)
 		if !allowed {
@@ -123,20 +158,20 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq string) (fetchRe
 		}
 
 		res, elapsed, err := c.attempt(ctx, b, pq)
-		if err == nil && res.Status < 500 {
+		if answered(err) && res.Status < 500 {
 			b.mu.Lock()
 			b.brk.Success()
 			b.mu.Unlock()
 			b.recordLatency(elapsed)
 			c.gaugeBreaker(b, breaker.Closed)
 			c.count("cluster.backend.success", label)
-			return res, nil
+			return res, err
 		}
 		if err == nil {
 			err = fmt.Errorf("cluster: shard %d returned status %d", b.index, res.Status)
 		}
 		lastErr = err
-		failedAt := c.clock.Now()
+		failedAt := c.Clock().Now()
 		b.mu.Lock()
 		b.brk.Failure(failedAt)
 		b.fails++
@@ -154,7 +189,7 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq string) (fetchRe
 		// coordinators hammering the same recovering shard.
 		if wait := retryAt.Sub(failedAt); wait > 0 {
 			select {
-			case <-c.clock.After(wait):
+			case <-c.Clock().After(wait):
 			case <-ctx.Done():
 				return fetchResult{}, fmt.Errorf("cluster: shard %d: %w (last error: %v)", b.index, ctx.Err(), lastErr)
 			}
@@ -176,16 +211,16 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, pq string) (fetch
 
 	ch := make(chan outcome, 2)
 	do := func(hedged bool) {
-		start := c.clock.Now()
+		start := c.Clock().Now()
 		res, err := c.roundTrip(actx, b, pq)
-		ch <- outcome{res: res, err: err, hedged: hedged, elapsed: c.clock.Now().Sub(start)}
+		ch <- outcome{res: res, err: err, hedged: hedged, elapsed: c.Clock().Now().Sub(start)}
 	}
 	go do(false)
 
 	var hedgeTimer <-chan time.Time
 	if c.cfg.Hedge {
 		if d, ok := b.hedgeDelay(c.cfg.HedgeMinSamples); ok {
-			hedgeTimer = c.clock.After(d)
+			hedgeTimer = c.Clock().After(d)
 		}
 	}
 
@@ -194,11 +229,11 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, pq string) (fetch
 		select {
 		case out := <-ch:
 			pending--
-			if out.err == nil {
+			if answered(out.err) {
 				if out.hedged {
 					c.count("cluster.backend.hedge_wins", strconv.Itoa(b.index))
 				}
-				return out.res, out.elapsed, nil
+				return out.res, out.elapsed, out.err
 			}
 			if pending == 0 {
 				return fetchResult{}, 0, out.err
@@ -230,11 +265,16 @@ func (c *Coordinator) roundTrip(ctx context.Context, b *backend, pq string) (fet
 		return fetchResult{}, fmt.Errorf("cluster: shard %d: %w", b.index, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, b.maxBody+1))
 	if err != nil {
 		return fetchResult{}, fmt.Errorf("cluster: reading shard %d response: %w", b.index, err)
 	}
-	return fetchResult{Status: resp.StatusCode, Body: body}, nil
+	res := fetchResult{Status: resp.StatusCode, Header: resp.Header}
+	if int64(len(body)) > b.maxBody {
+		return res, &oversizeError{shard: b.index, size: resp.ContentLength, limit: b.maxBody}
+	}
+	res.Body = body
+	return res, nil
 }
 
 // count bumps a per-backend counter (cluster.<name>|<backend>).

@@ -4,24 +4,27 @@
 // shard runs the existing internal/stream + internal/server stack over its
 // band's sub-grid and sub-bounds, and the coordinator speaks the shards' own
 // HTTP API: /cell and /group are routed point queries, /view and /stats are
-// scatter-gathers whose per-shard legs each get a deadline, a PR-4-style
-// circuit breaker, capped jittered retries, and optional p99-hedging.
+// scatter-gathers whose per-shard legs each get a deadline, a circuit
+// breaker, capped jittered retries, and optional p99-hedging. The
+// coordinator's routes run on the shards' own request envelope
+// (server.Envelope) under cluster.* names.
 //
-// The correctness core is the stitcher: shard cell-groups are reassembled
-// into the global partition keyed by global group identity (the parent
-// rectangle's top-left corner), with every disagreement — generation mix,
-// feature drift, missing or overlapping fragments — dropped explicitly
-// rather than merged on a guess. When shards fail, the coordinator keeps
-// serving what it can: HTTP 200 with Warning: 110, degraded=true, and the
-// missing shards named in the body; cluster /readyz stays ready while at
-// least one shard is, mirroring the degraded-serving contract of the
-// single-node stack.
+// A shard repartitions only its own band, so no group crosses a band border
+// and the global view is the shard views concatenated in band order: scatter,
+// decode each shard's /view into the server.ViewBody the shard encoded,
+// check that it fits its band, and append its groups with rows shifted and
+// IDs renumbered. When shards fail — or answer with a body that does not fit
+// — the coordinator keeps serving what it can: HTTP 200 with Warning: 110,
+// degraded=true, and the missing shards named in the body; cluster /readyz
+// stays ready while at least one shard is, mirroring the degraded-serving
+// contract of the single-node stack.
 package cluster
 
 import (
 	"fmt"
 
 	"spatialrepart/internal/grid"
+	"spatialrepart/internal/server"
 	"spatialrepart/internal/stream"
 )
 
@@ -38,26 +41,22 @@ func NewShard(p Plan, shard int, attrs []grid.Attribute, opts stream.Options) (*
 }
 
 // ViewFromStreams assembles the cluster view directly from in-process shard
-// streams — the coordinator-free reference implementation the property tests
-// compare the HTTP path against byte for byte. streams[i] must be the shard
-// for band i of the plan.
+// streams — the coordinator-free reference the property tests compare the
+// HTTP path against byte for byte. Each view is projected by
+// server.ViewBodyOf, the function a shard's /view handler runs, and stitched
+// by the coordinator's own concatenation, so the two paths differ only by
+// the JSON round trip. streams[i] must be the shard for band i of the plan.
 func ViewFromStreams(p Plan, streams []*stream.Repartitioner) (ViewBody, error) {
 	if len(streams) != len(p.Bands) {
 		return ViewBody{}, fmt.Errorf("cluster: %d streams for %d bands", len(streams), len(p.Bands))
 	}
-	views := make([]ShardView, 0, len(streams))
+	views := make([]server.ViewBody, len(streams))
 	for i, s := range streams {
 		v, err := s.Current()
 		if err != nil {
 			return ViewBody{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		views = append(views, ShardView{
-			Shard:      i,
-			Generation: v.Generation,
-			Degraded:   v.Degraded,
-			IFL:        v.IFL,
-			Fragments:  FragmentsOf(p.Bands[i], v),
-		})
+		views[i] = server.ViewBodyOf(v, true)
 	}
-	return AssembleView(p, views, nil, true), nil
+	return concatenate(p, views, make([]error, len(views)), true)
 }

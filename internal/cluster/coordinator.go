@@ -3,14 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"spatialrepart/internal/breaker"
@@ -54,7 +51,8 @@ type Config struct {
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
 	// JitterSeed seeds the deterministic backoff jitter; backend i draws
-	// from stream seed+i (0 = a fixed default).
+	// from stream seed+i, the shed Retry-After hints from stream seed
+	// (0 = a fixed default).
 	JitterSeed int64
 	// Hedge enables hedged reads: once a backend has HedgeMinSamples
 	// recorded successes, a duplicate request launches after its observed
@@ -64,8 +62,9 @@ type Config struct {
 	// (default 8).
 	HedgeMinSamples int
 
-	// MaxInFlight/MaxQueue/QueueWait/RequestTimeout mirror the shard
-	// server's admission envelope (defaults 64/16/100ms/5s).
+	// MaxInFlight/MaxQueue/QueueWait/RequestTimeout configure the request
+	// envelope the coordinator shares with the shard server
+	// (server.Envelope; defaults 64/16/100ms/5s, negative counts rejected).
 	MaxInFlight    int
 	MaxQueue       int
 	QueueWait      time.Duration
@@ -75,7 +74,8 @@ type Config struct {
 	RetryAfter time.Duration
 
 	// Obs, when non-nil, receives the coordinator metrics (per-backend
-	// breaker gauges, retry/hedge counters, RED series) and spans.
+	// breaker gauges, retry/hedge counters, the envelope's admission and
+	// RED series under cluster.*) and spans.
 	Obs *obs.Observer
 	// Fault, when non-nil, is consulted at "cluster.request" (after
 	// admission) and "cluster.fetch" (before every shard attempt).
@@ -85,36 +85,21 @@ type Config struct {
 	Clock server.Clock
 }
 
-// Coordinator is the cluster's stateless front door. Create with New, mount
-// via Handler or run with Serve, stop with Shutdown. It holds no view state
-// of its own — every response is assembled from live shard responses, so
-// coordinators can be replicated freely.
+// Coordinator is the cluster's stateless front door: the cluster routes
+// mounted on the shards' own request envelope. Create with New, mount via
+// Handler or run with Serve (both from the envelope), stop with Shutdown. It
+// holds no view state of its own — every response is assembled from live
+// shard responses, so coordinators can be replicated freely.
 type Coordinator struct {
+	*server.Envelope
 	cfg      Config
 	plan     Plan
 	backends []*backend
 	client   *http.Client
 	ownsClnt bool
-	adm      *server.Admission
-	clock    server.Clock
 	obs      *obs.Observer
 	flt      *fault.Injector
-
-	draining atomic.Bool
-	httpSrv  *http.Server
-	mux      *http.ServeMux
-	retryRng atomic.Uint64
 }
-
-// realClock is the production clock (the cluster package injects its time
-// source for the fake-clock chaos suite, same contract as internal/server).
-type realClock struct{}
-
-//spatialvet:ignore clockdirect realClock is the sanctioned bridge to package time
-func (realClock) Now() time.Time { return time.Now() }
-
-//spatialvet:ignore clockdirect realClock is the sanctioned bridge to package time
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount
 // Coordinator.
@@ -152,32 +137,26 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HedgeMinSamples <= 0 {
 		cfg.HedgeMinSamples = DefaultHedgeMinSamples
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 16
-	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
+	env, err := server.NewEnvelope("cluster", server.Config{
+		MaxInFlight:          cfg.MaxInFlight,
+		MaxQueue:             cfg.MaxQueue,
+		QueueWait:            cfg.QueueWait,
+		RequestTimeout:       cfg.RequestTimeout,
+		RetryAfter:           cfg.RetryAfter,
+		RetryAfterJitterSeed: cfg.JitterSeed,
+		Obs:                  cfg.Obs,
+		Fault:                cfg.Fault,
+		Clock:                cfg.Clock,
+	})
+	if err != nil {
+		return nil, err
 	}
 	c := &Coordinator{
-		cfg:   cfg,
-		plan:  cfg.Plan,
-		adm:   server.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		clock: clock,
-		obs:   cfg.Obs,
-		flt:   cfg.Fault,
+		Envelope: env,
+		cfg:      cfg,
+		plan:     cfg.Plan,
+		obs:      cfg.Obs,
+		flt:      cfg.Fault,
 	}
 	c.client = cfg.Client
 	if c.client == nil {
@@ -188,208 +167,37 @@ func New(cfg Config) (*Coordinator, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	c.retryRng.Store(uint64(seed))
 	for i, base := range cfg.Backends {
+		band := cfg.Plan.Bands[i]
 		c.backends = append(c.backends, &backend{
-			index: i,
-			base:  base,
-			brk:   breaker.New(cfg.FailureThreshold, cfg.InitialBackoff, cfg.MaxBackoff, seed+int64(i)+1),
+			index:   i,
+			base:    base,
+			maxBody: shardBodyFloor + shardBodyPerCell*int64(band.Rows())*int64(cfg.Plan.Cols),
+			brk:     breaker.New(cfg.FailureThreshold, cfg.InitialBackoff, cfg.MaxBackoff, seed+int64(i)+1),
 		})
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", c.probe(c.handleHealthz))
-	mux.HandleFunc("/readyz", c.probe(c.handleReadyz))
-	mux.HandleFunc("/view", c.query("/view", c.handleView))
-	mux.HandleFunc("/stats", c.query("/stats", c.handleStats))
-	mux.HandleFunc("/cell", c.query("/cell", c.handleCell))
-	mux.HandleFunc("/group", c.query("/group", c.handleGroup))
-	c.mux = mux
+	env.Probe("/healthz", c.handleHealthz)
+	env.Probe("/readyz", c.handleReadyz)
+	env.Query("/view", c.handleView)
+	env.Query("/stats", c.handleStats)
+	env.Query("/cell", c.pointRead(func(row, col, shard int, g server.GroupBody) any {
+		return CellBody{Row: row, Col: col, Shard: shard, Group: g}
+	}))
+	env.Query("/group", c.pointRead(func(_, _, shard int, g server.GroupBody) any {
+		return GroupQueryBody{Shard: shard, Group: g}
+	}))
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Serve binds addr, starts the hardened HTTP server in the background, and
-// returns the bound address. Stop with Shutdown.
-func (c *Coordinator) Serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("cluster: listen %s: %w", addr, err)
-	}
-	srv := obs.HardenedServer(c.Handler())
-	c.httpSrv = srv
-	//spatialvet:ignore goroleak Serve blocks until the listener closes; Shutdown stops it and awaits in-flight requests
-	go func() { _ = srv.Serve(ln) }() //spatialvet:ignore errdrop Serve returns ErrServerClosed on shutdown; Shutdown owns the lifecycle
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains the coordinator gracefully within ctx's deadline: new
-// requests shed 503 draining, in-flight requests finish, the listener
-// closes, and the owned client's idle backend connections are released.
+// Shutdown drains the coordinator's envelope gracefully within ctx's
+// deadline (see server.Envelope.Shutdown), then releases the owned client's
+// idle backend connections.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	start := c.clock.Now()
-	c.draining.Store(true)
-	c.obs.SetGauge("cluster.draining", 1)
-	c.adm.BeginDrain()
-	drainErr := c.adm.AwaitDrained(ctx)
-	c.obs.SetGauge("cluster.drain_ns", float64(c.clock.Now().Sub(start).Nanoseconds()))
-	if c.httpSrv != nil {
-		if drainErr != nil {
-			c.httpSrv.Close() //spatialvet:ignore errdrop forced close after a blown drain deadline; the deadline error is the one reported
-		} else if err := c.httpSrv.Shutdown(ctx); err != nil {
-			c.httpSrv.Close() //spatialvet:ignore errdrop forced close fallback; the Shutdown error is the one reported
-			drainErr = err
-		}
-	}
+	err := c.Envelope.Shutdown(ctx)
 	if c.ownsClnt {
 		c.client.CloseIdleConnections()
 	}
-	return drainErr
-}
-
-// handlerFunc is a coordinator handler: it returns taxonomy errors instead
-// of writing statuses itself, mirroring internal/server.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) error
-
-// statusWriter captures the written status for the RED metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// probe wraps /healthz and /readyz: panic isolation and a method check only
-// — probes bypass admission so they keep answering under overload.
-func (c *Coordinator) probe(h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer c.recoverRequest(sw)
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			server.WriteError(sw, server.ErrMethodNotAllowed.WithDetail("%s not allowed", r.Method))
-			return
-		}
-		if err := h(sw, r); err != nil {
-			server.WriteError(sw, err)
-		}
-	}
-}
-
-// query wraps a handler in the coordinator's robustness envelope: trace
-// adoption + cluster.request span, panic isolation, method check, admission
-// control with graceful-drain semantics, per-request deadline, and the
-// cluster.request fault point.
-func (c *Coordinator) query(route string, h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		c.obs.Count("cluster.requests", 1)
-
-		ctx := r.Context()
-		if tc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx = obs.ContextWithTrace(ctx, tc)
-		}
-		ctx, sp := c.obs.StartSpanCtx(ctx, "cluster.request", "route", route) //spatialvet:ignore spanend ended by the deferred finish below, which needs the final status first
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			sw.Header().Set("traceparent", tc.Traceparent())
-		}
-		start := c.clock.Now()
-		defer func() { c.finishRequest(sw, route, sp, start) }()
-		defer c.recoverRequest(sw)
-
-		if r.Method != http.MethodGet {
-			server.WriteError(sw, server.ErrMethodNotAllowed.WithDetail("%s not allowed; query endpoints are GET-only", r.Method))
-			return
-		}
-
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-
-		if _, err := c.adm.Admit(ctx, c.clock, c.cfg.QueueWait); err != nil {
-			c.obs.Count("cluster.shed", 1)
-			server.WriteError(sw, c.attachRetryAfter(err))
-			return
-		}
-		defer c.adm.Release()
-
-		if ferr := c.flt.Hit("cluster.request"); ferr != nil {
-			server.WriteError(sw, ferr)
-			return
-		}
-		if err := h(sw, r); err != nil {
-			if ctx.Err() != nil {
-				err = server.ErrTimeout.WithDetail("request deadline (%v) expired: %v", c.cfg.RequestTimeout, err)
-			}
-			server.WriteError(sw, err)
-		}
-	}
-}
-
-// finishRequest ends the request span and records the RED route×status
-// series.
-func (c *Coordinator) finishRequest(sw *statusWriter, route string, sp obs.Span, start time.Time) {
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	code := strconv.Itoa(status)
-	if c.obs.Enabled() {
-		c.obs.Count(obs.FoldLabels("cluster.http.requests", []string{route, code}), 1)
-		if status >= 500 {
-			c.obs.Count(obs.FoldLabels("cluster.http.errors", []string{route, code}), 1)
-		}
-		c.obs.Observe(obs.FoldLabels("cluster.http.latency_ns", []string{route, code}), float64(c.clock.Now().Sub(start).Nanoseconds()))
-	}
-	if sp.Traced() {
-		sp.End("status", code)
-	} else {
-		sp.End()
-	}
-}
-
-// recoverRequest converts a handler panic into a 500 on this one request.
-func (c *Coordinator) recoverRequest(sw *statusWriter) {
-	if rec := recover(); rec != nil {
-		c.obs.Count("cluster.panics", 1)
-		server.WriteError(sw, server.ErrInternal.WithDetail("handler panicked: %v", rec))
-	}
-}
-
-// attachRetryAfter decorates shed errors with a jittered Retry-After hint in
-// [RetryAfter/2, RetryAfter), drawn from the coordinator's seeded SplitMix64
-// stream — the same de-synchronization the shards apply to their own sheds.
-func (c *Coordinator) attachRetryAfter(err error) error {
-	var se *server.Error
-	if !errors.As(err, &se) || se.RetryAfter != 0 {
-		return err
-	}
-	if se.Status != http.StatusServiceUnavailable {
-		return err
-	}
-	x := c.retryRng.Add(0x9e3779b97f4a7c15)
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	f := 0.5 + 0.5*float64(z>>11)/float64(1<<53)
-	cp := *se
-	cp.RetryAfter = time.Duration(float64(c.cfg.RetryAfter) * f)
-	return &cp
-}
-
-// writeJSON writes v as the 200 response body.
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return fmt.Errorf("cluster: encoding response: %w", err)
-	}
-	return nil
+	return err
 }
 
 // ---- probe endpoints -------------------------------------------------------
@@ -402,7 +210,7 @@ type HealthBody struct {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, HealthBody{Status: "ok", Shards: len(c.backends), Draining: c.draining.Load()})
+	return server.WriteJSON(w, HealthBody{Status: "ok", Shards: len(c.backends), Draining: c.Draining()})
 }
 
 // ShardReady is one shard's entry in the cluster readiness body.
@@ -469,7 +277,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error
 		}
 	}
 	switch {
-	case c.draining.Load():
+	case c.Draining():
 		out.Ready, out.Reason = false, "draining"
 	case readyCount == 0:
 		out.Ready, out.Reason = false, "no shard ready"
@@ -488,73 +296,6 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error
 }
 
 // ---- scatter-gather endpoints ----------------------------------------------
-
-// shardGroupWire is the coordinator's decoding of one shard cell-group. The
-// coordinate fields are the shard's wire form (server.GroupBody, local
-// coordinates); the optional parent_* fields let a cluster-aware backend
-// declare a border-spanning group's GLOBAL parent extent — absent, the group
-// is its own parent (true for the stock shard stack, whose partitions are
-// confined to their band).
-type shardGroupWire struct {
-	ID       int       `json:"id"`
-	RowBegin int       `json:"row_begin"`
-	RowEnd   int       `json:"row_end"`
-	ColBegin int       `json:"col_begin"`
-	ColEnd   int       `json:"col_end"`
-	Cells    int       `json:"cells"`
-	Null     bool      `json:"null"`
-	Features []float64 `json:"features"`
-
-	ParentRowBegin *int `json:"parent_row_begin"`
-	ParentRowEnd   *int `json:"parent_row_end"`
-	ParentColBegin *int `json:"parent_col_begin"`
-	ParentColEnd   *int `json:"parent_col_end"`
-}
-
-// shardViewWire is the coordinator's decoding of a shard /view response.
-type shardViewWire struct {
-	Generation int              `json:"generation"`
-	Degraded   bool             `json:"degraded"`
-	Rows       int              `json:"rows"`
-	Cols       int              `json:"cols"`
-	IFL        float64          `json:"ifl"`
-	CellGroups []shardGroupWire `json:"cell_groups"`
-}
-
-// shardViewOf decodes and translates one shard's /view body into the global
-// frame.
-func shardViewOf(b Band, body []byte) (ShardView, error) {
-	var wire shardViewWire
-	if err := json.Unmarshal(body, &wire); err != nil {
-		return ShardView{}, fmt.Errorf("cluster: shard %d view: %w", b.Index, err)
-	}
-	sv := ShardView{
-		Shard:      b.Index,
-		Generation: wire.Generation,
-		Degraded:   wire.Degraded,
-		IFL:        wire.IFL,
-		Fragments:  make([]Fragment, 0, len(wire.CellGroups)),
-	}
-	for _, g := range wire.CellGroups {
-		f := Fragment{
-			Shard:    b.Index,
-			RowBegin: g.RowBegin + b.Row0, RowEnd: g.RowEnd + b.Row0,
-			ColBegin: g.ColBegin, ColEnd: g.ColEnd,
-			Null:       g.Null,
-			Features:   copyFloats(g.Features),
-			Generation: wire.Generation,
-		}
-		if g.ParentRowBegin != nil && g.ParentRowEnd != nil && g.ParentColBegin != nil && g.ParentColEnd != nil {
-			f.ParentRowBegin, f.ParentRowEnd = *g.ParentRowBegin, *g.ParentRowEnd
-			f.ParentColBegin, f.ParentColEnd = *g.ParentColBegin, *g.ParentColEnd
-		} else {
-			f.ParentRowBegin, f.ParentRowEnd = f.RowBegin, f.RowEnd
-			f.ParentColBegin, f.ParentColEnd = f.ColBegin, f.ColEnd
-		}
-		sv.Fragments = append(sv.Fragments, f)
-	}
-	return sv, nil
-}
 
 // scatter fetches pq from every backend concurrently and returns the raw
 // per-shard results (nil error slot = success) in backend order.
@@ -587,55 +328,38 @@ func degradedWarning(w http.ResponseWriter) {
 }
 
 // handleView scatter-gathers every shard's /view and serves the stitched
-// global partition: GET /view (?groups=false omits the group list). Shards
-// that fail their defended fetch are reported in missing_shards and the
+// global partition: GET /view (?groups=false omits the group list). Each
+// answer is decoded straight into the server.ViewBody the shard encoded and
+// concatenated in band order. Shards that fail their defended fetch, or
+// whose answer cannot be used, are reported in missing_shards and the
 // response degrades to 200 + Warning; only a fully dark cluster turns into
 // a 503.
 func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
-	pq := "/view"
-	includeGroups := r.URL.Query().Get("groups") != "false"
-	results, errs := c.scatter(r.Context(), pq)
-
-	var views []ShardView
-	var missing []int
-	var firstErr error
-	for i := range results {
-		if errs[i] != nil {
-			missing = append(missing, i)
-			if firstErr == nil {
-				firstErr = errs[i]
+	results, errs := c.scatter(r.Context(), "/view")
+	views := make([]server.ViewBody, len(results))
+	for i, res := range results {
+		switch {
+		case errs[i] != nil:
+		case res.Status != http.StatusOK:
+			errs[i] = fmt.Errorf("cluster: shard %d returned status %d", i, res.Status)
+		default:
+			if err := json.Unmarshal(res.Body, &views[i]); err != nil {
+				errs[i] = fmt.Errorf("cluster: shard %d view: %w", i, err)
 			}
-			continue
 		}
-		if results[i].Status != http.StatusOK {
-			missing = append(missing, i)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: shard %d returned status %d", i, results[i].Status)
-			}
-			continue
-		}
-		sv, err := shardViewOf(c.plan.Bands[i], results[i].Body)
-		if err != nil {
-			missing = append(missing, i)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		views = append(views, sv)
 	}
-	if len(views) == 0 {
-		return server.ErrNotReady.WithDetail("no shard reachable: %v", firstErr)
+	body, err := concatenate(c.plan, views, errs, r.URL.Query().Get("groups") != "false")
+	if err != nil {
+		return err
 	}
-	body := AssembleView(c.plan, views, missing, includeGroups)
 	if body.Degraded {
 		degradedWarning(w)
 	}
-	c.obs.SetGauge("cluster.missing_shards", float64(len(missing)))
+	c.obs.SetGauge("cluster.missing_shards", float64(len(body.MissingShards)))
 	if r.Context().Err() != nil {
 		return server.ErrTimeout.WithDetail("deadline expired before the stitched view was written")
 	}
-	return writeJSON(w, body)
+	return server.WriteJSON(w, body)
 }
 
 // ShardStats is one shard's entry in the cluster /stats response: the
@@ -683,7 +407,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) error 
 		degradedWarning(w)
 	}
 	sort.Ints(out.MissingShards)
-	return writeJSON(w, out)
+	return server.WriteJSON(w, out)
 }
 
 // routeCell parses and validates the global row/col query parameters and
@@ -714,77 +438,55 @@ type CellBody struct {
 	Group server.GroupBody `json:"group"`
 }
 
-// handleCell routes a point query to the owning shard:
-// GET /cell?row=R&col=C (global coordinates). The shard is asked for its
-// LOCAL cell; its answer is translated back into the global frame. The
-// group ID is the shard's local ID — global IDs exist only on stitched
-// views, and the body names the shard so (shard, id) is unambiguous.
-func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) error {
-	b, row, col, err := c.routeCell(r)
-	if err != nil {
-		return err
-	}
-	band := c.plan.Bands[b.index]
-	pq := fmt.Sprintf("/cell?row=%d&col=%d", row-band.Row0, col)
-	res, ferr := c.fetch(r.Context(), b, pq)
-	if ferr != nil {
-		return server.ErrNotReady.WithDetail("shard %d unavailable: %v", b.index, ferr)
-	}
-	if res.Status != http.StatusOK {
-		return passthrough(w, res)
-	}
-	var cb struct {
-		Row   int              `json:"row"`
-		Col   int              `json:"col"`
-		Group server.GroupBody `json:"group"`
-	}
-	if jerr := json.Unmarshal(res.Body, &cb); jerr != nil {
-		return server.ErrInternal.WithDetail("shard %d cell payload: %v", b.index, jerr)
-	}
-	cb.Group.RowBegin += band.Row0
-	cb.Group.RowEnd += band.Row0
-	return writeJSON(w, CellBody{Row: row, Col: col, Shard: b.index, Group: cb.Group})
-}
-
 // GroupQueryBody is the coordinator /group response.
 type GroupQueryBody struct {
 	Shard int              `json:"shard"`
 	Group server.GroupBody `json:"group"`
 }
 
-// handleGroup resolves the cell-group containing a global cell:
-// GET /group?row=R&col=C. Groups are addressed by coordinate, not by ID —
-// a global group ID is a property of one stitched view generation, not a
-// stable name the cluster could route on.
-func (c *Coordinator) handleGroup(w http.ResponseWriter, r *http.Request) error {
-	b, row, col, err := c.routeCell(r)
-	if err != nil {
-		return err
+// pointRead serves a routed point query, GET /cell?row=R&col=C or
+// GET /group?row=R&col=C in global coordinates: the owning shard is asked
+// for its LOCAL cell, its group is translated back into the global frame,
+// and reply builds the route's body. The group ID is the shard's local ID —
+// global IDs exist only on stitched views, a property of one view
+// generation rather than a stable name, and the body names the shard so
+// (shard, id) is unambiguous. A degraded shard's Warning rides along; a
+// non-200 shard answer is relayed verbatim.
+func (c *Coordinator) pointRead(reply func(row, col, shard int, g server.GroupBody) any) server.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		b, row, col, err := c.routeCell(r)
+		if err != nil {
+			return err
+		}
+		band := c.plan.Bands[b.index]
+		res, err := c.fetch(r.Context(), b, fmt.Sprintf("/cell?row=%d&col=%d", row-band.Row0, col))
+		if err != nil {
+			return server.ErrNotReady.WithDetail("shard %d unavailable: %v", b.index, err)
+		}
+		if res.Status != http.StatusOK {
+			return passthrough(w, res)
+		}
+		var cb server.CellBody
+		if err := json.Unmarshal(res.Body, &cb); err != nil {
+			return server.ErrInternal.WithDetail("shard %d cell payload: %v", b.index, err)
+		}
+		if warning := res.Header.Get("Warning"); warning != "" {
+			w.Header().Set("Warning", warning)
+		}
+		cb.Group.RowBegin += band.Row0
+		cb.Group.RowEnd += band.Row0
+		return server.WriteJSON(w, reply(row, col, b.index, cb.Group))
 	}
-	band := c.plan.Bands[b.index]
-	pq := fmt.Sprintf("/cell?row=%d&col=%d", row-band.Row0, col)
-	res, ferr := c.fetch(r.Context(), b, pq)
-	if ferr != nil {
-		return server.ErrNotReady.WithDetail("shard %d unavailable: %v", b.index, ferr)
-	}
-	if res.Status != http.StatusOK {
-		return passthrough(w, res)
-	}
-	var cb struct {
-		Group server.GroupBody `json:"group"`
-	}
-	if jerr := json.Unmarshal(res.Body, &cb); jerr != nil {
-		return server.ErrInternal.WithDetail("shard %d cell payload: %v", b.index, jerr)
-	}
-	cb.Group.RowBegin += band.Row0
-	cb.Group.RowEnd += band.Row0
-	return writeJSON(w, GroupQueryBody{Shard: b.index, Group: cb.Group})
 }
 
-// passthrough relays a shard's non-200 answer (status and JSON body) to the
-// client unchanged, so the shard's error taxonomy survives the hop.
+// passthrough relays a shard's non-200 answer (status, JSON body and
+// Retry-After hint) to the client unchanged, so the shard's error taxonomy
+// survives the hop.
 func passthrough(w http.ResponseWriter, res fetchResult) error {
 	w.Header().Set("Content-Type", "application/json")
+	if ra := res.Header.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
+	}
 	w.WriteHeader(res.Status)
 	_, err := w.Write(res.Body)
 	if err != nil {

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spatialrepart/internal/grid"
+	"spatialrepart/internal/obs"
 	"spatialrepart/internal/server"
 	"spatialrepart/internal/stream"
 	"spatialrepart/internal/testutil"
@@ -285,20 +288,133 @@ func TestCellAndGroupRouting(t *testing.T) {
 }
 
 // TestShardErrorPassthrough: a shard's 4xx taxonomy answer is relayed
-// verbatim — status and body — so clients see the shard's own error codes.
+// verbatim — status, body and Retry-After hint — so clients see the shard's
+// own error codes.
 func TestShardErrorPassthrough(t *testing.T) {
 	p, err := NewPlan(4, 4, testBounds(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	notFound := `{"error":"not_found","detail":"synthetic"}` + "\n"
+	for _, answer := range []struct {
+		status     int
+		body       string
+		retryAfter string
+	}{
+		{http.StatusNotFound, `{"error":"not_found","detail":"synthetic"}` + "\n", ""},
+		{http.StatusTooManyRequests, `{"error":"rate_limited","detail":"synthetic"}` + "\n", "3"},
+	} {
+		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if answer.retryAfter != "" {
+				w.Header().Set("Retry-After", answer.retryAfter)
+			}
+			w.WriteHeader(answer.status)
+			io.WriteString(w, answer.body)
+		}))
+		defer backend.Close()
+		c, err := New(Config{Plan: p, Backends: []string{backend.URL}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdownCoordinator(t, c)
+		front := httptest.NewServer(c.Handler())
+		defer front.Close()
+
+		resp, body := getBody(t, front.URL+"/cell?row=1&col=1")
+		if resp.StatusCode != answer.status || string(body) != answer.body || resp.Header.Get("Retry-After") != answer.retryAfter {
+			t.Fatalf("passthrough: status %d body %q Retry-After %q, want %d %q %q", resp.StatusCode, body,
+				resp.Header.Get("Retry-After"), answer.status, answer.body, answer.retryAfter)
+		}
+	}
+}
+
+// TestDegradedShardWarningOnPointReads: a point read answered by a degraded
+// shard carries the shard's Warning: 110 through the coordinator; one
+// answered by a healthy shard carries none.
+func TestDegradedShardWarningOnPointReads(t *testing.T) {
+	const warning = `110 - "serving last-good degraded view"`
+	rng := rand.New(rand.NewSource(19))
+	tc := startCluster(t, 10, 5, 2, testRecords(rng, testBounds(), 400), nil, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		// The header a stock shard sends while it serves its last-good view.
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Warning", warning)
+			h.ServeHTTP(w, r)
+		})
+	})
+	for _, route := range []string{"/cell", "/group"} {
+		for row, want := range map[int]string{0: "", 9: warning} {
+			resp, body := getBody(t, fmt.Sprintf("%s%s?row=%d&col=2", tc.front.URL, route, row))
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Warning") != want {
+				t.Fatalf("%s row %d: status %d Warning %q, want 200 %q: %s",
+					route, row, resp.StatusCode, resp.Header.Get("Warning"), want, body)
+			}
+		}
+	}
+}
+
+// TestEnvelopeErrorAfterStartedResponse: the coordinator's routes run on the
+// shared request envelope, so a handler that fails after starting its
+// response adds nothing to it, and the envelope's series carry cluster.*
+// names.
+func TestEnvelopeErrorAfterStartedResponse(t *testing.T) {
+	p, err := NewPlan(4, 4, testBounds(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsv := obs.New()
+	c, err := New(Config{Plan: p, Backends: []string{"http://127.0.0.1:1"}, Obs: obsv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownCoordinator(t, c)
+	c.Query("/partial", func(w http.ResponseWriter, _ *http.Request) error {
+		io.WriteString(w, "partial")
+		return errors.New("failed after the response started")
+	})
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/partial", nil))
+	if rec.Code != http.StatusOK || rec.Body.String() != "partial" {
+		t.Fatalf("status %d body %q, want 200 %q", rec.Code, rec.Body.String(), "partial")
+	}
+	reg := obsv.Registry()
+	if got := reg.Counter("cluster.admitted").Value(); got != 1 {
+		t.Fatalf("cluster.admitted = %d, want 1", got)
+	}
+	if got := reg.Counter(obs.FoldLabels("cluster.http.requests", []string{"/partial", "200"})).Value(); got != 1 {
+		t.Fatalf("cluster.http.requests|/partial|200 = %d, want 1", got)
+	}
+}
+
+// TestShardBodyCap: a backend's body cap grows with its band. A valid /view
+// padded past the old fixed 16 MiB but within the cap is served whole; one
+// byte more is an explicit payload error naming the shard and the cap, the
+// shard goes missing, and the breaker does not count it.
+func TestShardBodyCap(t *testing.T) {
+	p, err := NewPlan(64, 64, testBounds(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(shardBodyFloor + shardBodyPerCell*64*64)
+	view := `{"generation":1,"degraded":false,"rows":64,"cols":64,"groups":1,"valid_groups":1,"ifl":0.5,` +
+		`"cell_groups":[{"id":0,"row_begin":0,"row_end":63,"col_begin":0,"col_end":63,"cells":4096,"features":[1]}]}`
+	var size atomic.Int64
+	// The padding leads, so a body cut short anywhere is no valid JSON.
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		io.WriteString(w, notFound)
+		pad := bytes.Repeat([]byte(" "), 1<<16)
+		for left := size.Load() - int64(len(view)); left > 0; left -= int64(len(pad)) {
+			if _, err := w.Write(pad[:min(left, int64(len(pad)))]); err != nil {
+				return // the coordinator stopped reading at its cap
+			}
+		}
+		io.WriteString(w, view)
 	}))
 	defer backend.Close()
-	c, err := New(Config{Plan: p, Backends: []string{backend.URL}})
+	obsv := obs.New()
+	c, err := New(Config{Plan: p, Backends: []string{backend.URL}, Obs: obsv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +422,33 @@ func TestShardErrorPassthrough(t *testing.T) {
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 
-	resp, body := getBody(t, front.URL+"/cell?row=1&col=1")
-	if resp.StatusCode != http.StatusNotFound || string(body) != notFound {
-		t.Fatalf("passthrough: status %d body %q, want 404 %q", resp.StatusCode, body, notFound)
+	size.Store(limit)
+	if limit <= 16<<20 {
+		t.Fatalf("cap %d does not exceed the old fixed 16 MiB", limit)
+	}
+	resp, body := getBody(t, front.URL+"/view")
+	var cv ViewBody
+	if err := json.Unmarshal(body, &cv); err != nil || resp.StatusCode != http.StatusOK || cv.Groups != 1 {
+		t.Fatalf("body at the cap: status %d groups %d (%v): %.200s", resp.StatusCode, cv.Groups, err, body)
+	}
+
+	size.Store(limit + 1)
+	resp, body = getBody(t, front.URL+"/view")
+	var eb struct {
+		Detail string `json:"detail"`
+	}
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("body past the cap: status %d (%v): %.200s", resp.StatusCode, err, body)
+	}
+	if want := fmt.Sprintf("shard 0 answered more than %d bytes, above its %d-byte body cap", limit, limit); !contains(eb.Detail, want) {
+		t.Fatalf("detail %q does not say %q", eb.Detail, want)
+	}
+	reg := obsv.Registry()
+	if got := reg.Counter(obs.FoldLabels("cluster.backend.failures", []string{"0"})).Value(); got != 0 {
+		t.Fatalf("oversized answer counted as %d breaker failures", got)
+	}
+	if got := reg.Counter(obs.FoldLabels("cluster.backend.success", []string{"0"})).Value(); got != 2 {
+		t.Fatalf("cluster.backend.success|0 = %d, want 2 (both answers reached the coordinator)", got)
 	}
 }
 
@@ -349,95 +489,6 @@ func TestTraceparentPropagation(t *testing.T) {
 			t.Fatalf("shard saw traceparent %q, want trace %s", tp, traceID)
 		}
 	}
-}
-
-// TestSpanningFragmentsOverWire: cluster-aware backends may emit parent_*
-// fields for border-spanning groups; the coordinator stitches them — and
-// refuses to stitch a generation mix — straight off the wire.
-func TestSpanningFragmentsOverWire(t *testing.T) {
-	p, err := NewPlan(4, 2, testBounds(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One global group spanning both bands: rows 0..3, cols 0..1.
-	mkBackend := func(band Band, generation int) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/view" {
-				http.NotFound(w, r)
-				return
-			}
-			parent := map[string]any{
-				"id": 0,
-				// local coordinates of the band's slice
-				"row_begin": 0, "row_end": band.Rows() - 1,
-				"col_begin": 0, "col_end": 1,
-				"cells": band.Rows() * 2, "features": []float64{3.25},
-				"parent_row_begin": 0, "parent_row_end": 3,
-				"parent_col_begin": 0, "parent_col_end": 1,
-			}
-			json.NewEncoder(w).Encode(map[string]any{
-				"generation": generation, "rows": band.Rows(), "cols": 2,
-				"groups": 1, "valid_groups": 1, "ifl": 0.125,
-				"cell_groups": []any{parent},
-			})
-		}))
-	}
-
-	t.Run("same generation stitches", func(t *testing.T) {
-		b0, b1 := mkBackend(p.Bands[0], 7), mkBackend(p.Bands[1], 7)
-		defer b0.Close()
-		defer b1.Close()
-		c, err := New(Config{Plan: p, Backends: []string{b0.URL, b1.URL}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer shutdownCoordinator(t, c)
-		front := httptest.NewServer(c.Handler())
-		defer front.Close()
-		resp, body := getBody(t, front.URL+"/view")
-		var cv ViewBody
-		if err := json.Unmarshal(body, &cv); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || cv.Degraded || cv.Groups != 1 {
-			t.Fatalf("status %d degraded=%t groups=%d: %s", resp.StatusCode, cv.Degraded, cv.Groups, body)
-		}
-		g := cv.CellGroups[0]
-		if g.RowBegin != 0 || g.RowEnd != 3 || g.ColBegin != 0 || g.ColEnd != 1 || g.Cells != 8 {
-			t.Fatalf("stitched spanning group = %+v", g)
-		}
-		if cv.IFL != 0.125 {
-			t.Fatalf("stitched IFL = %v, want 0.125", cv.IFL)
-		}
-	})
-
-	t.Run("generation mix is dropped, never merged", func(t *testing.T) {
-		b0, b1 := mkBackend(p.Bands[0], 7), mkBackend(p.Bands[1], 8)
-		defer b0.Close()
-		defer b1.Close()
-		c, err := New(Config{Plan: p, Backends: []string{b0.URL, b1.URL}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer shutdownCoordinator(t, c)
-		front := httptest.NewServer(c.Handler())
-		defer front.Close()
-		resp, body := getBody(t, front.URL+"/view")
-		var cv ViewBody
-		if err := json.Unmarshal(body, &cv); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		if cv.Groups != 0 || len(cv.DroppedGroups) != 1 ||
-			cv.DroppedGroups[0].Reason != "generation mix across fragments" {
-			t.Fatalf("generation mix: groups=%d dropped=%+v", cv.Groups, cv.DroppedGroups)
-		}
-		if !cv.Degraded || resp.Header.Get("Warning") == "" {
-			t.Fatalf("dropped-group response not marked degraded (warning %q)", resp.Header.Get("Warning"))
-		}
-	})
 }
 
 // TestDrainingCoordinator: after Shutdown begins, new queries shed 503

@@ -1,36 +1,10 @@
 package cluster
 
 import (
-	"sort"
+	"fmt"
 
 	"spatialrepart/internal/server"
-	"spatialrepart/internal/stream"
 )
-
-// ShardView is one shard's decoded contribution to a stitched view: its
-// serving metadata plus its cell-groups as global-coordinate fragments. The
-// coordinator builds these from shard /view responses; the in-process test
-// reference builds them straight from stream views — both through the same
-// projection, so the two paths cannot drift.
-type ShardView struct {
-	Shard      int
-	Generation int
-	Degraded   bool
-	IFL        float64
-	Fragments  []Fragment
-}
-
-// ValidCells returns the number of valid (non-null-group) cells the shard
-// contributed — the shard's weight in the stitched IFL.
-func (v ShardView) ValidCells() int {
-	n := 0
-	for _, f := range v.Fragments {
-		if !f.Null {
-			n += f.cells()
-		}
-	}
-	return n
-}
 
 // ShardMeta is the per-shard serving metadata of a stitched view response.
 type ShardMeta struct {
@@ -42,13 +16,13 @@ type ShardMeta struct {
 	IFL        float64 `json:"ifl"`
 }
 
-// ViewBody is the coordinator's /view response: the stitched global partition
-// plus the cluster's serving metadata. CellGroups reuses the shard wire type
-// (server.GroupBody) with globally renumbered IDs, so a healthy single-shard
-// cluster serves exactly the bytes the unsharded server would. Degraded is
-// true whenever the stitched view is anything less than the full fresh grid
-// (missing shard, degraded shard, or a dropped boundary group) and is also
-// signaled via the Warning: 110 header.
+// ViewBody is the coordinator's /view response: the global partition stitched
+// from the shard views plus the cluster's serving metadata. CellGroups reuses
+// the shard wire type (server.GroupBody) with global rows and IDs, so a
+// healthy single-shard cluster serves exactly the bytes the unsharded server
+// would. Degraded is true whenever the stitched view is anything less than
+// the full fresh grid (a missing or degraded shard) and is also signaled via
+// the Warning: 110 header.
 type ViewBody struct {
 	Degraded      bool               `json:"degraded"`
 	Rows          int                `json:"rows"`
@@ -58,104 +32,114 @@ type ViewBody struct {
 	IFL           float64            `json:"ifl"`
 	Shards        []ShardMeta        `json:"shards"`
 	MissingShards []int              `json:"missing_shards,omitempty"`
-	DroppedGroups []DroppedGroup     `json:"dropped_groups,omitempty"`
 	CellGroups    []server.GroupBody `json:"cell_groups,omitempty"`
 }
 
-// AssembleView stitches the present shard views into the cluster /view body.
-// missing lists the shards that produced no usable response (breaker open,
-// unreachable, bad payload); the body carries them explicitly instead of
-// silently serving a hole.
+// concatenate stitches the shards' /view bodies into the cluster /view body.
+// views[i] is band i's body and errs[i] why band i has none (failed fetch,
+// non-200 answer, undecodable payload); a body that does not fit its band
+// (fitBand) has none either. Such bands are listed in missing_shards rather
+// than silently served as a hole; with no band left there is nothing to
+// serve, and the error says why.
+//
+// Each shard repartitions only its own band and Algorithm 1 scans it
+// row-major, so a band's groups arrive sorted by top-left corner and none
+// crosses a band border. The global partition is therefore the band
+// partitions concatenated in band order, rows shifted by the band's Row0 and
+// IDs renumbered — the IDs a row-major scan of the whole grid would assign
+// to the same groups.
 //
 // The stitched IFL is the valid-cell-weighted mean of the shard IFLs — each
 // shard's IFL is itself a mean over its valid cells, so the weighted fold
 // recovers the global mean. When exactly one shard contributes, its IFL is
 // passed through verbatim (bit-exact, no re-rounding through the fold).
-func AssembleView(p Plan, views []ShardView, missing []int, includeGroups bool) ViewBody {
-	sort.Slice(views, func(i, j int) bool { return views[i].Shard < views[j].Shard })
-	body := ViewBody{
-		Rows:          p.Rows,
-		Cols:          p.Cols,
-		Shards:        make([]ShardMeta, 0, len(views)),
-		MissingShards: append([]int(nil), missing...),
-	}
-	sort.Ints(body.MissingShards)
-
-	var frags []Fragment
+func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bool) (ViewBody, error) {
+	body := ViewBody{Rows: p.Rows, Cols: p.Cols}
+	var firstErr error
 	weighted, weight := 0.0, 0
-	for _, v := range views {
-		b := p.Bands[v.Shard]
+	for i, b := range p.Bands {
+		v := &views[i]
+		validGroups, validCells, err := 0, 0, errs[i]
+		if err == nil {
+			validGroups, validCells, err = fitBand(b, p.Cols, v)
+		}
+		if err != nil {
+			body.MissingShards = append(body.MissingShards, i)
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
 		body.Shards = append(body.Shards, ShardMeta{
-			Shard:      v.Shard,
+			Shard:      i,
 			RowBegin:   b.Row0,
 			RowEnd:     b.Row1 - 1,
 			Generation: v.Generation,
 			Degraded:   v.Degraded,
 			IFL:        v.IFL,
 		})
-		if v.Degraded {
-			body.Degraded = true
-		}
-		frags = append(frags, v.Fragments...)
-		vc := v.ValidCells()
-		weighted += float64(vc) * v.IFL
-		weight += vc
+		body.Degraded = body.Degraded || v.Degraded
+		body.Groups += len(v.CellGroups)
+		body.ValidGroups += validGroups
+		weighted += float64(validCells) * v.IFL
+		weight += validCells
 	}
 	switch {
-	case len(views) == 1:
-		body.IFL = views[0].IFL
+	case len(body.Shards) == 0:
+		return ViewBody{}, server.ErrNotReady.WithDetail("no shard reachable: %v", firstErr)
+	case len(body.Shards) == 1:
+		body.IFL = body.Shards[0].IFL
 	case weight > 0:
 		body.IFL = weighted / float64(weight)
 	}
-
-	res := Stitch(p.Rows, p.Cols, frags)
-	body.DroppedGroups = res.Dropped
-	if len(body.MissingShards) > 0 || len(res.Dropped) > 0 {
-		body.Degraded = true
-	}
-	body.Groups = len(res.Groups)
-	for gi, g := range res.Groups {
-		if !g.Null {
-			body.ValidGroups++
-		}
-		if includeGroups {
-			body.CellGroups = append(body.CellGroups, server.GroupBody{
-				ID:       gi,
-				RowBegin: g.RowBegin,
-				RowEnd:   g.RowEnd,
-				ColBegin: g.ColBegin,
-				ColEnd:   g.ColEnd,
-				Cells:    g.Cells(),
-				Null:     g.Null,
-				Features: g.Features,
-			})
+	body.Degraded = body.Degraded || len(body.MissingShards) > 0
+	if includeGroups && body.Groups > 0 {
+		body.CellGroups = make([]server.GroupBody, 0, body.Groups)
+		for _, m := range body.Shards {
+			for _, g := range views[m.Shard].CellGroups {
+				g.ID = len(body.CellGroups)
+				g.RowBegin += m.RowBegin
+				g.RowEnd += m.RowBegin
+				g.Cells = extentCells(g)
+				body.CellGroups = append(body.CellGroups, g)
+			}
 		}
 	}
-	return body
+	return body, nil
 }
 
-// FragmentsOf projects a shard's served view into global-coordinate
-// fragments: local extents are translated by the band's row offset and each
-// group is its own parent (a shard's repartition is confined to its band, so
-// none of its groups span a border). This is the in-process twin of the
-// coordinator's wire decoding — both must produce identical fragments for
-// the same view, which the byte-identity property tests enforce end to end.
-func FragmentsOf(b Band, v stream.View) []Fragment {
-	frags := make([]Fragment, 0, v.NumGroups())
-	for gi, cg := range v.Partition.Groups {
-		f := Fragment{
-			Shard:    b.Index,
-			RowBegin: cg.RBeg + b.Row0, RowEnd: cg.REnd + b.Row0,
-			ColBegin: cg.CBeg, ColEnd: cg.CEnd,
-			Null:       cg.Null,
-			Generation: v.Generation,
-		}
-		f.ParentRowBegin, f.ParentRowEnd = f.RowBegin, f.RowEnd
-		f.ParentColBegin, f.ParentColEnd = f.ColBegin, f.ColEnd
-		if gi < len(v.Features) && v.Features[gi] != nil {
-			f.Features = copyFloats(v.Features[gi])
-		}
-		frags = append(frags, f)
+// fitBand checks that a shard's /view body fits band b of a grid with cols
+// columns, and counts the body's valid (non-null) groups and cells. It
+// rejects the whole body when the body's geometry is not the band's, when a
+// group's extent is inverted or leaves the band, or when the group corners
+// are not strictly increasing in row-major order (which also rules out
+// duplicates): such a body cannot be concatenated without guessing.
+func fitBand(b Band, cols int, v *server.ViewBody) (validGroups, validCells int, err error) {
+	if v.Rows != b.Rows() || v.Cols != cols {
+		return 0, 0, fmt.Errorf("cluster: shard %d view is %dx%d, its band is %dx%d", b.Index, v.Rows, v.Cols, b.Rows(), cols)
 	}
-	return frags
+	prev := -1 // row-major index of the previous group's top-left corner
+	for i, g := range v.CellGroups {
+		if g.RowBegin < 0 || g.RowBegin > g.RowEnd || g.RowEnd >= v.Rows ||
+			g.ColBegin < 0 || g.ColBegin > g.ColEnd || g.ColEnd >= v.Cols {
+			return 0, 0, fmt.Errorf("cluster: shard %d group %d (rows %d..%d, cols %d..%d) is inverted or outside its %dx%d band",
+				b.Index, i, g.RowBegin, g.RowEnd, g.ColBegin, g.ColEnd, v.Rows, v.Cols)
+		}
+		corner := g.RowBegin*v.Cols + g.ColBegin
+		if corner <= prev {
+			return 0, 0, fmt.Errorf("cluster: shard %d group %d corner (%d,%d) does not follow the previous group's in row-major order",
+				b.Index, i, g.RowBegin, g.ColBegin)
+		}
+		prev = corner
+		if !g.Null {
+			validGroups++
+			validCells += extentCells(g)
+		}
+	}
+	return validGroups, validCells, nil
+}
+
+// extentCells returns the number of cells in a group's extent.
+func extentCells(g server.GroupBody) int {
+	return (g.RowEnd - g.RowBegin + 1) * (g.ColEnd - g.ColBegin + 1)
 }

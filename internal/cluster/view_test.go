@@ -1,0 +1,206 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"spatialrepart/internal/server"
+)
+
+// TestStitchTilesGrid is the stitched view's tiling property for N∈{1,2,4}:
+// every global cell lies in exactly one stitched group, IDs run 0..n−1 in
+// row-major corner order, valid_groups counts the non-null groups, the IFL
+// is the valid-cell-weighted mean of the shard IFLs (a lone shard's
+// verbatim), and the groups=false summary agrees with the full view.
+func TestStitchTilesGrid(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(200 + shards)))
+			tc := startCluster(t, 13, 7, shards, testRecords(rng, testBounds(), 60), nil, nil)
+			resp, body := getBody(t, tc.front.URL+"/view")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/view status %d: %s", resp.StatusCode, body)
+			}
+			var cv ViewBody
+			if err := json.Unmarshal(body, &cv); err != nil {
+				t.Fatal(err)
+			}
+
+			owner := make([]int, cv.Rows*cv.Cols)
+			for i := range owner {
+				owner[i] = -1
+			}
+			valid, prev := 0, -1
+			for i, g := range cv.CellGroups {
+				if g.ID != i {
+					t.Fatalf("group %d carries ID %d", i, g.ID)
+				}
+				if corner := g.RowBegin*cv.Cols + g.ColBegin; corner <= prev {
+					t.Fatalf("group %d corner (%d,%d) is out of row-major order", i, g.RowBegin, g.ColBegin)
+				} else {
+					prev = corner
+				}
+				if want := (g.RowEnd - g.RowBegin + 1) * (g.ColEnd - g.ColBegin + 1); g.Cells != want {
+					t.Fatalf("group %d has cells=%d, its extent %d", i, g.Cells, want)
+				}
+				for r := g.RowBegin; r <= g.RowEnd; r++ {
+					for c := g.ColBegin; c <= g.ColEnd; c++ {
+						if o := owner[r*cv.Cols+c]; o != -1 {
+							t.Fatalf("cell (%d,%d) lies in groups %d and %d", r, c, o, i)
+						}
+						owner[r*cv.Cols+c] = i
+					}
+				}
+				if !g.Null {
+					valid++
+				}
+			}
+			for cell, o := range owner {
+				if o == -1 {
+					t.Fatalf("cell (%d,%d) lies in no group", cell/cv.Cols, cell%cv.Cols)
+				}
+			}
+			if cv.Groups != len(cv.CellGroups) || cv.ValidGroups != valid {
+				t.Fatalf("groups=%d valid_groups=%d, the list has %d groups, %d valid",
+					cv.Groups, cv.ValidGroups, len(cv.CellGroups), valid)
+			}
+			if valid == cv.Groups {
+				t.Fatal("no null group: the valid_groups count is not exercised")
+			}
+
+			weighted, weight := 0.0, 0
+			for i, s := range tc.streams {
+				v, err := s.Current()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells := 0
+				for _, g := range v.Partition.Groups {
+					if !g.Null {
+						cells += g.Size()
+					}
+				}
+				weighted += float64(cells) * v.IFL
+				weight += cells
+				if cv.Shards[i].IFL != v.IFL {
+					t.Fatalf("shard %d IFL %v, its stream serves %v", i, cv.Shards[i].IFL, v.IFL)
+				}
+			}
+			want := weighted / float64(weight)
+			if shards == 1 {
+				want = cv.Shards[0].IFL
+			}
+			if cv.IFL != want {
+				t.Fatalf("stitched IFL %v, want the valid-cell-weighted mean %v", cv.IFL, want)
+			}
+
+			_, body = getBody(t, tc.front.URL+"/view?groups=false")
+			var sv ViewBody
+			if err := json.Unmarshal(body, &sv); err != nil {
+				t.Fatal(err)
+			}
+			if sv.Groups != cv.Groups || sv.ValidGroups != cv.ValidGroups || sv.IFL != cv.IFL || sv.CellGroups != nil {
+				t.Fatalf("summary groups=%d valid=%d ifl=%v (%d groups listed), full view %d/%d/%v",
+					sv.Groups, sv.ValidGroups, sv.IFL, len(sv.CellGroups), cv.Groups, cv.ValidGroups, cv.IFL)
+			}
+		})
+	}
+}
+
+// TestMalformedShardPayloadGoesMissing: a shard /view body that does not fit
+// its band is rejected whole. The shard is listed in missing_shards of a
+// 200 + Warning: 110 response, the healthy shard's groups are served
+// unchanged, and no rejection counts as a breaker failure.
+func TestMalformedShardPayloadGoesMissing(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var mutate atomic.Pointer[func(*server.ViewBody)]
+	tc := startCluster(t, 10, 6, 2, testRecords(rng, testBounds(), 700), nil, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			m := mutate.Load()
+			if r.URL.Path != "/view" || m == nil {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var v server.ViewBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+				t.Errorf("shard 1 view: %v", err)
+				return
+			}
+			(*m)(&v)
+			json.NewEncoder(w).Encode(v)
+		})
+	})
+
+	_, body := getBody(t, tc.front.URL+"/view")
+	var healthy ViewBody
+	if err := json.Unmarshal(body, &healthy); err != nil {
+		t.Fatal(err)
+	}
+	var shard0 []server.GroupBody
+	for _, g := range healthy.CellGroups {
+		if g.RowBegin < tc.plan.Bands[0].Row1 {
+			shard0 = append(shard0, g)
+		}
+	}
+	if len(shard0) == 0 || len(healthy.CellGroups)-len(shard0) < 2 {
+		t.Fatalf("want groups on both shards and two on shard 1, got %d of %d on shard 0", len(shard0), len(healthy.CellGroups))
+	}
+	want0, _ := json.Marshal(shard0)
+
+	last := func(v *server.ViewBody) *server.GroupBody { return &v.CellGroups[len(v.CellGroups)-1] }
+	cases := []struct {
+		name   string
+		mutate func(*server.ViewBody)
+	}{
+		{"rows differ from the band", func(v *server.ViewBody) { v.Rows++ }},
+		{"cols differ from the band", func(v *server.ViewBody) { v.Cols-- }},
+		{"group past the grid's last row", func(v *server.ViewBody) { last(v).RowEnd = v.Rows }},
+		{"group past the grid's last column", func(v *server.ViewBody) { last(v).ColEnd = v.Cols }},
+		{"group above the band", func(v *server.ViewBody) { v.CellGroups[0].RowBegin = -1 }},
+		{"inverted extent", func(v *server.ViewBody) { v.CellGroups[0].RowEnd = v.CellGroups[0].RowBegin - 1 }},
+		{"corners out of order", func(v *server.ViewBody) {
+			v.CellGroups[0], v.CellGroups[1] = v.CellGroups[1], v.CellGroups[0]
+		}},
+		{"duplicate corner", func(v *server.ViewBody) {
+			v.CellGroups = append([]server.GroupBody{v.CellGroups[0]}, v.CellGroups...)
+		}},
+	}
+	for _, c := range cases {
+		mutate.Store(&c.mutate)
+		resp, body := getBody(t, tc.front.URL+"/view")
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Warning"), "110 ") {
+			t.Fatalf("%s: status %d warning %q: %s", c.name, resp.StatusCode, resp.Header.Get("Warning"), body)
+		}
+		var cv ViewBody
+		if err := json.Unmarshal(body, &cv); err != nil {
+			t.Fatal(err)
+		}
+		if !cv.Degraded || len(cv.MissingShards) != 1 || cv.MissingShards[0] != 1 {
+			t.Fatalf("%s: degraded=%t missing=%v, want shard 1 missing", c.name, cv.Degraded, cv.MissingShards)
+		}
+		if got, _ := json.Marshal(cv.CellGroups); !bytes.Equal(got, want0) {
+			t.Fatalf("%s: shard 0's groups changed:\ngot  %s\nwant %s", c.name, got, want0)
+		}
+	}
+
+	_, body = getBody(t, tc.front.URL+"/stats")
+	var sb StatsBody
+	if err := json.Unmarshal(body, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.Shards[1].Breaker != "closed" || sb.Shards[1].Failures != 0 {
+		t.Fatalf("%d rejected payloads reached the breaker: %+v", len(cases), sb.Shards[1])
+	}
+}
