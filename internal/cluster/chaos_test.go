@@ -457,6 +457,17 @@ func TestChaosAllShardsDown(t *testing.T) {
 	}
 }
 
+// trapClock is a fake clock whose After fires only once the backend has
+// stalled a request, so a hedge launches strictly after its primary reached
+// the backend: the stalled leg is always the primary. After is reached only
+// by the hedge timer here (no queueing, no retry).
+type trapClock struct {
+	*fakeClock
+	trapped chan time.Time
+}
+
+func (c trapClock) After(time.Duration) <-chan time.Time { return c.trapped }
+
 // TestChaosHedgedRequestWins: once the latency ring is primed, a stalled
 // primary request is raced by a hedge after the p99 delay, and the hedge's
 // answer serves the response — no retry, no recorded failure, no
@@ -468,11 +479,14 @@ func TestChaosHedgedRequestWins(t *testing.T) {
 	}
 	viewJSON := `{"generation":1,"degraded":false,"rows":4,"cols":4,"groups":1,"valid_groups":1,"ifl":0.25,` +
 		`"cell_groups":[{"id":0,"row_begin":0,"row_end":3,"col_begin":0,"col_end":3,"cells":16,"features":[1]}]}`
+	clock := trapClock{fakeClock: newFakeClock(), trapped: make(chan time.Time, 1)}
 	var hangNext atomic.Bool
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hangNext.CompareAndSwap(true, false) {
-			// Stall until the coordinator abandons this leg (the hedge won
-			// and the attempt context was cancelled).
+			// Release the hedge, then stall until the coordinator abandons
+			// this leg (the hedge won and the attempt context was
+			// cancelled).
+			clock.trapped <- clock.Now()
 			<-r.Context().Done()
 			return
 		}
@@ -481,7 +495,6 @@ func TestChaosHedgedRequestWins(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	clock := newFakeClock()
 	obsv := obs.New()
 	coord, err := New(Config{
 		Plan: p, Backends: []string{backend.URL},
@@ -502,25 +515,17 @@ func TestChaosHedgedRequestWins(t *testing.T) {
 			t.Fatalf("prime %d: status %d", i, resp.StatusCode)
 		}
 	}
-	// The hang trap catches whichever leg reaches the backend first. That is
-	// almost always the primary (the hedge launches strictly later), but the
-	// race is real — if a round's hedge lost the dash and got trapped, the
-	// primary won and the round proves nothing; run another. Every round must
-	// answer 200 regardless of which leg was stalled.
+	hangNext.Store(true)
+	resp, body := getBody(t, front.URL+"/view")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stalled round: status %d: %s", resp.StatusCode, body)
+	}
 	reg := obsv.Registry()
-	hedgeWins := reg.Counter(obs.FoldLabels("cluster.backend.hedge_wins", []string{"0"}))
-	for i := 0; i < 20 && hedgeWins.Value() == 0; i++ {
-		hangNext.Store(true)
-		resp, body := getBody(t, front.URL+"/view")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stall round %d: status %d: %s", i, resp.StatusCode, body)
-		}
+	if got := reg.Counter(obs.FoldLabels("cluster.backend.hedges", []string{"0"})).Value(); got != 1 {
+		t.Fatalf("hedges = %d, want 1", got)
 	}
-	if got := reg.Counter(obs.FoldLabels("cluster.backend.hedges", []string{"0"})).Value(); got < 1 {
-		t.Fatalf("no hedge was launched (hedges=%d)", got)
-	}
-	if hedgeWins.Value() < 1 {
-		t.Fatalf("hedge never won in 20 stalled rounds (hedge_wins=%d)", hedgeWins.Value())
+	if got := reg.Counter(obs.FoldLabels("cluster.backend.hedge_wins", []string{"0"})).Value(); got != 1 {
+		t.Fatalf("hedge_wins = %d, want 1: the stalled primary answered", got)
 	}
 	if got := reg.Counter(obs.FoldLabels("cluster.backend.failures", []string{"0"})).Value(); got != 0 {
 		t.Fatalf("hedged stall recorded %d failures, want 0", got)

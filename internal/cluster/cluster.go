@@ -13,7 +13,9 @@
 // and the global view is the shard views concatenated in band order: scatter,
 // decode each shard's /view into the server.ViewBody the shard encoded,
 // check that it fits its band, and append its groups with rows shifted and
-// IDs renumbered. When shards fail — or answer with a body that does not fit
+// IDs renumbered. A groups=false summary is stitched from the shards' own
+// summaries, folding their valid_cells-weighted IFLs in band order as the
+// full view does. When shards fail — or answer with a body that does not fit
 // — the coordinator keeps serving what it can: HTTP 200 with Warning: 110,
 // degraded=true, and the missing shards named in the body; cluster /readyz
 // stays ready while at least one shard is, mirroring the degraded-serving

@@ -89,7 +89,9 @@ type Config struct {
 // mounted on the shards' own request envelope. Create with New, mount via
 // Handler or run with Serve (both from the envelope), stop with Shutdown. It
 // holds no view state of its own — every response is assembled from live
-// shard responses, so coordinators can be replicated freely.
+// shard responses, so coordinators can be replicated freely. A /view reads
+// the shards' full views; a /view?groups=false summary reads only their
+// summaries.
 type Coordinator struct {
 	*server.Envelope
 	cfg      Config
@@ -328,14 +330,20 @@ func degradedWarning(w http.ResponseWriter) {
 }
 
 // handleView scatter-gathers every shard's /view and serves the stitched
-// global partition: GET /view (?groups=false omits the group list). Each
-// answer is decoded straight into the server.ViewBody the shard encoded and
-// concatenated in band order. Shards that fail their defended fetch, or
-// whose answer cannot be used, are reported in missing_shards and the
-// response degrades to 200 + Warning; only a fully dark cluster turns into
-// a 503.
+// global partition: GET /view. GET /view?groups=false scatters the shards'
+// own groups=false summaries instead and stitches their counts, so a summary
+// read moves no group lists. Each answer is decoded straight into the
+// server.ViewBody the shard encoded and concatenated in band order. Shards
+// that fail their defended fetch, or whose answer cannot be used, are
+// reported in missing_shards and the response degrades to 200 + Warning;
+// only a fully dark cluster turns into a 503.
 func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
-	results, errs := c.scatter(r.Context(), "/view")
+	includeGroups := r.URL.Query().Get("groups") != "false"
+	pq := "/view"
+	if !includeGroups {
+		pq = "/view?groups=false"
+	}
+	results, errs := c.scatter(r.Context(), pq)
 	views := make([]server.ViewBody, len(results))
 	for i, res := range results {
 		switch {
@@ -348,7 +356,7 @@ func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
 			}
 		}
 	}
-	body, err := concatenate(c.plan, views, errs, r.URL.Query().Get("groups") != "false")
+	body, err := concatenate(c.plan, views, errs, includeGroups)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,8 @@ type ViewBody struct {
 // non-200 answer, undecodable payload); a body that does not fit its band
 // (fitBand) has none either. Such bands are listed in missing_shards rather
 // than silently served as a hole; with no band left there is nothing to
-// serve, and the error says why.
+// serve, and the error says why. With includeGroups false the bodies are the
+// shards' groups=false summaries, and only their counts are stitched.
 //
 // Each shard repartitions only its own band and Algorithm 1 scans it
 // row-major, so a band's groups arrive sorted by top-left corner and none
@@ -51,17 +52,19 @@ type ViewBody struct {
 //
 // The stitched IFL is the valid-cell-weighted mean of the shard IFLs — each
 // shard's IFL is itself a mean over its valid cells, so the weighted fold
-// recovers the global mean. When exactly one shard contributes, its IFL is
-// passed through verbatim (bit-exact, no re-rounding through the fold).
+// recovers the global mean. A full view and a summary fold the same counts
+// in band order, so they agree bit for bit. When exactly one shard
+// contributes, its IFL is passed through verbatim (bit-exact, no re-rounding
+// through the fold).
 func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bool) (ViewBody, error) {
 	body := ViewBody{Rows: p.Rows, Cols: p.Cols}
 	var firstErr error
 	weighted, weight := 0.0, 0
 	for i, b := range p.Bands {
 		v := &views[i]
-		validGroups, validCells, err := 0, 0, errs[i]
+		groups, validGroups, validCells, err := 0, 0, 0, errs[i]
 		if err == nil {
-			validGroups, validCells, err = fitBand(b, p.Cols, v)
+			groups, validGroups, validCells, err = fitBand(b, p.Cols, v, includeGroups)
 		}
 		if err != nil {
 			body.MissingShards = append(body.MissingShards, i)
@@ -79,7 +82,7 @@ func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bo
 			IFL:        v.IFL,
 		})
 		body.Degraded = body.Degraded || v.Degraded
-		body.Groups += len(v.CellGroups)
+		body.Groups += groups
 		body.ValidGroups += validGroups
 		weighted += float64(validCells) * v.IFL
 		weight += validCells
@@ -109,25 +112,37 @@ func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bo
 }
 
 // fitBand checks that a shard's /view body fits band b of a grid with cols
-// columns, and counts the body's valid (non-null) groups and cells. It
-// rejects the whole body when the body's geometry is not the band's, when a
-// group's extent is inverted or leaves the band, or when the group corners
-// are not strictly increasing in row-major order (which also rules out
-// duplicates): such a body cannot be concatenated without guessing.
-func fitBand(b Band, cols int, v *server.ViewBody) (validGroups, validCells int, err error) {
+// columns and returns its group, valid-group and valid-cell counts. It rejects the whole body when the body's
+// geometry is not the band's. A full view's counts are taken from its group
+// list, which is rejected when a group's extent is inverted or leaves the
+// band, or when the group corners are not strictly increasing in row-major
+// order (which also rules out duplicates): such a body cannot be
+// concatenated without guessing. A summary's counts are its own, rejected
+// unless 0 ≤ valid_groups ≤ groups ≤ cells and valid_groups ≤ valid_cells ≤
+// cells for the band's cells (every valid group holds at least one cell).
+func fitBand(b Band, cols int, v *server.ViewBody, includeGroups bool) (groups, validGroups, validCells int, err error) {
 	if v.Rows != b.Rows() || v.Cols != cols {
-		return 0, 0, fmt.Errorf("cluster: shard %d view is %dx%d, its band is %dx%d", b.Index, v.Rows, v.Cols, b.Rows(), cols)
+		return 0, 0, 0, fmt.Errorf("cluster: shard %d view is %dx%d, its band is %dx%d", b.Index, v.Rows, v.Cols, b.Rows(), cols)
+	}
+	if !includeGroups {
+		cells := v.Rows * v.Cols
+		if v.ValidGroups < 0 || v.ValidGroups > v.Groups || v.Groups > cells ||
+			v.ValidCells < v.ValidGroups || v.ValidCells > cells {
+			return 0, 0, 0, fmt.Errorf("cluster: shard %d summary counts (groups %d, valid_groups %d, valid_cells %d) do not fit its %d cells",
+				b.Index, v.Groups, v.ValidGroups, v.ValidCells, cells)
+		}
+		return v.Groups, v.ValidGroups, v.ValidCells, nil
 	}
 	prev := -1 // row-major index of the previous group's top-left corner
 	for i, g := range v.CellGroups {
 		if g.RowBegin < 0 || g.RowBegin > g.RowEnd || g.RowEnd >= v.Rows ||
 			g.ColBegin < 0 || g.ColBegin > g.ColEnd || g.ColEnd >= v.Cols {
-			return 0, 0, fmt.Errorf("cluster: shard %d group %d (rows %d..%d, cols %d..%d) is inverted or outside its %dx%d band",
+			return 0, 0, 0, fmt.Errorf("cluster: shard %d group %d (rows %d..%d, cols %d..%d) is inverted or outside its %dx%d band",
 				b.Index, i, g.RowBegin, g.RowEnd, g.ColBegin, g.ColEnd, v.Rows, v.Cols)
 		}
 		corner := g.RowBegin*v.Cols + g.ColBegin
 		if corner <= prev {
-			return 0, 0, fmt.Errorf("cluster: shard %d group %d corner (%d,%d) does not follow the previous group's in row-major order",
+			return 0, 0, 0, fmt.Errorf("cluster: shard %d group %d corner (%d,%d) does not follow the previous group's in row-major order",
 				b.Index, i, g.RowBegin, g.ColBegin)
 		}
 		prev = corner
@@ -136,7 +151,7 @@ func fitBand(b Band, cols int, v *server.ViewBody) (validGroups, validCells int,
 			validCells += extentCells(g)
 		}
 	}
-	return validGroups, validCells, nil
+	return len(v.CellGroups), validGroups, validCells, nil
 }
 
 // extentCells returns the number of cells in a group's extent.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -18,12 +20,22 @@ import (
 // every global cell lies in exactly one stitched group, IDs run 0..n−1 in
 // row-major corner order, valid_groups counts the non-null groups, the IFL
 // is the valid-cell-weighted mean of the shard IFLs (a lone shard's
-// verbatim), and the groups=false summary agrees with the full view.
+// verbatim), and the groups=false summary, stitched from the shards' own
+// summaries, agrees with the full view (its IFL bit for bit).
 func TestStitchTilesGrid(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(200 + shards)))
-			tc := startCluster(t, 13, 7, shards, testRecords(rng, testBounds(), 60), nil, nil)
+			var mu sync.Mutex
+			asked := make([][]string, shards) // request URIs per shard
+			tc := startCluster(t, 13, 7, shards, testRecords(rng, testBounds(), 60), nil, func(i int, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					mu.Lock()
+					asked[i] = append(asked[i], r.URL.RequestURI())
+					mu.Unlock()
+					h.ServeHTTP(w, r)
+				})
+			})
 			resp, body := getBody(t, tc.front.URL+"/view")
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("/view status %d: %s", resp.StatusCode, body)
@@ -101,23 +113,35 @@ func TestStitchTilesGrid(t *testing.T) {
 				t.Fatalf("stitched IFL %v, want the valid-cell-weighted mean %v", cv.IFL, want)
 			}
 
+			mu.Lock()
+			asked = make([][]string, shards)
+			mu.Unlock()
 			_, body = getBody(t, tc.front.URL+"/view?groups=false")
 			var sv ViewBody
 			if err := json.Unmarshal(body, &sv); err != nil {
 				t.Fatal(err)
 			}
-			if sv.Groups != cv.Groups || sv.ValidGroups != cv.ValidGroups || sv.IFL != cv.IFL || sv.CellGroups != nil {
+			if sv.Groups != cv.Groups || sv.ValidGroups != cv.ValidGroups ||
+				math.Float64bits(sv.IFL) != math.Float64bits(cv.IFL) || sv.CellGroups != nil {
 				t.Fatalf("summary groups=%d valid=%d ifl=%v (%d groups listed), full view %d/%d/%v",
 					sv.Groups, sv.ValidGroups, sv.IFL, len(sv.CellGroups), cv.Groups, cv.ValidGroups, cv.IFL)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, uris := range asked {
+				if len(uris) != 1 || uris[0] != "/view?groups=false" {
+					t.Fatalf("the summary read asked shard %d for %q, want one /view?groups=false", i, uris)
+				}
 			}
 		})
 	}
 }
 
-// TestMalformedShardPayloadGoesMissing: a shard /view body that does not fit
-// its band is rejected whole. The shard is listed in missing_shards of a
-// 200 + Warning: 110 response, the healthy shard's groups are served
-// unchanged, and no rejection counts as a breaker failure.
+// TestMalformedShardPayloadGoesMissing: a shard /view body or groups=false
+// summary that does not fit its band is rejected whole. The shard is listed
+// in missing_shards of a 200 + Warning: 110 response, the healthy shard's
+// groups (or counts and IFL) are served unchanged, and no rejection counts as
+// a breaker failure.
 func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var mutate atomic.Pointer[func(*server.ViewBody)]
@@ -177,21 +201,51 @@ func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 			v.CellGroups = append([]server.GroupBody{v.CellGroups[0]}, v.CellGroups...)
 		}},
 	}
-	for _, c := range cases {
-		mutate.Store(&c.mutate)
-		resp, body := getBody(t, tc.front.URL+"/view")
+	// A summary carries counts instead of a group list; counts that cannot
+	// describe the band's cells reject it the same way.
+	summaryCases := []struct {
+		name   string
+		mutate func(*server.ViewBody)
+	}{
+		{"summary valid_groups above groups", func(v *server.ViewBody) { v.ValidGroups = v.Groups + 1 }},
+		{"summary groups above the band's cells", func(v *server.ViewBody) { v.Groups = v.Rows*v.Cols + 1 }},
+		{"summary valid_cells above the band's cells", func(v *server.ViewBody) { v.ValidCells = v.Rows*v.Cols + 1 }},
+		{"summary valid_cells below valid_groups", func(v *server.ViewBody) { v.ValidCells = v.ValidGroups - 1 }},
+		{"summary rows differ from the band", func(v *server.ViewBody) { v.Rows++ }},
+	}
+	valid0 := 0
+	for _, g := range shard0 {
+		if !g.Null {
+			valid0++
+		}
+	}
+	reject := func(name, target string, m func(*server.ViewBody)) ViewBody {
+		t.Helper()
+		mutate.Store(&m)
+		resp, body := getBody(t, tc.front.URL+target)
 		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Warning"), "110 ") {
-			t.Fatalf("%s: status %d warning %q: %s", c.name, resp.StatusCode, resp.Header.Get("Warning"), body)
+			t.Fatalf("%s: status %d warning %q: %s", name, resp.StatusCode, resp.Header.Get("Warning"), body)
 		}
 		var cv ViewBody
 		if err := json.Unmarshal(body, &cv); err != nil {
 			t.Fatal(err)
 		}
 		if !cv.Degraded || len(cv.MissingShards) != 1 || cv.MissingShards[0] != 1 {
-			t.Fatalf("%s: degraded=%t missing=%v, want shard 1 missing", c.name, cv.Degraded, cv.MissingShards)
+			t.Fatalf("%s: degraded=%t missing=%v, want shard 1 missing", name, cv.Degraded, cv.MissingShards)
 		}
+		return cv
+	}
+	for _, c := range cases {
+		cv := reject(c.name, "/view", c.mutate)
 		if got, _ := json.Marshal(cv.CellGroups); !bytes.Equal(got, want0) {
 			t.Fatalf("%s: shard 0's groups changed:\ngot  %s\nwant %s", c.name, got, want0)
+		}
+	}
+	for _, c := range summaryCases {
+		cv := reject(c.name, "/view?groups=false", c.mutate)
+		if cv.Groups != len(shard0) || cv.ValidGroups != valid0 || cv.IFL != healthy.Shards[0].IFL || cv.CellGroups != nil {
+			t.Fatalf("%s: summary groups=%d valid=%d ifl=%v, want shard 0's %d/%d/%v",
+				c.name, cv.Groups, cv.ValidGroups, cv.IFL, len(shard0), valid0, healthy.Shards[0].IFL)
 		}
 	}
 
@@ -201,6 +255,6 @@ func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sb.Shards[1].Breaker != "closed" || sb.Shards[1].Failures != 0 {
-		t.Fatalf("%d rejected payloads reached the breaker: %+v", len(cases), sb.Shards[1])
+		t.Fatalf("%d rejected payloads reached the breaker: %+v", len(cases)+len(summaryCases), sb.Shards[1])
 	}
 }

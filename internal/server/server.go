@@ -20,14 +20,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
+	"spatialrepart/internal/core"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/obs"
 	"spatialrepart/internal/stream"
@@ -120,6 +123,9 @@ type Config struct {
 type Server struct {
 	*Envelope
 	src Source
+
+	viewMu sync.Mutex
+	views  *viewBytes // the encoded /view bodies of the latest served view
 }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount Server.
@@ -214,7 +220,9 @@ type GroupBody struct {
 
 // ViewBody is the /view response: the full served partition plus its serving
 // metadata. Degraded mirrors the view flag (also signaled via the Warning
-// header).
+// header). ValidCells is the number of cells in the non-null groups — the
+// cells the IFL is a mean over, so the cluster coordinator can weight this
+// view's IFL from the groups=false summary alone.
 type ViewBody struct {
 	Generation  int         `json:"generation"`
 	Degraded    bool        `json:"degraded"`
@@ -222,6 +230,7 @@ type ViewBody struct {
 	Cols        int         `json:"cols"`
 	Groups      int         `json:"groups"`
 	ValidGroups int         `json:"valid_groups"`
+	ValidCells  int         `json:"valid_cells"`
 	IFL         float64     `json:"ifl"`
 	CellGroups  []GroupBody `json:"cell_groups,omitempty"`
 }
@@ -246,17 +255,79 @@ func (s *Server) currentView(ctx context.Context, w http.ResponseWriter) (stream
 }
 
 // handleView serves the current re-partitioned view: GET /view
-// (?groups=false omits the per-group list for a cheap summary).
+// (?groups=false omits the per-group list for a cheap summary). Each body is
+// encoded once per served view, by the first read that asks for it, and
+// later reads of the same view write the stored bytes.
 func (s *Server) handleView(w http.ResponseWriter, r *http.Request) error {
 	v, err := s.currentView(r.Context(), w)
 	if err != nil {
 		return err
 	}
-	out := ViewBodyOf(v, r.URL.Query().Get("groups") != "false")
+	body := s.viewBytesOf(v).encoded(v, r.URL.Query().Get("groups") != "false")
+	if body.err != nil {
+		return body.err
+	}
 	if r.Context().Err() != nil {
 		return ErrTimeout.WithDetail("deadline expired before the view was written")
 	}
-	return WriteJSON(w, out)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", body.length)
+	if _, err := w.Write(body.json); err != nil {
+		return fmt.Errorf("writing response: %w", err)
+	}
+	return nil
+}
+
+// viewBytes holds the encoded /view bodies of one served view. The key is
+// the view's dataset, generation and degraded flag: a generation number alone
+// does not name a dataset (a stream restored from a checkpoint installs its
+// next view under a generation it may already have served).
+type viewBytes struct {
+	rp         *core.Repartitioned
+	generation int
+	degraded   bool
+	once       [2]sync.Once // [0] the groups=false summary, [1] the full view
+	bodies     [2]encodedBody
+}
+
+// encodedBody is one stored response body: the bytes WriteJSON would write
+// for it and their Content-Length, or why it could not be encoded.
+type encodedBody struct {
+	json   []byte
+	length string
+	err    error
+}
+
+// viewBytesOf returns the stored bodies of v, replacing those of any other
+// view: the Server holds at most one.
+func (s *Server) viewBytesOf(v stream.View) *viewBytes {
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	if vb := s.views; vb != nil && vb.rp == v.Repartitioned && vb.generation == v.Generation && vb.degraded == v.Degraded {
+		return vb
+	}
+	s.views = &viewBytes{rp: v.Repartitioned, generation: v.Generation, degraded: v.Degraded}
+	return s.views
+}
+
+// encoded returns v's body with or without the group list, encoding it on
+// the first call; concurrent first calls wait for that one encode.
+func (vb *viewBytes) encoded(v stream.View, includeGroups bool) *encodedBody {
+	i := 0
+	if includeGroups {
+		i = 1
+	}
+	b := &vb.bodies[i]
+	vb.once[i].Do(func() {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(ViewBodyOf(v, includeGroups)); err != nil {
+			b.err = fmt.Errorf("encoding response: %w", err)
+			return
+		}
+		b.json, b.length = buf.Bytes(), strconv.Itoa(buf.Len())
+	})
+	return b
 }
 
 // handleGroup serves one cell-group: GET /group?id=N.
@@ -316,13 +387,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) error {
 // coordinator concatenates" can never drift.
 func ViewBodyOf(v stream.View, includeGroups bool) ViewBody {
 	out := ViewBody{
-		Generation:  v.Generation,
-		Degraded:    v.Degraded,
-		Rows:        v.Partition.Rows,
-		Cols:        v.Partition.Cols,
-		Groups:      v.NumGroups(),
-		ValidGroups: v.ValidGroups(),
-		IFL:         v.IFL,
+		Generation: v.Generation,
+		Degraded:   v.Degraded,
+		Rows:       v.Partition.Rows,
+		Cols:       v.Partition.Cols,
+		Groups:     v.NumGroups(),
+		IFL:        v.IFL,
+	}
+	for _, cg := range v.Partition.Groups {
+		if !cg.Null {
+			out.ValidGroups++
+			out.ValidCells += cg.Size()
+		}
 	}
 	if includeGroups {
 		out.CellGroups = make([]GroupBody, 0, v.NumGroups())

@@ -5,7 +5,9 @@
 // partition is retained as long as re-allocating its feature vectors on the
 // freshest data keeps the information loss within the threshold, and a full
 // re-partitioning runs only when the stream has drifted past that bound.
-// Between recomputations readers pay only the (cheap) feature re-allocation.
+// Between recomputations readers pay only the (cheap) feature re-allocation,
+// and only after new records arrived: a read of an unchanged stream serves
+// the installed view as it is.
 //
 // Serving is fault tolerant (DESIGN.md §3.16): once any view exists, Current
 // never returns an error — a failed, panicking, or deadline-overrunning
@@ -45,9 +47,11 @@ const (
 type Options struct {
 	// Threshold is the IFL bound θ every served partition must satisfy.
 	Threshold float64
-	// MinRecordsBetweenChecks throttles staleness checks: Current() reuses
-	// the cached view until at least this many records arrived since the
-	// last check (0 = check on every call).
+	// MinRecordsBetweenChecks throttles staleness checks: Current() serves
+	// the installed view until at least this many records arrived since the
+	// served view's snapshot. A check always needs at least one new record
+	// (0 and 1 both check on the first call after any record): a refresh of
+	// unchanged aggregates would reproduce the served view bit for bit.
 	MinRecordsBetweenChecks int
 	// Schedule for full recomputations. The zero value is
 	// core.ScheduleExact; callers that want the logarithmic search set
@@ -169,9 +173,11 @@ type View struct {
 }
 
 // Repartitioner maintains a re-partitioned view over a streaming grid. It is
-// safe for concurrent use: Add only ever takes the (cheap) aggregate lock,
-// while the expensive refresh/recompute work in Current runs on a snapshot
-// OUTSIDE that lock, so ingestion is never stalled behind a re-partitioning.
+// safe for concurrent use: Add takes only the aggregate lock, while the
+// expensive refresh/recompute work in Current runs on a snapshot OUTSIDE
+// that lock, so ingestion is never stalled behind a re-partitioning. With
+// Options.WAL set, Add holds the aggregate lock across the log append and
+// whatever sync its policy does, so reads and Stats wait behind that fsync.
 type Repartitioner struct {
 	mu     sync.Mutex // guards aggregates, current, sinceLastCheck, stats, breaker
 	bounds grid.Bounds
@@ -423,7 +429,8 @@ func (s *Repartitioner) snapshotGrid() *grid.Grid {
 // Current returns a re-partitioned view whose information loss against the
 // freshest aggregates is within the threshold, retaining the previous
 // partition when a feature-only refresh suffices and re-partitioning from
-// scratch otherwise.
+// scratch otherwise. Until max(1, MinRecordsBetweenChecks) records arrived
+// since the served view's snapshot, it serves that view without a check.
 //
 // Failure policy: once any view exists, Current never returns an error. A
 // failed attempt (error, injected fault, panic, or RecomputeTimeout expiry)
@@ -469,7 +476,7 @@ func (s *Repartitioner) CurrentCtx(ctx context.Context) (View, error) {
 // attributes only and never affects the returned view.
 func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 	s.mu.Lock()
-	if s.current != nil && s.sinceLastCheck < s.opts.MinRecordsBetweenChecks {
+	if s.current != nil && s.sinceLastCheck < max(1, s.opts.MinRecordsBetweenChecks) {
 		v := s.viewLocked(false)
 		s.mu.Unlock()
 		return v, "cached", nil

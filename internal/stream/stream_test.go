@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"spatialrepart/internal/core"
+	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
 )
@@ -128,11 +130,13 @@ func TestRefreshKeepsPartitionUnderSmallDrift(t *testing.T) {
 
 // TestRefreshMatchesRecomputeIFL: the refresh and the full recompute measure
 // a partition with the same IFL reduction, so with θ set to exactly the IFL
-// a recompute served, the next check on unchanged aggregates must be a
-// refresh that keeps the partition and serves the same bits. The served
-// partition spans more than two of core's 1,024-group IFL chunks, so a
-// refresh that summed groups or combined chunk partials differently from the
-// recompute's memoized sums would flip the verdict or the served value.
+// a recompute served, a refresh of the unchanged aggregates must keep the
+// partition and serve the same bits. A read of an unchanged stream serves the
+// installed view without a check, so the refresh path runs on the snapshot
+// directly. The served partition spans more than two of core's 1,024-group
+// IFL chunks, so a refresh that summed groups or combined chunk partials
+// differently from the recompute's memoized sums would flip the verdict or
+// the served value.
 func TestRefreshMatchesRecomputeIFL(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s, err := New(testBounds(), 96, 96, testAttrs(), Options{
@@ -161,17 +165,122 @@ func TestRefreshMatchesRecomputeIFL(t *testing.T) {
 		}
 
 		s.opts.Threshold = v.IFL
-		w, err := s.Current()
+		rp, recompute, err := s.attempt(context.Background(), s.Grid(), v.Repartitioned)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := s.Stats()
-		if after.Refreshes != before.Refreshes+1 || after.Recomputes != before.Recomputes {
-			t.Errorf("workers %d: θ = served IFL did not refresh: before %+v, after %+v", workers, before, after)
+		if recompute || rp.Partition != v.Partition {
+			t.Errorf("workers %d: θ = served IFL did not keep the partition (recompute %t)", workers, recompute)
 		}
-		if math.Float64bits(w.IFL) != math.Float64bits(v.IFL) {
-			t.Errorf("workers %d: refresh IFL %v, recompute IFL %v: want identical bits", workers, w.IFL, v.IFL)
+		if math.Float64bits(rp.IFL) != math.Float64bits(v.IFL) {
+			t.Errorf("workers %d: refresh IFL %v, recompute IFL %v: want identical bits", workers, rp.IFL, v.IFL)
 		}
+	}
+}
+
+// TestUnchangedStreamServesInstalledView: a staleness check needs at least
+// one record since the served view's snapshot. Reads of an unchanged stream
+// serve the installed view without snapshotting or refreshing; one Add makes
+// the next read check exactly once; MinRecordsBetweenChecks still throttles;
+// and a failed recompute leaves its records counted, so it serves Degraded
+// and the breaker gates the retry although no record arrives.
+func TestUnchangedStreamServesInstalledView(t *testing.T) {
+	s, err := New(testBounds(), 8, 8, testAttrs(), Options{Threshold: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	add := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Add(grid.Record{Lat: rng.Float64() * 10, Lon: rng.Float64() * 10, Values: []float64{1, 50}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(600) // every cell populated, so later checks refresh
+	first, err := s.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	computes := 0
+	s.beforeCompute = func() { computes++ }
+	before := s.Stats()
+	for i := 0; i < 50; i++ {
+		v, err := s.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != first {
+			t.Fatalf("read %d of an unchanged stream served %+v, want the installed %+v", i, v, first)
+		}
+	}
+	if st := s.Stats(); computes != 0 || st.Generation != before.Generation ||
+		st.Refreshes != before.Refreshes || st.Recomputes != before.Recomputes {
+		t.Fatalf("50 unchanged reads: %d computes, stats %+v, before %+v", computes, st, before)
+	}
+
+	// One record: the next read checks once, the reads after it do not.
+	add(1)
+	for i := 0; i < 3; i++ {
+		if _, err := s.Current(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if computes != 1 || st.Generation != before.Generation+1 || st.Refreshes+st.Recomputes != before.Refreshes+before.Recomputes+1 {
+		t.Fatalf("one Add: %d computes, stats %+v, before %+v; want exactly one check", computes, st, before)
+	}
+
+	// MinRecordsBetweenChecks = K: K−1 records serve the installed view, the
+	// K-th makes the next read check.
+	const k = 5
+	s.opts.MinRecordsBetweenChecks = k
+	add(k - 1)
+	if _, err := s.Current(); err != nil {
+		t.Fatal(err)
+	}
+	if computes != 1 {
+		t.Fatalf("%d records under K=%d checked: %d computes", k-1, k, computes)
+	}
+	add(1)
+	if _, err := s.Current(); err != nil {
+		t.Fatal(err)
+	}
+	if computes != 2 || s.Stats().Generation != before.Generation+2 {
+		t.Fatalf("the K-th record did not check: %d computes, %+v", computes, s.Stats())
+	}
+
+	// A failed recompute keeps its records counted: the stream serves the
+	// last-good view Degraded, and with no new record the breaker still
+	// decides when the retry runs.
+	errBoom := errors.New("boom")
+	inj := fault.New(3)
+	c, advance := chaosStream(t, inj, Options{Threshold: 0.2, InitialBackoff: time.Second, MaxBackoff: time.Second})
+	inj.Set("stream.recompute", fault.Plan{Count: 1, Err: errBoom})
+	good := c.Stats().Generation
+	for i := 0; i < 3; i++ {
+		v, err := c.Current()
+		if err != nil || !v.Degraded || v.Generation != good {
+			t.Fatalf("read %d after the failure: view %+v, err %v; want generation %d degraded", i, v, err, good)
+		}
+	}
+	if hits, _ := inj.Stats("stream.recompute"); hits != 1 {
+		t.Fatalf("the backoff window let %d attempts through, want 1", hits)
+	}
+	if st := c.Stats(); st.RecomputeFailures != 1 || st.StaleRecords != 1 || st.DegradedServes != 3 {
+		t.Fatalf("after the failure: %+v", st)
+	}
+	advance(2 * time.Second)
+	v, err := c.Current()
+	if err != nil || v.Degraded || v.Generation != good+1 {
+		t.Fatalf("retry past the backoff: view %+v, err %v; want fresh generation %d", v, err, good+1)
+	}
+	if hits, _ := inj.Stats("stream.recompute"); hits != 2 {
+		t.Fatalf("retry did not run: %d attempts", hits)
+	}
+	if st := c.Stats(); st.StaleRecords != 0 || st.Breaker != BreakerClosed {
+		t.Fatalf("after the retry: %+v", st)
 	}
 }
 
