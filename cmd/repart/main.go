@@ -15,6 +15,14 @@
 //	       [-report run.json] [-metrics-addr :8080] [-trace-out trace.json] \
 //	       [-version]
 //
+// -schedule picks the ladder search (default geometric). exact climbs the
+// variation ladder one rung at a time, as the paper describes, up to the
+// first rung whose IFL exceeds -threshold. geometric brackets the whole
+// ladder and narrows the bracket with a search steered by each probed
+// rung's IFL, so it evaluates at most ⌈log₂(rungs+1)⌉ + 1 rungs. Both accept
+// the same rung when IFL grows with the rung; where it does not, geometric
+// may accept a coarser rung, still within the threshold.
+//
 // Streaming mode ingests raw point records (header + "lat,lon,v1,…,vp" rows)
 // instead of a pre-aggregated grid, and can persist its aggregate state
 // across runs via a crash-safe checkpoint file:
@@ -77,7 +85,7 @@ func main() {
 	partOut := flag.String("partition", "", "output JSON with the full partition + features (loadable via ReadRepartitionJSON)")
 	reportOut := flag.String("report", "", "output JSON with the instrumented run report (per-phase timings, IFL trajectory)")
 	threshold := flag.Float64("threshold", 0.05, "information-loss threshold θ ∈ [0,1]")
-	schedule := flag.String("schedule", "geometric", "iteration schedule: exact|geometric")
+	schedule := flag.String("schedule", "geometric", "ladder search: exact (one rung at a time, as the paper) | geometric (IFL-guided bracketing, at most ⌈log₂(rungs+1)⌉+1 rungs)")
 	workers := flag.Int("workers", 0, "goroutines for the variation field and each rung's allocate and loss sweeps (0 = all cores, 1 = sequential; results are identical)")
 	stats := flag.Bool("stats", true, "print summary statistics to stderr")
 	doRender := flag.Bool("render", false, "print an ASCII rendering of the partition to stdout")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"spatialrepart/internal/server"
 )
@@ -52,14 +53,20 @@ type ViewBody struct {
 //
 // The stitched IFL is the valid-cell-weighted mean of the shard IFLs — each
 // shard's IFL is itself a mean over its valid cells, so the weighted fold
-// recovers the global mean. A full view and a summary fold the same counts
-// in band order, so they agree bit for bit. When exactly one shard
+// recovers the global mean. The exact mean lies between the smallest and
+// the largest IFL of the shards with valid cells, so the rounded fold is
+// clamped to that range: the clamp removes only rounding error, and shards
+// that each kept IFL ≤ θ stitch to an IFL ≤ θ (unclamped, four shards at
+// exactly θ = 0.1 with 33,462 / 4,255 / 9,235 / 10,910 valid cells fold to
+// 0.10000000000000002). A full view and a summary fold the same counts in
+// band order, so they agree bit for bit. When exactly one shard
 // contributes, its IFL is passed through verbatim (bit-exact, no re-rounding
 // through the fold).
 func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bool) (ViewBody, error) {
 	body := ViewBody{Rows: p.Rows, Cols: p.Cols}
 	var firstErr error
 	weighted, weight := 0.0, 0
+	minIFL, maxIFL := math.Inf(1), math.Inf(-1) // over shards with valid cells
 	for i, b := range p.Bands {
 		v := &views[i]
 		groups, validGroups, validCells, err := 0, 0, 0, errs[i]
@@ -86,6 +93,9 @@ func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bo
 		body.ValidGroups += validGroups
 		weighted += float64(validCells) * v.IFL
 		weight += validCells
+		if validCells > 0 {
+			minIFL, maxIFL = min(minIFL, v.IFL), max(maxIFL, v.IFL)
+		}
 	}
 	switch {
 	case len(body.Shards) == 0:
@@ -93,7 +103,7 @@ func concatenate(p Plan, views []server.ViewBody, errs []error, includeGroups bo
 	case len(body.Shards) == 1:
 		body.IFL = body.Shards[0].IFL
 	case weight > 0:
-		body.IFL = weighted / float64(weight)
+		body.IFL = min(max(weighted/float64(weight), minIFL), maxIFL)
 	}
 	body.Degraded = body.Degraded || len(body.MissingShards) > 0
 	if includeGroups && body.Groups > 0 {

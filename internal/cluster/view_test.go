@@ -137,6 +137,113 @@ func TestStitchTilesGrid(t *testing.T) {
 	}
 }
 
+// TestStitchedIFLWithinThreshold: shards that each kept IFL ≤ θ stitch to
+// an IFL ≤ θ, for the full view and the groups=false summary alike, whatever
+// their valid-cell weights. The valid-cell-weighted fold can round one ulp
+// above its largest term; the first case is such a fold (four shards at
+// exactly θ = 0.1), and the random cases must hit at least one more, so the
+// test fails unless the stitched IFL is kept within the shard IFLs' range.
+func TestStitchedIFLWithinThreshold(t *testing.T) {
+	p, err := NewPlan(4*170, 200, testBounds(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, p Plan, valid []int, ifl []float64, theta float64) (overshoot bool) {
+		t.Helper()
+		weighted, weight := 0.0, 0
+		for i := range valid {
+			weighted += float64(valid[i]) * ifl[i]
+			weight += valid[i]
+		}
+		var ifls [2]float64
+		for k, includeGroups := range []bool{true, false} {
+			views := make([]server.ViewBody, len(p.Bands))
+			for i, b := range p.Bands {
+				views[i] = bandView(b.Rows(), p.Cols, valid[i], ifl[i], includeGroups)
+			}
+			body, err := concatenate(p, views, make([]error, len(views)), includeGroups)
+			if err != nil {
+				t.Fatalf("%s groups=%t: %v", label, includeGroups, err)
+			}
+			if body.IFL > theta {
+				t.Fatalf("%s groups=%t: valid cells %v, shard IFLs %v ≤ θ=%v stitch to IFL %v",
+					label, includeGroups, valid, ifl, theta, body.IFL)
+			}
+			ifls[k] = body.IFL
+		}
+		if math.Float64bits(ifls[0]) != math.Float64bits(ifls[1]) {
+			t.Fatalf("%s: full view IFL %v, summary %v", label, ifls[0], ifls[1])
+		}
+		return weight > 0 && weighted/float64(weight) > theta
+	}
+	if !check("documented", p, []int{33462, 4255, 9235, 10910}, []float64{0.1, 0.1, 0.1, 0.1}, 0.1) {
+		t.Fatal("the documented four-shard fold no longer rounds above θ; the case tests nothing")
+	}
+
+	rng := rand.New(rand.NewSource(61))
+	overshoots := 0
+	for trial := 0; trial < 400; trial++ {
+		shards := 2 + rng.Intn(3)
+		p, err := NewPlan(shards*(1+rng.Intn(60)), 1+rng.Intn(200), testBounds(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		theta := 0.1
+		if trial%2 == 1 {
+			theta = rng.Float64()
+		}
+		valid, ifl := make([]int, shards), make([]float64, shards)
+		for i, b := range p.Bands {
+			valid[i] = rng.Intn(b.Rows()*p.Cols + 1)
+			ifl[i] = theta
+			if rng.Intn(4) == 0 {
+				ifl[i] = theta * rng.Float64()
+			}
+		}
+		if check(fmt.Sprintf("trial %d", trial), p, valid, ifl, theta) {
+			overshoots++
+		}
+	}
+	if overshoots == 0 {
+		t.Fatal("no random fold rounded above θ; the random cases test nothing")
+	}
+}
+
+// bandView returns a rows×cols shard body with valid non-null cells and the
+// given IFL: with includeGroups, non-null groups over the first valid cells
+// in row-major order and null groups over the rest; without, the summary
+// counts of that same partition.
+func bandView(rows, cols, valid int, ifl float64, includeGroups bool) server.ViewBody {
+	v := server.ViewBody{Rows: rows, Cols: cols, ValidCells: valid, IFL: ifl}
+	add := func(r0, r1, c0, c1 int, null bool) {
+		v.CellGroups = append(v.CellGroups, server.GroupBody{
+			ID: len(v.CellGroups), RowBegin: r0, RowEnd: r1, ColBegin: c0, ColEnd: c1,
+			Cells: (r1 - r0 + 1) * (c1 - c0 + 1), Null: null,
+		})
+		if !null {
+			v.ValidGroups++
+		}
+	}
+	full, rem := valid/cols, valid%cols
+	if full > 0 {
+		add(0, full-1, 0, cols-1, false)
+	}
+	next := full // first row not yet covered
+	if rem > 0 {
+		add(full, full, 0, rem-1, false)
+		add(full, full, rem, cols-1, true)
+		next++
+	}
+	if next < rows {
+		add(next, rows-1, 0, cols-1, true)
+	}
+	v.Groups = len(v.CellGroups)
+	if !includeGroups {
+		v.CellGroups = nil
+	}
+	return v
+}
+
 // TestMalformedShardPayloadGoesMissing: a shard /view body or groups=false
 // summary that does not fit its band is rejected whole. The shard is listed
 // in missing_shards of a 200 + Warning: 110 response, the healthy shard's

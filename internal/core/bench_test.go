@@ -103,23 +103,25 @@ func benchLargeMulti(b *testing.B) *grid.Grid {
 	return datagen.HomeSales(1, 128, 128).Grid
 }
 
-// repartitionSeedReference replays the pre-field sequential driver:
-// exponential search plus bisection, each rung evaluated with the direct
-// extractor over the normalized grid and the seed's map-based mode inside
-// feature allocation (seedAllocateFeatures below).
+// repartitionSeedReference replays the pre-field sequential driver under
+// Repartition's ScheduleGeometric search (SearchLadder steered by each
+// rung's IFL): every rung is evaluated with the direct extractor over the
+// normalized grid and the seed's map-based mode inside feature allocation
+// (seedAllocateFeatures below).
 func repartitionSeedReference(g *grid.Grid, threshold float64) *Partition {
 	norm, _ := g.Normalized()
 	ladder := BuildLadder(norm)
 	best := Identity(g)
 	// The pass callback never errs, so neither does the search.
-	_, _ = SearchLadder(ladder.Len(), ScheduleGeometric, func(i int) (bool, error) {
+	_, _ = SearchLadder(ladder.Len(), ScheduleGeometric, threshold, func(i int) (bool, float64, error) {
 		part := extractDirect(norm, ladder.Rung(i))
 		feats := seedAllocateFeatures(g, part)
-		if IFL(g, part, feats) > threshold {
-			return false, nil
+		loss := IFL(g, part, feats)
+		if loss > threshold {
+			return false, loss, nil
 		}
 		best = part
-		return true, nil
+		return true, loss, nil
 	})
 	return best
 }

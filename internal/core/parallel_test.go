@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"spatialrepart/internal/datagen"
@@ -158,14 +160,17 @@ func TestRungLoopAllocs(t *testing.T) {
 	}
 }
 
-// fanOutGrids returns grids on which every sharded step really splits: early
-// rungs with more than 2·lossChunk groups, so the IFL reduction combines
-// three or more chunks and AllocateFeaturesParallel (from 2·minParallelGroups
-// groups up) leaves its sequential fallback. randomMultiGrid's 2–10 × 2–10
-// grids clear neither bar.
+// fanOutGrids returns grids on which every sharded step really splits: both
+// schedules evaluate a rung with more than 2·lossChunk groups, so the IFL
+// reduction combines three or more chunks and AllocateFeaturesParallel (from
+// 2·minParallelGroups groups up) leaves its sequential fallback. The
+// geometric schedule's probes start mid-ladder, so the grids must be large
+// enough that those rungs clear the bar too: the first grid's largest
+// geometric probe has 2,309 groups at 60², but only 1,273 at 48².
+// randomMultiGrid's 2–10 × 2–10 grids clear neither bar.
 func fanOutGrids() []*grid.Grid {
 	return []*grid.Grid{
-		datagen.TaxiTripsMulti(1, 48, 48).Grid,
+		datagen.TaxiTripsMulti(1, 60, 60).Grid,
 		datagen.TaxiTripsMulti(2, 64, 64).Grid,
 	}
 }
@@ -342,13 +347,25 @@ func TestIFLParallelWorkerInvariant(t *testing.T) {
 
 // TestSearchLadder pins the one ladder search: for each schedule, the exact
 // visit order, the evaluation count, and the accepted (last passing) rung,
-// across ladder lengths and pass patterns — including a non-monotone one,
-// where the geometric schedule jumps over the hole the exact one stops at.
+// across ladder lengths and loss curves — including non-monotone ones, where
+// the geometric schedule brackets past the hole the exact one stops at. Each
+// case reports a loss per rung and passes it when loss ≤ θ, as Repartition
+// does.
 func TestSearchLadder(t *testing.T) {
-	all := func(int) bool { return true }
-	none := func(int) bool { return false }
-	below := func(k int) func(int) bool { return func(i int) bool { return i < k } }
-	holes := func(i int) bool { return i < 40 && i != 10 && i != 11 }
+	const theta = 0.1
+	// ramp crosses θ between rungs k−1 and k: rungs below k pass.
+	ramp := func(k int) func(int) float64 {
+		return func(i int) float64 { return theta * (float64(i) + 0.5) / float64(k) }
+	}
+	all := func(n int) func(int) float64 { return ramp(2 * n) }
+	none := func(i int) float64 { return 2*theta + float64(i)/1000 }
+	// holes: a ramp through θ at 40 with failing bumps at rungs 10 and 11.
+	holes := func(i int) float64 {
+		if i == 10 || i == 11 {
+			return 2 * theta
+		}
+		return ramp(40)(i)
+	}
 	seq := func(n int) []int {
 		out := make([]int, n)
 		for i := range out {
@@ -359,24 +376,38 @@ func TestSearchLadder(t *testing.T) {
 	cases := []struct {
 		name             string
 		n                int
-		pass             func(int) bool
+		loss             func(int) float64
 		exact, geo       []int
 		exactAcc, geoAcc int
 	}{
-		{"n=0", 0, all, nil, nil, -1, -1},
-		{"n=1/all", 1, all, []int{0}, []int{0}, 0, 0},
+		{"n=0", 0, all(0), nil, nil, -1, -1},
+		{"n=1/all", 1, all(1), []int{0}, []int{0}, 0, 0},
 		{"n=1/none", 1, none, []int{0}, []int{0}, -1, -1},
-		{"n=2/all", 2, all, []int{0, 1}, []int{0, 1}, 1, 1},
+		{"n=2/all", 2, all(2), []int{0, 1}, []int{0, 1}, 1, 1},
 		{"n=2/none", 2, none, []int{0}, []int{0}, -1, -1},
-		{"n=2/first-fail-1", 2, below(1), []int{0, 1}, []int{0, 1}, 0, 0},
-		{"n=5/all", 5, all, seq(5), []int{0, 2, 3, 4}, 4, 4},
-		{"n=5/none", 5, none, []int{0}, []int{0}, -1, -1},
-		{"n=5/first-fail-3", 5, below(3), seq(4), []int{0, 2, 3}, 2, 2},
-		{"n=5/non-monotone", 5, func(i int) bool { return i != 2 }, seq(3), []int{0, 2, 1}, 1, 1},
-		{"n=64/all", 64, all, seq(64), []int{0, 2, 6, 14, 30, 62, 63}, 63, 63},
-		{"n=64/none", 64, none, []int{0}, []int{0}, -1, -1},
-		{"n=64/first-fail-20", 64, below(20), seq(21), []int{0, 2, 6, 14, 30, 22, 18, 20, 19}, 19, 19},
-		{"n=64/non-monotone", 64, holes, seq(11), []int{0, 2, 6, 14, 30, 62, 46, 38, 42, 40, 39}, 9, 39},
+		{"n=2/first-fail-1", 2, ramp(1), []int{0, 1}, []int{0, 1}, 0, 0},
+		{"n=5/all", 5, all(5), seq(5), []int{2, 3, 4}, 4, 4},
+		{"n=5/none", 5, none, []int{0}, []int{2, 0}, -1, -1},
+		{"n=5/first-fail-3", 5, ramp(3), seq(4), []int{2, 3}, 2, 2},
+		{"n=5/non-monotone", 5, func(i int) float64 {
+			if i == 2 {
+				return 2 * theta
+			}
+			return ramp(5)(i)
+		}, seq(3), []int{2, 0, 1}, 1, 1},
+		{"n=64/all", 64, all(64), seq(64), []int{31, 47, 55, 59, 61, 62, 63}, 63, 63},
+		{"n=64/none", 64, none, []int{0}, []int{31, 15, 7, 3, 1, 0}, -1, -1},
+		{"n=1000/none", 1000, none, []int{0}, []int{499, 120, 39, 16, 6, 2, 0}, -1, -1},
+		{"n=64/first-fail-20", 64, ramp(20), seq(21), []int{31, 16, 20, 19}, 19, 19},
+		// A failing rung whose loss is +Inf gives the interpolation nothing
+		// to go on, so the search bisects.
+		{"n=64/inf-from-20", 64, func(i int) float64 {
+			if i >= 20 {
+				return math.Inf(1)
+			}
+			return ramp(20)(i)
+		}, seq(21), []int{31, 15, 23, 19, 21, 20}, 19, 19},
+		{"n=64/non-monotone", 64, holes, seq(11), []int{31, 47, 39, 40}, 9, 39},
 	}
 	for _, tc := range cases {
 		for _, sc := range []struct {
@@ -389,16 +420,17 @@ func TestSearchLadder(t *testing.T) {
 		} {
 			var visits []int
 			accepted := -1
-			n, err := SearchLadder(tc.n, sc.sched, func(i int) (bool, error) {
+			n, err := SearchLadder(tc.n, sc.sched, theta, func(i int) (bool, float64, error) {
 				visits = append(visits, i)
-				ok := tc.pass(i)
+				loss := tc.loss(i)
+				ok := loss <= theta
 				if ok {
 					if i <= accepted {
 						t.Errorf("%s/%s: rung %d passed after coarser rung %d", tc.name, scheduleName(sc.sched), i, accepted)
 					}
 					accepted = i
 				}
-				return ok, nil
+				return ok, loss, nil
 			})
 			label := tc.name + "/" + scheduleName(sc.sched)
 			if err != nil {
@@ -421,20 +453,133 @@ func TestSearchLadder(t *testing.T) {
 	stop := errors.New("stop")
 	for _, sched := range []Schedule{ScheduleExact, ScheduleGeometric} {
 		var visits []int
-		n, err := SearchLadder(64, sched, func(i int) (bool, error) {
+		n, err := SearchLadder(64, sched, theta, func(i int) (bool, float64, error) {
 			visits = append(visits, i)
 			if len(visits) == 3 {
-				return false, stop
+				return false, 0, stop
 			}
-			return true, nil
+			return true, 0, nil
 		})
 		if !errors.Is(err, stop) || n != 3 || len(visits) != 3 {
 			t.Errorf("%s: err %v after %d evaluations (%v), want stop after 3", scheduleName(sched), err, n, visits)
 		}
 	}
-	if _, err := SearchLadder(5, Schedule(99), func(int) (bool, error) { return true, nil }); err == nil {
+	if _, err := SearchLadder(5, Schedule(99), theta, func(int) (bool, float64, error) { return true, 0, nil }); err == nil {
 		t.Error("unknown schedule: want error")
 	}
+}
+
+// TestSearchLadderContract runs the geometric schedule over 100,000 random
+// ladders of up to 2²¹ rungs with monotone, step-shaped and non-monotone
+// pass patterns, and with reported losses that are exact, NaN, ±Inf or
+// unrelated to the verdict. Whatever the losses, every probe lies in
+// [0, n), every passing probe is coarser than all earlier passes, the
+// accepted rung r (the last pass, or −1) is n − 1 or has a probed, failing
+// rung r + 1, and the search takes at most ⌈log₂(n+1)⌉ + 1 evaluations. On
+// monotone patterns r is the one passing rung whose successor fails.
+func TestSearchLadderContract(t *testing.T) {
+	const theta = 0.1
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 100000; trial++ {
+		var n int
+		if trial%2 == 0 {
+			n = rng.Intn(65)
+		} else {
+			n = rng.Intn(1<<21 + 1)
+		}
+		// curve gives each rung's true loss; pass is its verdict.
+		var curve func(int) float64
+		monotone := true
+		switch rng.Intn(4) {
+		case 0: // smooth: θ·((i+1)/k)^p crosses θ near rung k
+			k, p := 1+rng.Float64()*float64(n+1), 0.25+rng.Float64()*4
+			curve = func(i int) float64 { return theta * math.Pow(float64(i+1)/k, p) }
+		case 1: // step-shaped: flat below rung k, flat above it
+			k, below, above := rng.Intn(n+2), rng.Float64()*theta, theta*(1+rng.Float64())
+			curve = func(i int) float64 {
+				if i < k {
+					return below
+				}
+				return above
+			}
+		case 2: // non-monotone: a ramp with failing holes below and passing dips above
+			k, seed := 1+rng.Float64()*float64(n+1), rng.Uint64()
+			monotone = false
+			curve = func(i int) float64 {
+				v := theta * float64(i+1) / k
+				switch mix(seed, i) % 8 {
+				case 0:
+					return v + theta
+				case 1:
+					return v / 4
+				}
+				return v
+			}
+		default: // non-monotone: an independent draw per rung
+			seed := rng.Uint64()
+			monotone = false
+			curve = func(i int) float64 { return 2 * theta * float64(mix(seed, i)%1024) / 1024 }
+		}
+		// report corrupts the loss the search sees, never the verdict.
+		report := func(i int, loss float64) float64 { return loss }
+		if rng.Intn(3) == 0 {
+			seed := rng.Uint64()
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 7}
+			report = func(i int, loss float64) float64 {
+				if m := mix(seed, i) % 4; m < 2 {
+					return bad[mix(seed^1, i)%uint64(len(bad))]
+				}
+				return loss
+			}
+		}
+
+		verdicts := map[int]bool{}
+		accepted := -1
+		evaluated, err := SearchLadder(n, ScheduleGeometric, theta, func(i int) (bool, float64, error) {
+			if i < 0 || i >= n {
+				t.Fatalf("trial %d (n=%d): probe %d outside [0, n)", trial, n, i)
+			}
+			if _, seen := verdicts[i]; seen {
+				t.Fatalf("trial %d (n=%d): rung %d probed twice", trial, n, i)
+			}
+			loss := curve(i)
+			ok := loss <= theta
+			verdicts[i] = ok
+			if ok {
+				if i <= accepted {
+					t.Fatalf("trial %d (n=%d): rung %d passed after coarser rung %d", trial, n, i, accepted)
+				}
+				accepted = i
+			}
+			return ok, report(i, loss), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evaluated != len(verdicts) {
+			t.Fatalf("trial %d (n=%d): evaluated = %d, but %d rungs were probed", trial, n, evaluated, len(verdicts))
+		}
+		if limit := bits.Len(uint(n)) + 1; evaluated > limit {
+			t.Fatalf("trial %d (n=%d): %d evaluations, want at most %d", trial, n, evaluated, limit)
+		}
+		if ok, probed := verdicts[accepted+1]; accepted != n-1 && (!probed || ok) {
+			t.Fatalf("trial %d (n=%d): accepted rung %d, but rung %d was not probed and failed", trial, n, accepted, accepted+1)
+		}
+		if monotone {
+			if want := sort.Search(n, func(i int) bool { return curve(i) > theta }) - 1; accepted != want {
+				t.Fatalf("trial %d (n=%d): monotone ladder accepted rung %d, want %d", trial, n, accepted, want)
+			}
+		}
+	}
+}
+
+// mix hashes a seed and a rung into a well-spread 64-bit value (SplitMix64's
+// finalizer), so a random ladder can answer any rung without storing it.
+func mix(seed uint64, i int) uint64 {
+	z := seed + uint64(i+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // TestRepartitionObserverByteIdentical extends the worker-invariance

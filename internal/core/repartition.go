@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"spatialrepart/internal/grid"
@@ -19,11 +21,13 @@ const (
 	// exactly as §III-A1 describes. Converges in O(#distinct variations)
 	// iterations, each re-extracting the whole grid.
 	ScheduleExact Schedule = iota
-	// ScheduleGeometric doubles the climb per iteration and, once the IFL
-	// threshold is exceeded, bisects back to the largest rung whose IFL still
-	// satisfies the threshold. O(log #variations) iterations; returns the
-	// same partition as ScheduleExact whenever IFL is monotone in the rung,
-	// which it is in practice.
+	// ScheduleGeometric brackets the whole ladder and narrows the bracket
+	// with an ITP search steered by the measured IFL curve (SearchLadder),
+	// until it holds a passing rung whose next rung fails (or the last
+	// rung). At most ⌈log₂(#variations+1)⌉ + 1 iterations; returns the same
+	// partition as ScheduleExact whenever IFL is monotone in the rung. Where
+	// it is not, the accepted rung may be coarser than exact's, still with
+	// IFL ≤ θ.
 	ScheduleGeometric
 )
 
@@ -211,9 +215,9 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	// the next scratch rung. SearchLadder only ever passes rungs coarser than
 	// every rung passed before, so the last installed rung is the one the
 	// search accepts.
-	pass := func(i int) (bool, error) {
+	pass := func(i int) (bool, float64, error) {
 		if ctx.Err() != nil {
-			return false, canceledErr(ctx)
+			return false, 0, canceledErr(ctx)
 		}
 		// rung.eval joins the request trace; its sub-phases (rung.extract,
 		// rung.allocate, rung.loss) stay histogram-only so the flight
@@ -244,9 +248,9 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 				next = &rungBuffers{}
 			}
 		}
-		return ok, nil
+		return ok, loss, nil
 	}
-	iters, err := SearchLadder(ladder.Len(), opts.Schedule, pass)
+	iters, err := SearchLadder(ladder.Len(), opts.Schedule, opts.Threshold, pass)
 	if err != nil {
 		return nil, err
 	}
@@ -446,55 +450,53 @@ func (m *rungMemo) lossOf(gi int) float64 {
 	return m.loss[a]
 }
 
-// SearchLadder climbs an n-rung variation ladder under schedule s, calling
+// SearchLadder searches an n-rung variation ladder under schedule s, calling
 // pass on each rung it visits, and returns the number of rungs evaluated.
 // pass reports whether the rung's partition satisfies the caller's loss
-// bound; a non-nil error (e.g. cancellation) stops the search and is
-// returned as is.
+// bound, together with the loss it measured; a non-nil error (e.g.
+// cancellation) stops the search and is returned as is. The verdict alone
+// decides pass or fail. The loss, compared against bound, only steers which
+// rung ScheduleGeometric probes next: a wrong, NaN or non-increasing loss
+// can cost evaluations but never changes the contract below.
 //
 // ScheduleExact visits 0, 1, 2, … up to and including the first failing
-// rung. ScheduleGeometric probes lastGood+1, +2, +4, … (lastGood being the
-// latest passing probe) until a probe fails or the ladder ends, then bisects
-// the open interval (lastGood, firstBad). Either way every passing rung is
-// coarser than all rungs passed before it, so the last rung pass accepted is
-// the search's answer.
-func SearchLadder(n int, s Schedule, pass func(rung int) (bool, error)) (evaluated int, err error) {
-	try := func(i int) (bool, error) {
-		evaluated++
-		return pass(i)
-	}
+// rung. ScheduleGeometric brackets the whole ladder: it keeps an open
+// interval (lo, hi) whose lo passed (rung −1 is the identity partition,
+// loss 0) and whose hi failed (rung n is a virtual failure), and probes a
+// rung strictly inside it until the two are adjacent. While hi has no
+// finite measured loss the probe is the midpoint; then each probe is an ITP
+// step (interpolate–truncate–project; Oliveira & Takahashi, ACM TOMS 2021)
+// on loss − bound in rung-rank space, which follows the measured loss curve
+// yet never takes more than ⌈log₂(n+1)⌉ + 1 evaluations.
+//
+// Either way every passing rung is coarser than all rungs passed before it,
+// so the last rung pass accepted (or −1, the identity, if none passed) is
+// the search's answer r, and either r = n − 1 or rung r + 1 failed. The
+// search starts from the same bracket every time, so its answer depends
+// only on the ladder and pass, never on an earlier search.
+func SearchLadder(n int, s Schedule, bound float64, pass func(rung int) (ok bool, loss float64, err error)) (evaluated int, err error) {
 	switch s {
 	case ScheduleExact:
 		for i := 0; i < n; i++ {
-			if ok, err := try(i); err != nil || !ok {
+			evaluated++
+			if ok, _, err := pass(i); err != nil || !ok {
 				return evaluated, err
 			}
 		}
 	case ScheduleGeometric:
-		// Exponential search for the frontier, then bisection.
-		lastGood, firstBad := -1, n
-		for step := 1; lastGood+step < n; step *= 2 {
-			i := lastGood + step
-			ok, err := try(i)
-			if err != nil {
-				return evaluated, err
-			}
-			if !ok {
-				firstBad = i
-				break
-			}
-			lastGood = i
-		}
-		for lo, hi := lastGood+1, firstBad-1; lo <= hi; {
-			mid := (lo + hi) / 2
-			ok, err := try(mid)
+		// lo passed and hi failed; flo and fhi are loss − bound there.
+		lo, hi, flo, fhi := -1, n, -bound, math.NaN()
+		for hi-lo > 1 {
+			i := itpProbe(n, evaluated, lo, hi, flo, fhi)
+			evaluated++
+			ok, loss, err := pass(i)
 			if err != nil {
 				return evaluated, err
 			}
 			if ok {
-				lo = mid + 1
+				lo, flo = i, loss-bound
 			} else {
-				hi = mid - 1
+				hi, fhi = i, loss-bound
 			}
 		}
 	default:
@@ -502,3 +504,44 @@ func SearchLadder(n int, s Schedule, pass func(rung int) (bool, error)) (evaluat
 	}
 	return evaluated, nil
 }
+
+// itpProbe returns the rung ScheduleGeometric evaluates next in an n-rung
+// ladder after j evaluations, given the open bracket (lo, hi), hi − lo ≥ 2,
+// and loss − bound at its ends (NaN where nothing was measured). Without a
+// finite value at both ends it bisects. Otherwise it takes an ITP step with
+// tolerance ε = ½ (the search ends on adjacent rungs), κ₁ = 0.2/(n+1),
+// κ₂ = 2 and n₀ = 1 spare step over bisection's n½ = ⌈log₂(n+1)⌉. Before
+// flooring, the probe lies within 2^(n½+n₀−j−1) − (hi−lo)/2 of the
+// midpoint, so after j + 1 evaluations the bracket is at most
+// 2^(n½+n₀−j−1) rungs wide whatever the losses were, and the search ends
+// within n½ + n₀ evaluations; flooring cannot widen the bracket past that
+// integer, and neither can the clamp into (lo, hi).
+func itpProbe(n, j, lo, hi int, flo, fhi float64) int {
+	if !finite(flo) || !finite(fhi) || flo == fhi { //spatialvet:ignore floateq guards the chord's division by the exact difference flo-fhi; any other pair is safe to divide by
+		return lo + (hi-lo)/2
+	}
+	a, b := float64(lo), float64(hi)
+	mid := (a + b) / 2
+	// Interpolate: where the chord through the two ends crosses zero
+	// (never NaN for finite, distinct ends; ±Inf is projected below).
+	xf := a + (b-a)*flo/(flo-fhi)
+	// Truncate: move κ₁(b−a)^κ₂ from the chord's root toward the midpoint,
+	// or to the midpoint if that is nearer.
+	sigma := 1.0
+	if xf > mid {
+		sigma = -1
+	}
+	x := mid
+	if delta := 0.2 / float64(n+1) * (b - a) * (b - a); delta <= math.Abs(mid-xf) {
+		x = xf + sigma*delta
+	}
+	// Project: stay within r of the midpoint.
+	nMax := bits.Len(uint(n)) + 1 // n½ + n₀; n½ = ⌈log₂(n+1)⌉ = bit length of n
+	if r := math.Ldexp(0.5, nMax-j) - (b-a)/2; math.Abs(x-mid) > r {
+		x = mid - sigma*r
+	}
+	return min(max(int(math.Floor(x)), lo+1), hi-1)
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

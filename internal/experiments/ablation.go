@@ -68,9 +68,9 @@ type ExtractorAblationRow struct {
 	QuadtreeIFL    float64
 }
 
-// ExtractorAblation drives both extractors through the same
-// ladder-with-bisection search and reports the coarsest accepted partition
-// of each. Fewer groups at equal loss = a better reducer.
+// ExtractorAblation drives both extractors through the same geometric
+// ladder search and reports the partition each accepts. Fewer groups at
+// equal loss = a better reducer.
 func ExtractorAblation(cfg Config) ([]ExtractorAblationRow, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -103,8 +103,8 @@ func ExtractorAblation(cfg Config) ([]ExtractorAblationRow, error) {
 }
 
 // coarsestWithin runs the geometric ladder search with an arbitrary
-// extractor, returning the non-null group count and IFL of the coarsest
-// partition whose loss stays within theta.
+// extractor, steered by each rung's IFL, returning the non-null group count
+// and IFL of the partition it accepts, whose loss stays within theta.
 func coarsestWithin(g *grid.Grid, ladder *core.VariationLadder, theta float64, extract func(float64) *core.Partition) (int, float64, error) {
 	eval := func(part *core.Partition) (int, float64) {
 		feats := core.AllocateFeatures(g, part)
@@ -117,21 +117,24 @@ func coarsestWithin(g *grid.Grid, ladder *core.VariationLadder, theta float64, e
 		return valid, core.IFL(g, part, feats)
 	}
 	bestGroups, bestIFL := eval(core.Identity(g))
-	_, err := core.SearchLadder(ladder.Len(), core.ScheduleGeometric, func(i int) (bool, error) {
+	_, err := core.SearchLadder(ladder.Len(), core.ScheduleGeometric, theta, func(i int) (bool, float64, error) {
 		groups, ifl := eval(extract(ladder.Rung(i)))
 		if ifl > theta {
-			return false, nil
+			return false, ifl, nil
 		}
 		bestGroups, bestIFL = groups, ifl
-		return true, nil
+		return true, ifl, nil
 	})
 	return bestGroups, bestIFL, err
 }
 
 // ScheduleAblation runs the exact (paper-faithful, one heap pop per
-// iteration) and geometric (exponential + bisection) schedules side by side
-// on every dataset and threshold, demonstrating that they accept the same
-// partitions while the geometric schedule needs O(log) iterations.
+// iteration) and geometric (IFL-guided bracketing of the whole ladder)
+// schedules side by side on every dataset and threshold. The geometric
+// schedule needs at most ⌈log₂(rungs+1)⌉ + 1 iterations. The two accept the
+// same partition whenever IFL is monotone in the rung; where it is not,
+// exact stops before the first failing rung while geometric may accept a
+// coarser rung whose successor fails, both with IFL ≤ θ.
 func ScheduleAblation(cfg Config) ([]AblationRow, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -138,8 +138,8 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 // partitions come from the variation ladder of the temporal-mean grid
 // (merging cells that are similar on average); acceptance is checked against
 // every individual slice, so the bound holds for the real data rather than
-// its average. The ladder is climbed by core.SearchLadder under
-// core.ScheduleGeometric.
+// its average. The ladder is searched by core.SearchLadder under
+// core.ScheduleGeometric, steered by the worst-slice loss.
 func spatialPhase(c *Cube, budget float64) (*core.Partition, float64, error) {
 	mean := meanGrid(c)
 	if err := grid.ValidateAttrs(mean.Attrs); err != nil {
@@ -167,14 +167,14 @@ func spatialPhase(c *Cube, budget float64) (*core.Partition, float64, error) {
 		// zero-span guard on degenerate data); keep the identity partition.
 		return best, bestIFL, nil
 	}
-	_, err := core.SearchLadder(ladder.Len(), core.ScheduleGeometric, func(i int) (bool, error) {
+	_, err := core.SearchLadder(ladder.Len(), core.ScheduleGeometric, budget, func(i int) (bool, float64, error) {
 		part := core.ExtractField(field, ladder.Rung(i))
 		ifl := worstSliceIFL(part)
 		if ifl > budget {
-			return false, nil
+			return false, ifl, nil
 		}
 		best, bestIFL = part, ifl
-		return true, nil
+		return true, ifl, nil
 	})
 	return best, bestIFL, err
 }
