@@ -34,6 +34,12 @@
 //	       [-wal-segment-bytes n] \
 //	       [-out reduced.csv] [-report stream.json] [...]
 //
+// Records are folded into cells exactly as a batch grid is built from them,
+// so the outputs equal those of -in on that grid's CSV. A record outside
+// -bounds (max edges included), or with a NaN coordinate, is dropped and
+// counted; a record with a NaN or infinite value stops the ingest with an
+// error.
+//
 // With -wal, every accepted record is appended to a segmented write-ahead
 // log before it is applied, so a crash between checkpoints loses nothing:
 // restart restores the checkpoint (if any) and replays the WAL suffix,
@@ -132,6 +138,10 @@ func main() {
 		logger.Info("metrics endpoint up", "addr", addr)
 	}
 
+	outs := outputs{
+		out: *out, groupsOut: *groupsOut, adjOut: *adjOut, geoOut: *geoOut,
+		partOut: *partOut, render: *doRender,
+	}
 	var err error
 	if *clusterAddr != "" {
 		var shards []string
@@ -154,9 +164,7 @@ func main() {
 			threshold: *threshold, schedule: *schedule, workers: *workers,
 			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery, shard: *shardSpec,
 			walDir: *walDir, walSync: *walSync, walSegmentBytes: *walSegmentBytes,
-			out: *out, groupsOut: *groupsOut, adjOut: *adjOut, geoOut: *geoOut,
-			partOut: *partOut, reportOut: *reportOut,
-			stats: *stats, render: *doRender, obsv: obsv,
+			outputs: outs, reportOut: *reportOut, stats: *stats, obsv: obsv,
 			serveAddr: *serveAddr, drainTimeout: *drainTimeout, logger: logger,
 		})
 	} else if *shardSpec != "" {
@@ -171,10 +179,9 @@ func main() {
 		err = fmt.Errorf("-serve requires -stream-records (the served view comes from streaming ingest)")
 	} else {
 		err = run(runConfig{
-			in: *in, out: *out, groupsOut: *groupsOut, adjOut: *adjOut, geoOut: *geoOut,
-			partOut: *partOut, reportOut: *reportOut, threshold: *threshold,
+			in: *in, outputs: outs, reportOut: *reportOut, threshold: *threshold,
 			schedule: *schedule, workers: *workers, stats: *stats,
-			render: *doRender, bbox: *bbox, obsv: obsv,
+			bbox: *bbox, obsv: obsv,
 		})
 	}
 	if *traceOut != "" {
@@ -204,27 +211,32 @@ func writeTraceOut(obsv *spatialrepart.Observer, path string) error {
 	return f.Close()
 }
 
+// outputs names the files both modes write from the partition they serve.
+type outputs struct {
+	out, groupsOut, adjOut, geoOut, partOut string
+	render                                  bool
+}
+
 // runConfig carries the parsed flags.
 type runConfig struct {
-	in, out, groupsOut, adjOut, geoOut, partOut string
-	reportOut                                   string
-	threshold                                   float64
-	schedule                                    string
-	workers                                     int
-	stats, render                               bool
-	bbox                                        string
+	in string
+	outputs
+	reportOut string
+	threshold float64
+	schedule  string
+	workers   int
+	stats     bool
+	bbox      string
 	// obsv, when non-nil, receives the run's metrics (shared with the
 	// -metrics-addr endpoint).
 	obsv *spatialrepart.Observer
 }
 
 func run(cfg runConfig) error {
-	in, out, groupsOut, adjOut := cfg.in, cfg.out, cfg.groupsOut, cfg.adjOut
-	threshold, schedule, stats := cfg.threshold, cfg.schedule, cfg.stats
-	if in == "" {
+	if cfg.in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	f, err := os.Open(in)
+	f, err := os.Open(cfg.in)
 	if err != nil {
 		return err
 	}
@@ -234,15 +246,11 @@ func run(cfg runConfig) error {
 		return err
 	}
 
-	opts := spatialrepart.Options{Threshold: threshold, Workers: cfg.workers, Obs: cfg.obsv}
-	switch schedule {
-	case "exact":
-		opts.Schedule = spatialrepart.ScheduleExact
-	case "geometric":
-		opts.Schedule = spatialrepart.ScheduleGeometric
-	default:
-		return fmt.Errorf("unknown schedule %q", schedule)
+	schedule, err := parseSchedule(cfg.schedule)
+	if err != nil {
+		return err
 	}
+	opts := spatialrepart.Options{Threshold: cfg.threshold, Schedule: schedule, Workers: cfg.workers, Obs: cfg.obsv}
 
 	var rp *spatialrepart.Repartitioned
 	if cfg.reportOut != "" {
@@ -267,14 +275,31 @@ func run(cfg runConfig) error {
 			return err
 		}
 	}
-	if stats {
+	if cfg.stats {
 		fmt.Fprintf(os.Stderr, "input: %s\n", g)
 		fmt.Fprintf(os.Stderr, "cell-groups: %d (%d non-null), IFL=%.4f, min-adjacent-variation=%.6f, iterations=%d\n",
 			rp.NumGroups(), rp.ValidGroups(), rp.IFL, rp.MinAdjVariation, rp.Iterations)
 	}
+	return writeOutputs(rp, cfg.outputs, cfg.bbox)
+}
 
-	if out != "" {
-		if err := createFile(out, func(w io.Writer) error {
+// parseSchedule maps the -schedule flag to a ladder search.
+func parseSchedule(name string) (spatialrepart.Schedule, error) {
+	switch name {
+	case "exact":
+		return spatialrepart.ScheduleExact, nil
+	case "geometric":
+		return spatialrepart.ScheduleGeometric, nil
+	}
+	return 0, fmt.Errorf("unknown schedule %q", name)
+}
+
+// writeOutputs writes every requested output of rp, in either mode: the
+// reduced grid, the groups, the adjacency list, the GeoJSON (bbox, the
+// -bounds flag, is parsed only then), the partition JSON, and the render.
+func writeOutputs(rp *spatialrepart.Repartitioned, o outputs, bbox string) error {
+	if o.out != "" {
+		if err := createFile(o.out, func(w io.Writer) error {
 			if err := rp.ReconstructGrid().WriteCSV(w); err != nil {
 				return fmt.Errorf("writing reduced grid: %w", err)
 			}
@@ -283,22 +308,22 @@ func run(cfg runConfig) error {
 			return err
 		}
 	}
-	if groupsOut != "" {
-		if err := writeGroups(groupsOut, rp); err != nil {
+	if o.groupsOut != "" {
+		if err := writeGroups(o.groupsOut, rp); err != nil {
 			return err
 		}
 	}
-	if adjOut != "" {
-		if err := writeAdjacency(adjOut, rp); err != nil {
+	if o.adjOut != "" {
+		if err := writeAdjacency(o.adjOut, rp); err != nil {
 			return err
 		}
 	}
-	if cfg.geoOut != "" {
-		b, err := parseBounds(cfg.bbox)
+	if o.geoOut != "" {
+		b, err := parseBounds(bbox)
 		if err != nil {
 			return err
 		}
-		if err := createFile(cfg.geoOut, func(w io.Writer) error {
+		if err := createFile(o.geoOut, func(w io.Writer) error {
 			if err := rp.WriteGeoJSON(w, b); err != nil {
 				return fmt.Errorf("writing GeoJSON: %w", err)
 			}
@@ -307,8 +332,8 @@ func run(cfg runConfig) error {
 			return err
 		}
 	}
-	if cfg.partOut != "" {
-		if err := createFile(cfg.partOut, func(w io.Writer) error {
+	if o.partOut != "" {
+		if err := createFile(o.partOut, func(w io.Writer) error {
 			if err := rp.WriteJSON(w); err != nil {
 				return fmt.Errorf("writing partition JSON: %w", err)
 			}
@@ -317,7 +342,7 @@ func run(cfg runConfig) error {
 			return err
 		}
 	}
-	if cfg.render {
+	if o.render {
 		fmt.Print(render.PartitionBorders(rp.Partition))
 	}
 	return nil

@@ -41,7 +41,7 @@ func TestRunEndToEnd(t *testing.T) {
 	out := filepath.Join(dir, "out.csv")
 	groups := filepath.Join(dir, "groups.csv")
 	adj := filepath.Join(dir, "adj.csv")
-	if err := run(runConfig{in: in, out: out, groupsOut: groups, adjOut: adj, threshold: 0.1, schedule: "geometric"}); err != nil {
+	if err := run(runConfig{in: in, outputs: outputs{out: out, groupsOut: groups, adjOut: adj}, threshold: 0.1, schedule: "geometric"}); err != nil {
 		t.Fatal(err)
 	}
 	// Reduced grid parses and matches dimensions.
@@ -108,8 +108,8 @@ func TestRunGeoJSONAndRender(t *testing.T) {
 	in := writeTestGrid(t, dir)
 	geo := filepath.Join(dir, "groups.geojson")
 	if err := run(runConfig{
-		in: in, geoOut: geo, threshold: 0.1, schedule: "geometric",
-		bbox: "40,41,-74,-73", render: true,
+		in: in, outputs: outputs{geoOut: geo, render: true},
+		threshold: 0.1, schedule: "geometric", bbox: "40,41,-74,-73",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunReportAndObserver(t *testing.T) {
 	report := filepath.Join(dir, "run.json")
 	outObs := filepath.Join(dir, "out_obs.csv")
 	if err := run(runConfig{
-		in: in, out: outObs, reportOut: report, threshold: 0.1,
+		in: in, outputs: outputs{out: outObs}, reportOut: report, threshold: 0.1,
 		schedule: "geometric", workers: 2, obsv: spatialrepart.NewObserver(),
 	}); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestRunReportAndObserver(t *testing.T) {
 	}
 	// The instrumented run writes the same reduced grid as a plain one.
 	outPlain := filepath.Join(dir, "out_plain.csv")
-	if err := run(runConfig{in: in, out: outPlain, threshold: 0.1, schedule: "geometric"}); err != nil {
+	if err := run(runConfig{in: in, outputs: outputs{out: outPlain}, threshold: 0.1, schedule: "geometric"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(outObs)
@@ -182,7 +182,7 @@ func TestRunPartitionJSON(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestGrid(t, dir)
 	part := filepath.Join(dir, "partition.json")
-	if err := run(runConfig{in: in, partOut: part, threshold: 0.1, schedule: "geometric"}); err != nil {
+	if err := run(runConfig{in: in, outputs: outputs{partOut: part}, threshold: 0.1, schedule: "geometric"}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(part)

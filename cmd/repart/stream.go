@@ -13,7 +13,6 @@ import (
 	"spatialrepart"
 	"spatialrepart/internal/cluster"
 	"spatialrepart/internal/grid"
-	"spatialrepart/internal/render"
 	"spatialrepart/internal/stream"
 	"spatialrepart/internal/wal"
 )
@@ -42,9 +41,10 @@ type streamConfig struct {
 	walSync         string
 	walSegmentBytes int64
 
-	out, groupsOut, adjOut, geoOut, partOut, reportOut string
-	stats, render                                      bool
-	obsv                                               *spatialrepart.Observer
+	outputs
+	reportOut string
+	stats     bool
+	obsv      *spatialrepart.Observer
 
 	// serveAddr, when non-empty, keeps the process alive after ingest,
 	// serving the current view over HTTP (internal/server) until stop.
@@ -146,12 +146,15 @@ func runStream(cfg streamConfig) error {
 	if cfg.walDir == "" && (cfg.walSync != "" && cfg.walSync != "always" || cfg.walSegmentBytes != 0) {
 		return fmt.Errorf("-wal-sync/-wal-segment-bytes require -wal")
 	}
+	schedule, err := parseSchedule(cfg.schedule)
+	if err != nil {
+		return err
+	}
 	opts := stream.Options{
 		Threshold: cfg.threshold,
+		Schedule:  schedule,
 		Workers:   cfg.workers,
-	}
-	if cfg.obsv != nil {
-		opts.Obs = cfg.obsv
+		Obs:       cfg.obsv,
 	}
 	var wlog *wal.Log
 	if cfg.walDir != "" {
@@ -169,14 +172,6 @@ func runStream(cfg streamConfig) error {
 		}
 		defer wlog.Close()
 		opts.WAL = wlog
-	}
-	switch cfg.schedule {
-	case "exact":
-		opts.Schedule = spatialrepart.ScheduleExact
-	case "geometric":
-		opts.Schedule = spatialrepart.ScheduleGeometric
-	default:
-		return fmt.Errorf("unknown schedule %q", cfg.schedule)
 	}
 	// In shard-worker mode the stream covers only this worker's row band of
 	// the global grid; records outside the band are dropped at ingest (the
@@ -306,7 +301,7 @@ func runStream(cfg streamConfig) error {
 			return err
 		}
 	}
-	if err := writeStreamOutputs(cfg, v.Repartitioned, bounds); err != nil {
+	if err := writeOutputs(v.Repartitioned, cfg.outputs, cfg.bbox); err != nil {
 		return err
 	}
 	if cfg.serveAddr == "" {
@@ -317,55 +312,6 @@ func runStream(cfg streamConfig) error {
 		stop = signalChannel()
 	}
 	return serveView(s, cfg.serveAddr, cfg.drainTimeout, cfg.obsv, logger, cfg.serveReady, stop)
-}
-
-// writeStreamOutputs routes the served partition through the batch-mode
-// output writers.
-func writeStreamOutputs(cfg streamConfig, rp *spatialrepart.Repartitioned, bounds spatialrepart.Bounds) error {
-	if cfg.out != "" {
-		if err := createFile(cfg.out, func(w io.Writer) error {
-			if err := rp.ReconstructGrid().WriteCSV(w); err != nil {
-				return fmt.Errorf("writing reduced grid: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if cfg.groupsOut != "" {
-		if err := writeGroups(cfg.groupsOut, rp); err != nil {
-			return err
-		}
-	}
-	if cfg.adjOut != "" {
-		if err := writeAdjacency(cfg.adjOut, rp); err != nil {
-			return err
-		}
-	}
-	if cfg.geoOut != "" {
-		if err := createFile(cfg.geoOut, func(w io.Writer) error {
-			if err := rp.WriteGeoJSON(w, bounds); err != nil {
-				return fmt.Errorf("writing GeoJSON: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if cfg.partOut != "" {
-		if err := createFile(cfg.partOut, func(w io.Writer) error {
-			if err := rp.WriteJSON(w); err != nil {
-				return fmt.Errorf("writing partition JSON: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if cfg.render {
-		fmt.Print(render.PartitionBorders(rp.Partition))
-	}
-	return nil
 }
 
 // checkpointAndTruncate writes the stream state to path crash-consistently

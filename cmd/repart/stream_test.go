@@ -69,7 +69,7 @@ func TestRunStreamEndToEnd(t *testing.T) {
 		rows: 8, cols: 8, bbox: "0,10,0,10",
 		threshold: 0.15, schedule: "geometric",
 		checkpoint: ckpt, checkpointEvery: 100,
-		out: out, reportOut: report,
+		outputs: outputs{out: out}, reportOut: report,
 	}
 	if err := runStream(cfg); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestRunStreamWALReplay(t *testing.T) {
 		rows: 8, cols: 8, bbox: "0,10,0,10",
 		threshold: 0.15, schedule: "geometric",
 		walDir: walDir, walSync: "every=16", walSegmentBytes: 2048,
-		out: out,
+		outputs: outputs{out: out},
 	}
 	if err := runStream(cfg); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,8 @@ import (
 //  2. a conditional max/min-style selection that assigns the loop
 //     variables to outer state without ordering on the map KEY in the
 //     condition (equal values then tie-break by iteration order — the
-//     modalCategory/modalVote bug class);
+//     bug class of grid's modalCategory, which once had a second copy in
+//     the stream);
 //  3. writing output during iteration (fmt.Print*/Fprint*, Write*
 //     methods, channel sends): the emission order is nondeterministic.
 //

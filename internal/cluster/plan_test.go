@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -103,5 +104,23 @@ func TestRouteAgreesWithGlobalCell(t *testing.T) {
 		}
 		check(-3, 2)
 		check(9, 4) // max corner: CellOf clamps onto the last cell
+	}
+}
+
+// TestRouteDropsNaNCoordinates: a record with a NaN latitude or longitude
+// is outside the grid and goes to no shard, rather than being re-centered
+// at a far-off longitude.
+func TestRouteDropsNaNCoordinates(t *testing.T) {
+	p, err := NewPlan(5, 5, grid.Bounds{MinLat: 0, MaxLat: 10, MinLon: 0, MaxLon: 10}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []grid.Record{
+		{Lat: math.NaN(), Lon: 3, Values: []float64{1}},
+		{Lat: 3, Lon: math.NaN(), Values: []float64{1}},
+	} {
+		if shard, local, ok := p.Route(rec); ok {
+			t.Errorf("Route(%v, %v) = shard %d at (%v, %v), want not routed", rec.Lat, rec.Lon, shard, local.Lat, local.Lon)
+		}
 	}
 }

@@ -2,7 +2,9 @@
 // paper: a geographical region divided into an m×n lattice of rectangular
 // cells, each carrying a p-dimensional feature vector produced by aggregating
 // the raw data records that fall inside the cell. Cells with no records have
-// a null feature vector and are tracked explicitly.
+// a null feature vector and are tracked explicitly. That aggregation lives in
+// one place, Aggregates: FromRecords runs it over a slice of records and the
+// streaming repartitioner folds each ingested record through it.
 package grid
 
 import (

@@ -2,7 +2,9 @@ package grid
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Record is a raw spatial data record: a geolocation plus one value per
@@ -12,35 +14,38 @@ type Record struct {
 	Values   []float64
 }
 
-// Bounds is the geographical extent of a grid: latitudes in [MinLat, MaxLat)
-// and longitudes in [MinLon, MaxLon).
+// Bounds is the geographical extent of a grid: latitudes in [MinLat, MaxLat]
+// and longitudes in [MinLon, MaxLon]. CellOf includes the max edges.
 type Bounds struct {
 	MinLat, MaxLat float64
 	MinLon, MaxLon float64
 }
 
-// Validate rejects bounds no record could ever fall inside: NaN extents and
-// inverted or empty spans. Constructors that silently accepted such bounds
-// used to drop every ingested record as "out of bounds" — an unobservable
-// configuration bug.
+// Validate rejects bounds CellOf cannot bin records into: NaN or infinite
+// extents and inverted or empty spans. Constructors that silently accepted
+// such bounds used to drop every ingested record as "out of bounds", or put
+// records from different cells into one — an unobservable configuration
+// bug.
 func (b Bounds) Validate() error {
 	for _, v := range []float64{b.MinLat, b.MaxLat, b.MinLon, b.MaxLon} {
-		if math.IsNaN(v) {
-			return fmt.Errorf("grid: bounds contain NaN: %+v", b)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("grid: bounds are not finite: %+v", b)
 		}
 	}
 	if !(b.MaxLat > b.MinLat) || !(b.MaxLon > b.MinLon) {
-		return fmt.Errorf("grid: inverted or empty bounds: lat [%v, %v), lon [%v, %v)",
+		return fmt.Errorf("grid: inverted or empty bounds: lat [%v, %v], lon [%v, %v]",
 			b.MinLat, b.MaxLat, b.MinLon, b.MaxLon)
 	}
 	return nil
 }
 
 // CellOf maps a coordinate to its (row, col) in a rows×cols partition of b.
-// Points on the max edge are clamped into the last row/column. The second
-// return is false if the point lies outside the bounds.
+// A point is inside only if MinLat ≤ lat ≤ MaxLat and MinLon ≤ lon ≤ MaxLon,
+// so a NaN coordinate is outside. Points on the max edge are clamped into
+// the last row/column. The second return is false if the point lies outside
+// the bounds.
 func (b Bounds) CellOf(lat, lon float64, rows, cols int) (r, c int, ok bool) {
-	if lat < b.MinLat || lat > b.MaxLat || lon < b.MinLon || lon > b.MaxLon {
+	if !(lat >= b.MinLat && lat <= b.MaxLat && lon >= b.MinLon && lon <= b.MaxLon) {
 		return 0, 0, false
 	}
 	latSpan := b.MaxLat - b.MinLat
@@ -79,83 +84,160 @@ func ValidateAttrs(attrs []Attribute) error {
 	return nil
 }
 
+// Aggregates is the §II reduction of raw records to cells: per cell, a
+// record count, per-attribute value sums, and per-categorical-attribute
+// category votes. FromRecords and the streaming repartitioner both fold
+// records through it, so a streamed grid and the batch grid of the same
+// records are the same grid, bit for bit.
+//
+// Counts, Sums and Votes are the raw state a checkpoint persists: Counts[i]
+// records fell into cell i, Sums[i*p+k] is the sum of their attribute-k
+// values, and Votes[i*len(CatCols)+j] counts the codes of categorical
+// attribute CatCols[j] (nil until the cell receives a record).
+type Aggregates struct {
+	Bounds     Bounds
+	Rows, Cols int
+	Attrs      []Attribute
+	CatCols    []int
+
+	Counts []int
+	Sums   []float64
+	Votes  []map[float64]int
+}
+
+// NewAggregates returns empty aggregates over a rows×cols partition of
+// bounds, after validating the dimensions, the bounds and the attributes.
+func NewAggregates(bounds Bounds, rows, cols int, attrs []Attribute) (*Aggregates, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("grid: non-positive dimensions %dx%d", rows, cols)
+	}
+	if err := bounds.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ValidateAttrs(attrs); err != nil {
+		return nil, err
+	}
+	a := &Aggregates{
+		Bounds: bounds,
+		Rows:   rows,
+		Cols:   cols,
+		Attrs:  append([]Attribute(nil), attrs...),
+		Counts: make([]int, rows*cols),
+		Sums:   make([]float64, rows*cols*len(attrs)),
+	}
+	for k, at := range attrs {
+		if at.Categorical {
+			a.CatCols = append(a.CatCols, k)
+		}
+	}
+	if len(a.CatCols) > 0 {
+		a.Votes = make([]map[float64]int, rows*cols*len(a.CatCols))
+	}
+	return a, nil
+}
+
+// Cell checks a record and returns the index of the cell it falls in. It
+// returns an error for a record the aggregates cannot fold: one with the
+// wrong number of values, or with a NaN or infinite value, which would
+// poison its cell's sum for good (the error reads as a predicate on
+// "record"). It returns ok = false for a point outside the bounds,
+// including one with a NaN coordinate.
+func (a *Aggregates) Cell(rec Record) (idx int, ok bool, err error) {
+	if len(rec.Values) != len(a.Attrs) {
+		return 0, false, fmt.Errorf("has %d values, want %d", len(rec.Values), len(a.Attrs))
+	}
+	for k, v := range rec.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, false, fmt.Errorf("value %d (%s) is %v, want a finite number", k, a.Attrs[k].Name, v)
+		}
+	}
+	r, c, ok := a.Bounds.CellOf(rec.Lat, rec.Lon, a.Rows, a.Cols)
+	return r*a.Cols + c, ok, nil
+}
+
+// Fold adds the values of a checked record to cell idx.
+func (a *Aggregates) Fold(idx int, values []float64) {
+	a.Counts[idx]++
+	p := len(a.Attrs)
+	for k, v := range values {
+		a.Sums[idx*p+k] += v
+	}
+	for j, k := range a.CatCols {
+		m := a.Votes[idx*len(a.CatCols)+j]
+		if m == nil {
+			m = make(map[float64]int, 4)
+			a.Votes[idx*len(a.CatCols)+j] = m
+		}
+		m[values[k]]++
+	}
+}
+
+// Grid materializes the aggregates: each cell that received records gets
+// its sums, or its means (rounded for integer attributes), and the modal
+// code of each categorical attribute. Cells without records stay null.
+func (a *Aggregates) Grid() *Grid {
+	g := New(a.Rows, a.Cols, a.Attrs)
+	p := len(a.Attrs)
+	for idx, n := range a.Counts {
+		if n == 0 {
+			continue
+		}
+		fv := g.data[idx*p : idx*p+p]
+		for k, at := range a.Attrs {
+			v := a.Sums[idx*p+k]
+			if at.Agg == Average {
+				v /= float64(n)
+				if at.Integer {
+					v = math.Round(v)
+				}
+			}
+			fv[k] = v
+		}
+		for j, k := range a.CatCols {
+			fv[k] = modalCategory(a.Votes[idx*len(a.CatCols)+j])
+		}
+		g.valid[idx] = true
+	}
+	return g
+}
+
+// Clone returns a copy whose counts, sums and votes share no memory with a.
+func (a *Aggregates) Clone() *Aggregates {
+	out := *a
+	out.Counts = slices.Clone(a.Counts)
+	out.Sums = slices.Clone(a.Sums)
+	out.Votes = slices.Clone(a.Votes)
+	for i, m := range out.Votes {
+		out.Votes[i] = maps.Clone(m)
+	}
+	return &out
+}
+
 // FromRecords aggregates raw records into a rows×cols grid over bounds,
 // applying each attribute's aggregation type: Sum adds record values,
 // Average averages them (rounding integer attributes), and categorical
 // attributes take the most frequent category among the cell's records.
-// Cells that receive no records stay null. Records outside the bounds are
-// dropped and counted in the second return value.
+// Cells that receive no records stay null. Records outside the bounds,
+// including those with a NaN coordinate, are dropped and counted in the
+// second return value; a record with a NaN or infinite value is an error.
 func FromRecords(records []Record, bounds Bounds, rows, cols int, attrs []Attribute) (*Grid, int, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, 0, fmt.Errorf("grid: non-positive dimensions %dx%d", rows, cols)
-	}
-	if err := ValidateAttrs(attrs); err != nil {
+	a, err := NewAggregates(bounds, rows, cols, attrs)
+	if err != nil {
 		return nil, 0, err
 	}
-	p := len(attrs)
-	g := New(rows, cols, attrs)
-	counts := make([]int, rows*cols)
-	sums := make([]float64, rows*cols*p)
-	// Per-cell category frequency maps, allocated only for categorical
-	// attributes.
-	var catCounts []map[float64]int
-	catCol := make([]int, 0)
-	for k, a := range attrs {
-		if a.Categorical {
-			catCol = append(catCol, k)
-		}
-	}
-	if len(catCol) > 0 {
-		catCounts = make([]map[float64]int, rows*cols*len(catCol))
-	}
-	catIdx := func(cell, ci int) int { return cell*len(catCol) + ci }
-
 	dropped := 0
 	for i, rec := range records {
-		if len(rec.Values) != p {
-			return nil, 0, fmt.Errorf("grid: record %d has %d values, want %d", i, len(rec.Values), p)
+		idx, ok, err := a.Cell(rec)
+		if err != nil {
+			return nil, 0, fmt.Errorf("grid: record %d %w", i, err)
 		}
-		r, c, ok := bounds.CellOf(rec.Lat, rec.Lon, rows, cols)
 		if !ok {
 			dropped++
 			continue
 		}
-		idx := r*cols + c
-		counts[idx]++
-		for k, v := range rec.Values {
-			sums[idx*p+k] += v
-		}
-		for ci, k := range catCol {
-			m := catCounts[catIdx(idx, ci)]
-			if m == nil {
-				m = make(map[float64]int, 4)
-				catCounts[catIdx(idx, ci)] = m
-			}
-			m[rec.Values[k]]++
-		}
+		a.Fold(idx, rec.Values)
 	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			idx := r*cols + c
-			if counts[idx] == 0 {
-				continue
-			}
-			for k := 0; k < p; k++ {
-				v := sums[idx*p+k]
-				if attrs[k].Agg == Average {
-					v /= float64(counts[idx])
-					if attrs[k].Integer {
-						v = math.Round(v)
-					}
-				}
-				g.Set(r, c, k, v)
-			}
-			for ci, k := range catCol {
-				g.Set(r, c, k, modalCategory(catCounts[catIdx(idx, ci)]))
-			}
-		}
-	}
-	return g, dropped, nil
+	return a.Grid(), dropped, nil
 }
 
 // modalCategory returns the most frequent category code; ties resolve to the

@@ -14,6 +14,7 @@ func TestBoundsValidate(t *testing.T) {
 	bad := []Bounds{
 		{MinLat: math.NaN(), MaxLat: 10, MinLon: 0, MaxLon: 10},
 		{MinLat: 0, MaxLat: 10, MinLon: 0, MaxLon: math.NaN()},
+		{MinLat: 0, MaxLat: math.Inf(1), MinLon: 0, MaxLon: 10},
 		{MinLat: 10, MaxLat: 0, MinLon: 0, MaxLon: 10}, // inverted lat
 		{MinLat: 0, MaxLat: 10, MinLon: 10, MaxLon: 0}, // inverted lon
 		{MinLat: 5, MaxLat: 5, MinLon: 0, MaxLon: 10},  // empty lat span

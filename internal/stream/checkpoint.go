@@ -23,11 +23,11 @@ import (
 //
 // The payload carries the geometry (rows, cols, bounds, attributes) for
 // validation against the restoring Repartitioner, then the aggregate state:
-// counts, sums, categorical vote maps (pairs sorted by value so the encoding
-// is byte-deterministic), the serving counters, and the generation. The
-// breaker and the served view are deliberately NOT persisted: both are
-// transient serving state a restarted process re-derives (the first Current
-// after Restore recomputes from the restored aggregates).
+// the grid.Aggregates counts, sums and categorical vote maps (pairs sorted by
+// value so the encoding is byte-deterministic), the serving counters, and
+// the generation. The breaker and the served view are deliberately NOT
+// persisted: both are transient serving state a restarted process re-derives
+// (the first Current after Restore recomputes from the restored aggregates).
 //
 // Version 2 (DESIGN.md §3.21) inserts the WAL sequence the checkpoint covers
 // — walSeq uint64, right after the sinceCheck counter — so a restore can
@@ -48,13 +48,7 @@ var ErrCheckpoint = errors.New("stream: corrupt checkpoint")
 // checkpointState is the deep-copied aggregate state one Checkpoint call
 // persists, snapshotted under s.mu and encoded outside it.
 type checkpointState struct {
-	rows, cols int
-	bounds     grid.Bounds
-	attrs      []grid.Attribute
-	counts     []int
-	sums       []float64
-	cats       []map[float64]int
-	ncat       int
+	agg        *grid.Aggregates
 	generation int
 	sinceCheck int
 	walSeq     uint64
@@ -87,30 +81,11 @@ func (s *Repartitioner) CheckpointSeq(w io.Writer) (uint64, error) {
 
 	s.mu.Lock()
 	st := checkpointState{
-		rows:       s.rows,
-		cols:       s.cols,
-		bounds:     s.bounds,
-		attrs:      append([]grid.Attribute(nil), s.attrs...),
-		counts:     append([]int(nil), s.counts...),
-		sums:       append([]float64(nil), s.sums...),
-		ncat:       len(s.catCol),
+		agg:        s.agg.Clone(),
 		generation: s.generation,
 		sinceCheck: s.sinceLastCheck,
 		walSeq:     s.walSeq,
 		stats:      s.stats,
-	}
-	if len(s.cats) > 0 {
-		st.cats = make([]map[float64]int, len(s.cats))
-		for i, m := range s.cats {
-			if len(m) == 0 {
-				continue
-			}
-			cp := make(map[float64]int, len(m))
-			for v, n := range m {
-				cp[v] = n
-			}
-			st.cats[i] = cp
-		}
 	}
 	s.mu.Unlock()
 
@@ -154,14 +129,15 @@ func encodePayload(st checkpointState) []byte {
 	putI64 := func(v int64) { le.PutUint64(scratch[:], uint64(v)); b.Write(scratch[:]) }
 	putF64 := func(v float64) { le.PutUint64(scratch[:], math.Float64bits(v)); b.Write(scratch[:]) }
 
-	putU32(uint32(st.rows))
-	putU32(uint32(st.cols))
-	putF64(st.bounds.MinLat)
-	putF64(st.bounds.MaxLat)
-	putF64(st.bounds.MinLon)
-	putF64(st.bounds.MaxLon)
-	putU32(uint32(len(st.attrs)))
-	for _, a := range st.attrs {
+	agg := st.agg
+	putU32(uint32(agg.Rows))
+	putU32(uint32(agg.Cols))
+	putF64(agg.Bounds.MinLat)
+	putF64(agg.Bounds.MaxLat)
+	putF64(agg.Bounds.MinLon)
+	putF64(agg.Bounds.MaxLon)
+	putU32(uint32(len(agg.Attrs)))
+	for _, a := range agg.Attrs {
 		putU32(uint32(len(a.Name)))
 		b.WriteString(a.Name)
 		var flags byte
@@ -191,15 +167,15 @@ func encodePayload(st checkpointState) []byte {
 	putU32(uint32(len(errStr)))
 	b.WriteString(errStr)
 
-	for _, n := range st.counts {
+	for _, n := range agg.Counts {
 		putI64(int64(n))
 	}
-	for _, v := range st.sums {
+	for _, v := range agg.Sums {
 		putF64(v)
 	}
-	putU32(uint32(st.ncat))
-	if st.ncat > 0 {
-		for _, m := range st.cats {
+	putU32(uint32(len(agg.CatCols)))
+	if len(agg.CatCols) > 0 {
+		for _, m := range agg.Votes {
 			putU32(uint32(len(m)))
 			vals := make([]float64, 0, len(m))
 			for v := range m {
@@ -322,15 +298,15 @@ func (s *Repartitioner) Restore(r io.Reader) error {
 	if p.err != nil {
 		return p.err
 	}
-	if rows != s.rows || cols != s.cols {
+	if rows != s.agg.Rows || cols != s.agg.Cols {
 		return fmt.Errorf("%w: geometry %dx%d does not match receiver %dx%d",
-			ErrCheckpoint, rows, cols, s.rows, s.cols)
+			ErrCheckpoint, rows, cols, s.agg.Rows, s.agg.Cols)
 	}
-	if b != s.bounds {
-		return fmt.Errorf("%w: bounds %+v do not match receiver %+v", ErrCheckpoint, b, s.bounds)
+	if b != s.agg.Bounds {
+		return fmt.Errorf("%w: bounds %+v do not match receiver %+v", ErrCheckpoint, b, s.agg.Bounds)
 	}
-	if nattrs != len(s.attrs) {
-		return fmt.Errorf("%w: %d attributes do not match receiver's %d", ErrCheckpoint, nattrs, len(s.attrs))
+	if nattrs != len(s.agg.Attrs) {
+		return fmt.Errorf("%w: %d attributes do not match receiver's %d", ErrCheckpoint, nattrs, len(s.agg.Attrs))
 	}
 	for k := 0; k < nattrs; k++ {
 		name := p.str(int(p.u32()))
@@ -342,7 +318,7 @@ func (s *Repartitioner) Restore(r io.Reader) error {
 		if p.err != nil {
 			return p.err
 		}
-		want := s.attrs[k]
+		want := s.agg.Attrs[k]
 		got := grid.Attribute{Name: name, Agg: agg, Integer: flags&1 != 0, Categorical: flags&2 != 0}
 		if got != want {
 			return fmt.Errorf("%w: attribute %d is %+v, receiver wants %+v", ErrCheckpoint, k, got, want)
@@ -380,9 +356,9 @@ func (s *Repartitioner) Restore(r io.Reader) error {
 	if p.err != nil {
 		return p.err
 	}
-	if ncat != len(s.catCol) {
+	if ncat != len(s.agg.CatCols) {
 		return fmt.Errorf("%w: %d categorical columns do not match receiver's %d",
-			ErrCheckpoint, ncat, len(s.catCol))
+			ErrCheckpoint, ncat, len(s.agg.CatCols))
 	}
 	var cats []map[float64]int
 	if ncat > 0 {
@@ -418,9 +394,7 @@ func (s *Repartitioner) Restore(r io.Reader) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.counts = counts
-	s.sums = sums
-	s.cats = cats
+	s.agg.Counts, s.agg.Sums, s.agg.Votes = counts, sums, cats
 	s.generation = generation
 	s.sinceLastCheck = sinceCheck
 	s.walSeq = walSeq

@@ -1,6 +1,8 @@
 // Package stream adapts the re-partitioning framework to streaming scenarios
 // — the last of the paper's §VI future-work directions. A Repartitioner
-// ingests raw spatial records, maintains per-cell aggregates, and keeps a
+// ingests raw spatial records, folds them into per-cell aggregates through
+// grid.Aggregates (the §II reduction grid.FromRecords runs, so Grid() equals
+// the batch grid of the accepted records bit for bit), and keeps a
 // re-partitioned view of the grid that is recomputed lazily: an existing
 // partition is retained as long as re-allocating its feature vectors on the
 // freshest data keeps the information loss within the threshold, and a full
@@ -22,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -104,7 +105,7 @@ type Options struct {
 // Stats reports the stream's bookkeeping counters.
 type Stats struct {
 	Accepted   int // records inside the bounds
-	Dropped    int // records outside the bounds
+	Dropped    int // records outside the bounds, or with a NaN coordinate
 	Recomputes int // full re-partitionings performed
 	Refreshes  int // cheap feature-only refreshes that kept the partition
 
@@ -179,17 +180,11 @@ type View struct {
 // Options.WAL set, Add holds the aggregate lock across the log append and
 // whatever sync its policy does, so reads and Stats wait behind that fsync.
 type Repartitioner struct {
-	mu     sync.Mutex // guards aggregates, current, sinceLastCheck, stats, breaker
-	bounds grid.Bounds
-	rows   int
-	cols   int
-	attrs  []grid.Attribute
-	opts   Options
-
-	counts []int
-	sums   []float64
-	cats   []map[float64]int // per (cell, categorical attr) vote maps
-	catCol []int
+	mu   sync.Mutex // guards agg's counts, sums and votes, current, sinceLastCheck, stats, breaker
+	opts Options
+	// agg holds the §II aggregates. The pointer and its geometry never
+	// change after New; Restore replaces only the arrays, under mu.
+	agg *grid.Aggregates
 
 	current        *core.Repartitioned
 	generation     int // bumped on every refresh/recompute swap-in
@@ -224,20 +219,13 @@ type Repartitioner struct {
 
 // New creates a streaming repartitioner over the given grid geometry.
 func New(bounds grid.Bounds, rows, cols int, attrs []grid.Attribute, opts Options) (*Repartitioner, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("stream: invalid grid %dx%d", rows, cols)
-	}
-	if err := bounds.Validate(); err != nil {
+	agg, err := grid.NewAggregates(bounds, rows, cols, attrs)
+	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if opts.Threshold < 0 || opts.Threshold > 1 {
 		return nil, fmt.Errorf("stream: threshold %v outside [0,1]", opts.Threshold)
 	}
-	if err := grid.ValidateAttrs(attrs); err != nil {
-		return nil, err
-	}
-	a := make([]grid.Attribute, len(attrs))
-	copy(a, attrs)
 	threshold := opts.FailureThreshold
 	if threshold <= 0 {
 		threshold = DefaultFailureThreshold
@@ -257,32 +245,20 @@ func New(bounds grid.Bounds, rows, cols int, attrs []grid.Attribute, opts Option
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Repartitioner{
-		bounds: bounds,
-		rows:   rows,
-		cols:   cols,
-		attrs:  a,
-		opts:   opts,
-		counts: make([]int, rows*cols),
-		sums:   make([]float64, rows*cols*len(attrs)),
-		brk:    breaker.New(threshold, initial, max, seed),
+	return &Repartitioner{
+		opts: opts,
+		agg:  agg,
+		brk:  breaker.New(threshold, initial, max, seed),
 		//spatialvet:ignore clockdirect the production default for the injectable clock
 		now: time.Now,
-	}
-	for k, at := range a {
-		if at.Categorical {
-			s.catCol = append(s.catCol, k)
-		}
-	}
-	if len(s.catCol) > 0 {
-		s.cats = make([]map[float64]int, rows*cols*len(s.catCol))
-	}
-	return s, nil
+	}, nil
 }
 
-// Add ingests one record, updating the cell aggregates. Records outside the
-// bounds are counted and dropped (they never touch the WAL — a record that
-// mutates no state needs no durability).
+// Add ingests one record, updating the cell aggregates. A record with the
+// wrong number of values or a NaN or infinite value is rejected with an
+// error. Records outside the bounds, or with a NaN coordinate, are counted
+// and dropped (neither touches the WAL — a record that mutates no state
+// needs no durability).
 //
 // With Options.WAL set, the record is appended to the log before it is
 // applied, both under the aggregate lock: a successful return means the
@@ -290,12 +266,12 @@ func New(bounds grid.Bounds, rows, cols int, attrs []grid.Attribute, opts Option
 // aggregates. A failed append applies nothing and surfaces the error — the
 // record was not acked and the sender must retry after the log is reopened.
 func (s *Repartitioner) Add(rec grid.Record) error {
-	if len(rec.Values) != len(s.attrs) {
-		return fmt.Errorf("stream: record has %d values, want %d", len(rec.Values), len(s.attrs))
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, c, ok := s.bounds.CellOf(rec.Lat, rec.Lon, s.rows, s.cols)
+	idx, ok, err := s.agg.Cell(rec)
+	if err != nil {
+		return fmt.Errorf("stream: record %w", err)
+	}
 	if !ok {
 		s.stats.Dropped++
 		s.opts.Obs.Count("stream.dropped", 1)
@@ -309,26 +285,16 @@ func (s *Repartitioner) Add(rec grid.Record) error {
 		s.walSeq = seq
 		s.stats.WALAppended++
 	}
-	s.applyLocked(rec, r*s.cols+c)
+	s.applyLocked(rec, idx)
 	return nil
 }
 
-// applyLocked folds one in-bounds record into the aggregates. Caller holds
-// s.mu and has resolved the cell index. Shared by Add and ReplayWAL so a
-// replayed record takes exactly the ingestion path it originally took.
+// applyLocked folds one checked, in-bounds record into the aggregates.
+// Caller holds s.mu and has resolved the cell index. Shared by Add and
+// ReplayWAL so a replayed record takes exactly the ingestion path it
+// originally took.
 func (s *Repartitioner) applyLocked(rec grid.Record, idx int) {
-	s.counts[idx]++
-	for k, v := range rec.Values {
-		s.sums[idx*len(s.attrs)+k] += v
-	}
-	for ci, k := range s.catCol {
-		m := s.cats[idx*len(s.catCol)+ci]
-		if m == nil {
-			m = map[float64]int{}
-			s.cats[idx*len(s.catCol)+ci] = m
-		}
-		m[rec.Values[k]]++
-	}
+	s.agg.Fold(idx, rec.Values)
 	s.stats.Accepted++
 	s.sinceLastCheck++
 	s.opts.Obs.Count("stream.accepted", 1)
@@ -356,18 +322,17 @@ func (s *Repartitioner) ReplayWAL() (int, error) {
 		if derr != nil {
 			return derr
 		}
-		if len(rec.Values) != len(s.attrs) {
-			return fmt.Errorf("stream: wal record %d has %d values, want %d (schema changed under a live WAL?)",
-				seq, len(rec.Values), len(s.attrs))
+		idx, ok, err := s.agg.Cell(rec)
+		if err != nil {
+			return fmt.Errorf("stream: wal record %d %w", seq, err)
 		}
-		r, c, ok := s.bounds.CellOf(rec.Lat, rec.Lon, s.rows, s.cols)
 		if !ok {
 			// Only appended records replay, and only in-bounds records are
 			// appended; an out-of-bounds replay means the geometry changed
 			// despite the directory stamp.
 			return fmt.Errorf("stream: wal record %d at (%v, %v) is outside the grid bounds", seq, rec.Lat, rec.Lon)
 		}
-		s.applyLocked(rec, r*s.cols+c)
+		s.applyLocked(rec, idx)
 		s.walSeq = seq
 		n++
 		return nil
@@ -396,34 +361,6 @@ func (s *Repartitioner) RecordCheckpointResult(err error) {
 	}
 	s.stats.LastCheckpointErr = nil
 	s.lastCheckpoint = s.now()
-}
-
-// snapshotGrid materializes the current aggregates as a grid.
-func (s *Repartitioner) snapshotGrid() *grid.Grid {
-	g := grid.New(s.rows, s.cols, s.attrs)
-	p := len(s.attrs)
-	fv := make([]float64, p)
-	for idx, n := range s.counts {
-		if n == 0 {
-			continue
-		}
-		r, c := idx/s.cols, idx%s.cols
-		for k := 0; k < p; k++ {
-			v := s.sums[idx*p+k]
-			if s.attrs[k].Agg == grid.Average {
-				v /= float64(n)
-				if s.attrs[k].Integer {
-					v = math.Round(v)
-				}
-			}
-			fv[k] = v
-		}
-		for ci, k := range s.catCol {
-			fv[k] = modalVote(s.cats[idx*len(s.catCol)+ci])
-		}
-		g.SetVector(r, c, fv)
-	}
-	return g
 }
 
 // Current returns a re-partitioned view whose information loss against the
@@ -506,7 +443,7 @@ func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 		return v, "degraded", nil
 	}
 	probing := s.brk.State() == BreakerHalfOpen
-	g := s.snapshotGrid()
+	g := s.agg.Grid()
 	cur := s.current
 	snapshotted := s.sinceLastCheck
 	s.mu.Unlock()
@@ -692,21 +629,12 @@ func (s *Repartitioner) Stats() Stats {
 	return st
 }
 
-// Grid returns a snapshot of the current aggregate grid.
+// Grid returns a snapshot of the current aggregate grid: grid.FromRecords
+// of the records the stream accepted, bit for bit.
 func (s *Repartitioner) Grid() *grid.Grid {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotGrid()
-}
-
-func modalVote(m map[float64]int) float64 {
-	best, bestN := math.Inf(1), -1
-	for v, n := range m {
-		if n > bestN || (n == bestN && v < best) {
-			best, bestN = v, n
-		}
-	}
-	return best
+	return s.agg.Grid()
 }
 
 // Report is the stream's machine-readable run summary: geometry, serving
@@ -758,9 +686,9 @@ type Report struct {
 func (s *Repartitioner) Report() Report {
 	s.mu.Lock()
 	r := Report{
-		Rows:                s.rows,
-		Cols:                s.cols,
-		Attrs:               len(s.attrs),
+		Rows:                s.agg.Rows,
+		Cols:                s.agg.Cols,
+		Attrs:               len(s.agg.Attrs),
 		Threshold:           s.opts.Threshold,
 		Workers:             s.opts.Workers,
 		Generation:          s.generation,

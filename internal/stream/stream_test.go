@@ -617,19 +617,6 @@ func TestStreamObsAndReport(t *testing.T) {
 	}
 }
 
-// TestModalVoteTieDeterministic pins the streaming categorical vote to
-// the same tie-break as grid.FromRecords: equal counts resolve to the
-// smallest code, never to map iteration order. Repeated rounds make an
-// iteration-order regression flaky-visible.
-func TestModalVoteTieDeterministic(t *testing.T) {
-	for i := 0; i < 200; i++ {
-		m := map[float64]int{7: 3, 2: 3, 5: 3, 9: 1}
-		if got := modalVote(m); got != 2 {
-			t.Fatalf("round %d: modalVote = %v, want smallest tied code 2", i, got)
-		}
-	}
-}
-
 // TestCheckpointHealthSurfaced pins the durability telemetry contract:
 // RecordCheckpointResult feeds Stats (failure count, last error, age of
 // the last success) and the /stats report carries the same fields.

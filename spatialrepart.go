@@ -103,7 +103,9 @@ func NewGrid(rows, cols int, attrs []Attribute) *Grid {
 
 // GridFromRecords aggregates raw point records into a grid (§II), applying
 // each attribute's aggregation type. It returns the grid and the number of
-// records dropped for falling outside the bounds.
+// records dropped for falling outside the bounds or having a NaN
+// coordinate. Invalid dimensions, bounds or attributes, and a record with
+// the wrong number of values or a NaN or infinite value, are errors.
 func GridFromRecords(records []Record, bounds Bounds, rows, cols int, attrs []Attribute) (*Grid, int, error) {
 	return grid.FromRecords(records, bounds, rows, cols, attrs)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"spatialrepart"
@@ -100,6 +101,20 @@ func TestFacadeGridFromRecordsAndCSV(t *testing.T) {
 	}
 	if got.ValidCount() != g.ValidCount() {
 		t.Errorf("CSV round trip lost cells: %d vs %d", got.ValidCount(), g.ValidCount())
+	}
+}
+
+func TestFacadeGridFromRecordsRejectsBadBounds(t *testing.T) {
+	attrs := []spatialrepart.Attribute{{Name: "count", Agg: spatialrepart.Sum}}
+	recs := []spatialrepart.Record{{Lat: 0.5, Lon: 0.5, Values: []float64{1}}}
+	for _, b := range []spatialrepart.Bounds{
+		{MinLat: 1, MaxLat: 0, MinLon: 0, MaxLon: 1},          // inverted
+		{MinLat: 0, MaxLat: 1, MinLon: 0.5, MaxLon: 0.5},      // empty
+		{MinLat: math.NaN(), MaxLat: 1, MinLon: 0, MaxLon: 1}, // NaN
+	} {
+		if _, _, err := spatialrepart.GridFromRecords(recs, b, 4, 4, attrs); err == nil {
+			t.Errorf("bounds %+v accepted, want an error", b)
+		}
 	}
 }
 
