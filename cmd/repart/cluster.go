@@ -15,8 +15,8 @@ import (
 )
 
 // clusterConfig carries the parsed flags of the coordinator mode (-cluster):
-// a stateless front door that routes and scatter-gathers over the shard
-// workers named by -shards.
+// a front door that routes and scatter-gathers over the shard workers named
+// by -shards, keeping nothing but its last stitched view.
 type clusterConfig struct {
 	addr   string   // coordinator listen address
 	shards []string // shard base URLs, one per row band, in band order

@@ -56,9 +56,11 @@
 //	repart -stream-records points.csv ... -serve :8080 [-drain-timeout 10s]
 //
 // Cluster mode shards the grid into horizontal row bands served by
-// independent worker processes and fronts them with a stateless, resilient
-// coordinator (per-shard circuit breakers, retries, optional hedged reads,
-// partial 200+Warning results when shards are down):
+// independent worker processes and fronts them with a resilient coordinator
+// (per-shard circuit breakers, retries, optional hedged reads, partial
+// 200+Warning results when shards are down). Its only state is the last
+// stitched /view, revalidated against every shard's ETag on each read, so a
+// restarted coordinator just starts cold:
 //
 //	repart -stream-records points.csv ... -shard 0/2 -serve :8081 &
 //	repart -stream-records points.csv ... -shard 1/2 -serve :8082 &
@@ -111,7 +113,7 @@ func main() {
 	serveAddr := flag.String("serve", "", "streaming mode: after ingest, serve the current view over HTTP on this address until SIGTERM/SIGINT")
 	drainTimeout := flag.Duration("drain-timeout", defaultDrainTimeout, "serve mode: graceful drain deadline on shutdown")
 	shardSpec := flag.String("shard", "", "streaming mode: serve row band i of an n-shard cluster as \"i/n\" (geometry from -stream-rows/-stream-cols/-bounds)")
-	clusterAddr := flag.String("cluster", "", "cluster mode: serve a stateless coordinator on this address over the -shards backends")
+	clusterAddr := flag.String("cluster", "", "cluster mode: serve a coordinator on this address over the -shards backends (it keeps only the last stitched /view, revalidated against the shards' ETags on every read)")
 	shardsList := flag.String("shards", "", "cluster mode: comma-separated shard base URLs, one per row band, in band order")
 	hedge := flag.Bool("hedge", false, "cluster mode: hedge slow shard reads after the backend's observed p99 latency")
 	flag.Parse()

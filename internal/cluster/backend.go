@@ -127,11 +127,12 @@ type outcome struct {
 // admission, up to 1+RetryMax attempts with the breaker's capped jittered
 // backoff between them, per-attempt shard deadline, and optional hedging
 // (attempt launches a duplicate request after the backend's p99 delay and
-// takes whichever answers first). 4xx statuses and answers over the body
-// cap are successes to the breaker — the shard answered; only transport
-// errors and 5xx count as failures. An answer over the cap comes back as
-// its *oversizeError.
-func (c *Coordinator) fetch(ctx context.Context, b *backend, pq string) (fetchResult, error) {
+// takes whichever answers first). A non-empty etag goes out in If-None-Match
+// on every attempt and hedge. 304, 4xx and answers over the body cap are
+// successes to the breaker — the shard answered (a 304 has no body, so the
+// cap never applies to it); only transport errors and 5xx count as failures.
+// An answer over the cap comes back as its *oversizeError.
+func (c *Coordinator) fetch(ctx context.Context, b *backend, pq, etag string) (fetchResult, error) {
 	ctx, sp := c.obs.StartSpanCtx(ctx, "cluster.fetch", "backend", strconv.Itoa(b.index), "path", pq)
 	defer sp.End()
 	label := strconv.Itoa(b.index)
@@ -157,7 +158,7 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq string) (fetchRe
 			c.count("cluster.backend.retries", label)
 		}
 
-		res, elapsed, err := c.attempt(ctx, b, pq)
+		res, elapsed, err := c.attempt(ctx, b, pq, etag)
 		if answered(err) && res.Status < 500 {
 			b.mu.Lock()
 			b.brk.Success()
@@ -202,7 +203,7 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq string) (fetchRe
 // deadline. The result channel is buffered for both racers, so the losing
 // goroutine always completes its send and exits — nothing leaks even when
 // the caller has long moved on.
-func (c *Coordinator) attempt(ctx context.Context, b *backend, pq string) (fetchResult, time.Duration, error) {
+func (c *Coordinator) attempt(ctx context.Context, b *backend, pq, etag string) (fetchResult, time.Duration, error) {
 	if ferr := c.flt.Hit("cluster.fetch"); ferr != nil {
 		return fetchResult{}, 0, fmt.Errorf("cluster: shard %d: %w", b.index, ferr)
 	}
@@ -212,7 +213,7 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, pq string) (fetch
 	ch := make(chan outcome, 2)
 	do := func(hedged bool) {
 		start := c.Clock().Now()
-		res, err := c.roundTrip(actx, b, pq)
+		res, err := c.roundTrip(actx, b, pq, etag)
 		ch <- outcome{res: res, err: err, hedged: hedged, elapsed: c.Clock().Now().Sub(start)}
 	}
 	go do(false)
@@ -249,13 +250,17 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, pq string) (fetch
 	}
 }
 
-// roundTrip is one plain HTTP GET against the backend, with the inbound
-// trace context forwarded as a traceparent header so shard spans link into
-// the coordinator's request trace.
-func (c *Coordinator) roundTrip(ctx context.Context, b *backend, pq string) (fetchResult, error) {
+// roundTrip is one plain HTTP GET against the backend, conditional on etag
+// when it is non-empty, with the inbound trace context forwarded as a
+// traceparent header so shard spans link into the coordinator's request
+// trace.
+func (c *Coordinator) roundTrip(ctx context.Context, b *backend, pq, etag string) (fetchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+pq, nil)
 	if err != nil {
 		return fetchResult{}, fmt.Errorf("cluster: building request for shard %d: %w", b.index, err)
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
 	}
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		req.Header.Set("traceparent", tc.Traceparent())

@@ -58,11 +58,12 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 // (connections abort mid-flight, like a SIGKILLed process behind a stable
 // address) and later replaced by a restored instance.
 type killableShard struct {
-	ts       *httptest.Server
-	handler  atomic.Pointer[http.Handler]
-	down     atomic.Bool
-	requests atomic.Int64 // requests that reached the shard, up or down
-	downHits atomic.Int64 // requests aborted because the shard was down
+	ts          *httptest.Server
+	handler     atomic.Pointer[http.Handler]
+	down        atomic.Bool
+	requests    atomic.Int64 // requests that reached the shard, up or down
+	conditional atomic.Int64 // of those, the ones with an If-None-Match
+	downHits    atomic.Int64 // requests aborted because the shard was down
 }
 
 func newKillableShard(h http.Handler) *killableShard {
@@ -70,6 +71,9 @@ func newKillableShard(h http.Handler) *killableShard {
 	ks.handler.Store(&h)
 	ks.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ks.requests.Add(1)
+		if r.Header.Get("If-None-Match") != "" {
+			ks.conditional.Add(1)
+		}
 		if ks.down.Load() {
 			ks.downHits.Add(1)
 			panic(http.ErrAbortHandler) // abort the connection: a transport-level failure
@@ -87,20 +91,25 @@ func (ks *killableShard) Close()                { ks.ts.Close() }
 //
 //  1. healthy two-shard cluster — shard 1 WAL-backed — with a checkpoint
 //     taken MID-INGEST, so the records acked after it exist only in the WAL;
-//     baseline stitched view captured after all ingest
+//     baseline stitched view captured after all ingest, and stored: the next
+//     read is served from it after both shards answered 304
 //  2. shard 1 killed under load (SIGKILL semantics: the old process image is
 //     abandoned, nothing flushed)
 //  3. the cluster keeps serving 200 + Warning with shard 1 explicitly
 //     missing; the breaker opens after exactly 1+RetryMax transport failures
 //     and later fetches are refused locally (no new requests reach the dead
-//     shard); /readyz stays ready-but-degraded
+//     shard); /readyz stays ready-but-degraded. The first degraded read drops
+//     the stored view, so every degraded read is stitched afresh and none
+//     serves the pre-kill body
 //  4. exact counter reconciliation: requests that reached the dead shard ==
 //     breaker failures == the cluster.backend.failures counter == /stats
 //     fetch_failures; the refusals match round-for-round
 //  5. shard 1 is rebuilt from checkpoint + WAL replay behind the same URL —
 //     ZERO acked-record loss, not just "back to the checkpoint" — the
 //     breaker's backoff window passes (fake clock), and the stitched view
-//     reconverges BYTE-IDENTICALLY to the baseline cell-groups.
+//     reconverges BYTE-IDENTICALLY to the baseline cell-groups: the first
+//     read after the rejoin is stitched and stored, the next is served
+//     stored, and the two are the same bytes.
 func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	p, err := NewPlan(10, 6, testBounds(), 2)
@@ -212,6 +221,19 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	baselineGroups, _ := json.Marshal(baseline.CellGroups)
+	baselineBody := body
+	reg := obsv.Registry()
+	expectViewReads := func(label string, stored, stitched int64) {
+		t.Helper()
+		gotStored, gotStitched := reg.Counter("cluster.view.stored").Value(), reg.Counter("cluster.view.stitched").Value()
+		if gotStored != stored || gotStitched != stitched {
+			t.Fatalf("%s: %d stored and %d stitched /view reads, want %d and %d", label, gotStored, gotStitched, stored, stitched)
+		}
+	}
+	if _, body = getBody(t, front.URL+"/view"); !bytes.Equal(body, baselineBody) {
+		t.Fatalf("stored baseline read differs from the stitched one:\ngot  %s\nwant %s", body, baselineBody)
+	}
+	expectViewReads("baseline", 1, 1)
 
 	// ---- 2. kill shard 1 ----
 	// SIGKILL semantics: the live Log and Repartitioner are simply abandoned
@@ -237,6 +259,16 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 		if !degraded.Degraded || len(degraded.MissingShards) != 1 || degraded.MissingShards[0] != 1 {
 			t.Fatalf("kill round %d: degraded=%t missing=%v", i, degraded.Degraded, degraded.MissingShards)
 		}
+		if bytes.Equal(body, baselineBody) {
+			t.Fatalf("kill round %d served the pre-kill body", i)
+		}
+	}
+	// Only the first degraded read revalidated the stored view; shard 1
+	// went missing, so it was dropped, and the later rounds asked shard 0
+	// without a tag.
+	expectViewReads("degraded", 1, 6)
+	if got := shards[0].conditional.Load(); got != 2 {
+		t.Fatalf("shard 0 got %d conditional requests, want 2 (the stored baseline read, the first degraded read)", got)
 	}
 	// Bounded staleness: everything shard 0 owns is still served fresh — the
 	// hole is exactly shard 1's band, never a stale mix of generations.
@@ -265,7 +297,6 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	if downHits != 3 {
 		t.Fatalf("dead shard absorbed %d requests, want exactly 3 (then the breaker opened)", downHits)
 	}
-	reg := obsv.Registry()
 	if got := reg.Counter(obs.FoldLabels("cluster.backend.failures", []string{"1"})).Value(); got != downHits {
 		t.Fatalf("cluster.backend.failures|1 = %d, shard absorbed %d", got, downHits)
 	}
@@ -354,6 +385,16 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	if rejoined.IFL != baseline.IFL || rejoined.Groups != baseline.Groups || rejoined.ValidGroups != baseline.ValidGroups {
 		t.Fatalf("rejoin summary drifted: ifl %v→%v groups %d→%d", baseline.IFL, rejoined.IFL, baseline.Groups, rejoined.Groups)
 	}
+	// The restored shard serves its view under the baseline's generation, so
+	// the whole body reconverges, stitched and then stored.
+	if !bytes.Equal(body, baselineBody) {
+		t.Fatalf("rejoined body differs from the baseline:\ngot  %s\nwant %s", body, baselineBody)
+	}
+	expectViewReads("rejoined", 1, 7)
+	if _, body = getBody(t, front.URL+"/view"); !bytes.Equal(body, baselineBody) {
+		t.Fatalf("stored read after the rejoin differs from the baseline:\ngot  %s\nwant %s", body, baselineBody)
+	}
+	expectViewReads("stored after the rejoin", 2, 7)
 	if got := shards[1].requests.Load(); got <= preKillRequests+downHits {
 		t.Fatal("restored shard never served a request")
 	}

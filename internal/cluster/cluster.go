@@ -1,6 +1,6 @@
 // Package cluster shards the streaming repartitioner across N spatial shards
-// and puts a stateless, defensively wired coordinator in front of them
-// (DESIGN.md §3.20). The grid is split into contiguous row bands (Plan); each
+// and puts a defensively wired coordinator in front of them (DESIGN.md
+// §3.20). The grid is split into contiguous row bands (Plan); each
 // shard runs the existing internal/stream + internal/server stack over its
 // band's sub-grid and sub-bounds, and the coordinator speaks the shards' own
 // HTTP API: /cell and /group are routed point queries, /view and /stats are
@@ -13,9 +13,12 @@
 // and the global view is the shard views concatenated in band order: scatter,
 // decode each shard's /view into the server.ViewBody the shard encoded,
 // check that it fits its band, and append its groups with rows shifted and
-// IDs renumbered. A groups=false summary is stitched from the shards' own
-// summaries, folding their valid_cells-weighted IFLs in band order as the
-// full view does. When shards fail — or answer with a body that does not fit
+// IDs renumbered. The coordinator keeps the last stitched /view body, keyed
+// by the shards' content-hash ETags: every read revalidates it with a
+// conditional scatter and serves it again while every shard answers 304.
+// That body is its only state; a restarted coordinator starts without it. A
+// groups=false summary is stitched from the shards' own summaries, folding
+// their valid_cells-weighted IFLs in band order as the full view does. When shards fail — or answer with a body that does not fit
 // — the coordinator keeps serving what it can: HTTP 200 with Warning: 110,
 // degraded=true, and the missing shards named in the body; cluster /readyz
 // stays ready while at least one shard is, mirroring the degraded-serving

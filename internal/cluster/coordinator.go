@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"spatialrepart/internal/breaker"
@@ -85,13 +87,15 @@ type Config struct {
 	Clock server.Clock
 }
 
-// Coordinator is the cluster's stateless front door: the cluster routes
-// mounted on the shards' own request envelope. Create with New, mount via
-// Handler or run with Serve (both from the envelope), stop with Shutdown. It
-// holds no view state of its own — every response is assembled from live
-// shard responses, so coordinators can be replicated freely. A /view reads
-// the shards' full views; a /view?groups=false summary reads only their
-// summaries.
+// Coordinator is the cluster's front door: the cluster routes mounted on the
+// shards' own request envelope. Create with New, mount via Handler or run
+// with Serve (both from the envelope), stop with Shutdown. Every response is
+// assembled from, or revalidated against, live shard responses. The one
+// piece of view state it keeps is the last stitched /view body, keyed by the
+// shards' ETags and checked with a conditional scatter on every read; a
+// restarted coordinator starts without it, so coordinators can be
+// replicated freely. A /view reads the shards' full views; a
+// /view?groups=false summary reads only their summaries.
 type Coordinator struct {
 	*server.Envelope
 	cfg      Config
@@ -101,6 +105,8 @@ type Coordinator struct {
 	ownsClnt bool
 	obs      *obs.Observer
 	flt      *fault.Injector
+
+	view atomic.Pointer[stitched] // the stored /view body, nil while none
 }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount
@@ -251,7 +257,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error
 			// Probes bypass the breaker and retry loop on purpose: they are
 			// how the coordinator notices a shard came BACK, and they must
 			// stay cheap and honest while the fetch path is refusing.
-			res, err := c.roundTrip(r.Context(), b, "/readyz")
+			res, err := c.roundTrip(r.Context(), b, "/readyz", "")
 			if err != nil {
 				sr.Reason = "unreachable: " + err.Error()
 				ch <- probeRes{idx: b.index, sr: sr}
@@ -299,24 +305,36 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error
 
 // ---- scatter-gather endpoints ----------------------------------------------
 
-// scatter fetches pq from every backend concurrently and returns the raw
-// per-shard results (nil error slot = success) in backend order.
-func (c *Coordinator) scatter(ctx context.Context, pq string) ([]fetchResult, []error) {
+// scatter fetches pq concurrently from the backends listed in shards (every
+// backend when shards is nil), backend i with tags[i] in If-None-Match when
+// tags is non-nil, and returns the raw results in backend order (nil error
+// slot = success); the slots of backends not asked stay empty.
+func (c *Coordinator) scatter(ctx context.Context, pq string, shards []int, tags []string) ([]fetchResult, []error) {
+	if shards == nil {
+		shards = make([]int, len(c.backends))
+		for i := range shards {
+			shards[i] = i
+		}
+	}
 	type slot struct {
 		idx int
 		res fetchResult
 		err error
 	}
-	ch := make(chan slot, len(c.backends))
-	for _, b := range c.backends {
-		go func(b *backend) {
-			res, err := c.fetch(ctx, b, pq)
+	ch := make(chan slot, len(shards))
+	for _, i := range shards {
+		tag := ""
+		if tags != nil {
+			tag = tags[i]
+		}
+		go func(b *backend, tag string) {
+			res, err := c.fetch(ctx, b, pq, tag)
 			ch <- slot{idx: b.index, res: res, err: err}
-		}(b)
+		}(c.backends[i], tag)
 	}
 	results := make([]fetchResult, len(c.backends))
 	errs := make([]error, len(c.backends))
-	for range c.backends {
+	for range shards {
 		s := <-ch
 		results[s.idx], errs[s.idx] = s.res, s.err
 	}
@@ -329,22 +347,94 @@ func degradedWarning(w http.ResponseWriter) {
 	w.Header().Set("Warning", `110 - "partial or stale cluster response"`)
 }
 
-// handleView scatter-gathers every shard's /view and serves the stitched
-// global partition: GET /view. GET /view?groups=false scatters the shards'
-// own groups=false summaries instead and stitches their counts, so a summary
-// read moves no group lists. Each answer is decoded straight into the
-// server.ViewBody the shard encoded and concatenated in band order. Shards
-// that fail their defended fetch, or whose answer cannot be used, are
-// reported in missing_shards and the response degrades to 200 + Warning;
-// only a fully dark cluster turns into a 503.
+// stitched is one encoded cluster /view body and what a later read needs to
+// serve it again: its degraded flag and the shard ETags it was stitched
+// from, in band order. tags is nil unless every shard answered 200 with an
+// ETag and none is missing; only such a body is stored.
+type stitched struct {
+	body     *server.StoredBody
+	degraded bool
+	tags     []string
+}
+
+// handleView serves the stitched global partition: GET /view, or the
+// stitched summary with GET /view?groups=false. Shards that fail their
+// defended fetch, or whose answer cannot be used, are reported in
+// missing_shards and the response degrades to 200 + Warning; only a fully
+// dark cluster turns into a 503. The body carries its own ETag, so a client
+// holding it gets 304.
 func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
-	includeGroups := r.URL.Query().Get("groups") != "false"
-	pq := "/view"
-	if !includeGroups {
-		pq = "/view?groups=false"
+	view := c.fullView
+	if r.URL.Query().Get("groups") == "false" {
+		view = c.summaryView
 	}
-	results, errs := c.scatter(r.Context(), pq)
+	sv, err := view(r.Context())
+	if err != nil {
+		return err
+	}
+	if sv.degraded {
+		degradedWarning(w)
+	}
+	if r.Context().Err() != nil {
+		return server.ErrTimeout.WithDetail("deadline expired before the stitched view was written")
+	}
+	return sv.body.Write(w, r)
+}
+
+// summaryView scatters the shards' own groups=false summaries and stitches
+// their counts, so a summary read moves no group lists.
+func (c *Coordinator) summaryView(ctx context.Context) (*stitched, error) {
+	results, errs := c.scatter(ctx, "/view?groups=false", nil, nil)
+	return c.stitch(results, errs, false)
+}
+
+// fullView returns the stitched full view. The stored body, if any, is
+// revalidated by a scatter carrying each shard's stored ETag; when every
+// shard answers 304 it is served as it is. Otherwise the shards that
+// answered 304 are fetched once more without a tag — the others already
+// answered — and the view is stitched afresh and stored in place of the old
+// one, or nothing is stored when it cannot be.
+func (c *Coordinator) fullView(ctx context.Context) (*stitched, error) {
+	stored := c.view.Load()
+	var tags []string
+	if stored != nil {
+		tags = stored.tags
+	}
+	results, errs := c.scatter(ctx, "/view", nil, tags)
+	var unchanged []int // shards that answered 304 to their stored tag
+	for i, res := range results {
+		if tags != nil && errs[i] == nil && res.Status == http.StatusNotModified {
+			unchanged = append(unchanged, i)
+		}
+	}
+	if stored != nil && len(unchanged) == len(results) {
+		c.obs.Count("cluster.view.stored", 1)
+		c.obs.SetGauge("cluster.missing_shards", 0)
+		return stored, nil
+	}
+	c.obs.Count("cluster.view.stitched", 1)
+	if len(unchanged) > 0 {
+		again, againErrs := c.scatter(ctx, "/view", unchanged, nil)
+		for _, i := range unchanged {
+			results[i], errs[i] = again[i], againErrs[i]
+		}
+	}
+	sv, err := c.stitch(results, errs, true)
+	if err != nil || sv.tags == nil {
+		c.view.Store(nil)
+	} else {
+		c.view.Store(sv)
+	}
+	return sv, err
+}
+
+// stitch decodes each shard answer straight into the server.ViewBody the
+// shard encoded, concatenates them in band order, and encodes the result
+// once. A shard whose fetch failed, whose status is not 200 (a 304 to a
+// request without a tag included) or whose body does not decode is missing.
+func (c *Coordinator) stitch(results []fetchResult, errs []error, includeGroups bool) (*stitched, error) {
 	views := make([]server.ViewBody, len(results))
+	tags := make([]string, len(results))
 	for i, res := range results {
 		switch {
 		case errs[i] != nil:
@@ -354,20 +444,23 @@ func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
 			if err := json.Unmarshal(res.Body, &views[i]); err != nil {
 				errs[i] = fmt.Errorf("cluster: shard %d view: %w", i, err)
 			}
+			tags[i] = res.Header.Get("ETag")
 		}
 	}
 	body, err := concatenate(c.plan, views, errs, includeGroups)
 	if err != nil {
-		return err
-	}
-	if body.Degraded {
-		degradedWarning(w)
+		return nil, err
 	}
 	c.obs.SetGauge("cluster.missing_shards", float64(len(body.MissingShards)))
-	if r.Context().Err() != nil {
-		return server.ErrTimeout.WithDetail("deadline expired before the stitched view was written")
+	enc, err := server.EncodeBody(body)
+	if err != nil {
+		return nil, err
 	}
-	return server.WriteJSON(w, body)
+	sv := &stitched{body: enc, degraded: body.Degraded}
+	if len(body.MissingShards) == 0 && !slices.Contains(tags, "") {
+		sv.tags = tags
+	}
+	return sv, nil
 }
 
 // ShardStats is one shard's entry in the cluster /stats response: the
@@ -390,7 +483,7 @@ type StatsBody struct {
 // handleStats scatter-gathers shard /stats reports: GET /stats. Per-shard
 // failures degrade to missing entries, same contract as /view.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) error {
-	results, errs := c.scatter(r.Context(), "/stats")
+	results, errs := c.scatter(r.Context(), "/stats", nil, nil)
 	out := StatsBody{Shards: make([]ShardStats, len(c.backends))}
 	for i, b := range c.backends {
 		b.mu.Lock()
@@ -467,7 +560,7 @@ func (c *Coordinator) pointRead(reply func(row, col, shard int, g server.GroupBo
 			return err
 		}
 		band := c.plan.Bands[b.index]
-		res, err := c.fetch(r.Context(), b, fmt.Sprintf("/cell?row=%d&col=%d", row-band.Row0, col))
+		res, err := c.fetch(r.Context(), b, fmt.Sprintf("/cell?row=%d&col=%d", row-band.Row0, col), "")
 		if err != nil {
 			return server.ErrNotReady.WithDetail("shard %d unavailable: %v", b.index, err)
 		}

@@ -10,10 +10,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spatialrepart/internal/core"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
 	"spatialrepart/internal/server"
@@ -184,37 +188,383 @@ func TestSingleShardViewMatchesUnshardedServer(t *testing.T) {
 
 // TestStitchedViewMatchesInProcessReference: for N∈{1,2,4}, the coordinator's
 // HTTP /view is byte-identical to ViewFromStreams over the same shard
-// streams — the full wire body, not just the groups.
+// streams — the full wire body, not just the groups — whether it was
+// stitched or served stored. The second read of an unchanged cluster is
+// served stored after every shard answered 304; after an Add moves one
+// shard's view, the next read is stitched afresh, the changed shard
+// answering its conditional request with the new body and the others with
+// 304 and then, asked once more without a tag, with theirs; the read after
+// that is stored again. Concurrent reads racing to re-stitch and store
+// after another Add all get the new reference bytes.
 func TestStitchedViewMatchesInProcessReference(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + shards)))
 			recs := testRecords(rng, testBounds(), 800)
-			tc := startCluster(t, 12, 6, shards, recs, nil, nil)
+			log := newAnswerLog(shards)
+			obsv := obs.New()
+			tc := startCluster(t, 12, 6, shards, recs, func(cfg *Config) { cfg.Obs = obsv }, log.wrap)
 
-			// Warm every shard so the reference call below cannot trigger a
-			// fresh recompute between the two observations.
-			for _, s := range tc.streams {
-				if _, err := s.Current(); err != nil {
+			// reference warms every shard, so no read can trigger a fresh
+			// recompute, and returns ViewFromStreams as the coordinator
+			// encodes it.
+			reference := func() []byte {
+				t.Helper()
+				for _, s := range tc.streams {
+					if _, err := s.Current(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref, err := ViewFromStreams(tc.plan, tc.streams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var refBuf bytes.Buffer
+				if err := json.NewEncoder(&refBuf).Encode(ref); err != nil {
+					t.Fatal(err)
+				}
+				return refBuf.Bytes()
+			}
+			// read reads /view, checks it against the reference, and
+			// returns the body and each shard's answers.
+			read := func(label string) ([]byte, [][]answer) {
+				t.Helper()
+				want := reference()
+				log.take()
+				resp, httpBody := getBody(t, tc.front.URL+"/view")
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: /view status %d: %s", label, resp.StatusCode, httpBody)
+				}
+				if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(httpBody)) {
+					t.Fatalf("%s: Content-Length %q for a %d-byte body", label, got, len(httpBody))
+				}
+				if !bytes.Equal(httpBody, want) {
+					t.Fatalf("%s: HTTP view != in-process reference:\nhttp: %s\nref:  %s", label, httpBody, want)
+				}
+				return httpBody, log.take()
+			}
+			// addTo gives a shard its next generation: one record in the
+			// middle of its band.
+			addTo := func(shard int) {
+				t.Helper()
+				b := tc.plan.Bands[shard].Bounds
+				rec := grid.Record{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2, Values: []float64{1, 1}}
+				if err := tc.streams[shard].Add(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
-			resp, httpBody := getBody(t, tc.front.URL+"/view")
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/view status %d: %s", resp.StatusCode, httpBody)
+			expect := func(label string, answers [][]answer, want func(shard int) []int, stored, stitched int64) {
+				t.Helper()
+				for i, got := range answers {
+					var statuses []int
+					for _, a := range got {
+						statuses = append(statuses, a.status)
+						if a.status == http.StatusNotModified && a.bytes != 0 {
+							t.Fatalf("%s: shard %d answered 304 with %d body bytes", label, i, a.bytes)
+						}
+					}
+					if w := want(i); fmt.Sprint(statuses) != fmt.Sprint(w) {
+						t.Fatalf("%s: shard %d answered %v, want %v", label, i, statuses, w)
+					}
+				}
+				reg := obsv.Registry()
+				if got := reg.Counter("cluster.view.stored").Value(); got != stored {
+					t.Fatalf("%s: cluster.view.stored = %d, want %d", label, got, stored)
+				}
+				if got := reg.Counter("cluster.view.stitched").Value(); got != stitched {
+					t.Fatalf("%s: cluster.view.stitched = %d, want %d", label, got, stitched)
+				}
 			}
-			ref, err := ViewFromStreams(tc.plan, tc.streams)
+			every := func(statuses ...int) func(int) []int { return func(int) []int { return statuses } }
+
+			first, answers := read("first read")
+			expect("first read", answers, every(http.StatusOK), 0, 1)
+			second, answers := read("second read")
+			if !bytes.Equal(second, first) {
+				t.Fatal("the stored read differs from the stitched one")
+			}
+			expect("second read", answers, every(http.StatusNotModified), 1, 1)
+
+			addTo(0)
+			third, answers := read("after an Add")
+			if bytes.Equal(third, second) {
+				t.Fatal("the view did not change after an Add")
+			}
+			expect("after an Add", answers, func(i int) []int {
+				if i == 0 {
+					return []int{http.StatusOK}
+				}
+				return []int{http.StatusNotModified, http.StatusOK}
+			}, 1, 2)
+			fourth, answers := read("stored after the Add")
+			if !bytes.Equal(fourth, third) {
+				t.Fatal("the stored read differs from the stitched one after the Add")
+			}
+			expect("stored after the Add", answers, every(http.StatusNotModified), 2, 2)
+
+			// Eight concurrent reads after an Add to the last shard race to
+			// stitch and store; each gets the new reference bytes.
+			addTo(shards - 1)
+			want := reference()
+			bodies := make([][]byte, 8)
+			var wg sync.WaitGroup
+			for i := range bodies {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Get(tc.front.URL + "/view")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					if bodies[i], err = io.ReadAll(resp.Body); err != nil {
+						t.Error(err)
+					}
+				}(i)
+			}
+			wg.Wait()
+			for i, body := range bodies {
+				if !bytes.Equal(body, want) {
+					t.Fatalf("concurrent read %d != in-process reference:\nhttp: %s\nref:  %s", i, body, want)
+				}
+			}
+			reg := obsv.Registry()
+			if got := reg.Counter("cluster.view.stored").Value() + reg.Counter("cluster.view.stitched").Value(); got != 4+8 {
+				t.Fatalf("%d /view reads counted, want 12", got)
+			}
+		})
+	}
+}
+
+// TestStoredViewReadAllocs: a stored /view read of an unchanged two-shard
+// cluster fetches no shard body bytes, and its allocations — coordinator
+// and shards run in one process, the shards over an in-process transport —
+// do not grow with the partition, in the manner of the server's
+// TestViewReadAllocs. Each read starts goroutines, and under the race
+// detector goroutine starts allocate a varying few (145 allocations per read
+// without it, 146 to 148 with it), so the 16² and 128² counts may differ by
+// up to 3; a read that re-stitched allocates 620 times at 16² and 21,506
+// times at 128².
+func TestStoredViewReadAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		p, err := NewPlan(n, n, testBounds(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := newAnswerLog(2)
+		transport := handlerTransport{}
+		var backends []string
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := range p.Bands {
+			s, err := NewShard(p, i, testAttrs(), stream.Options{Threshold: 0.5, Schedule: core.ScheduleGeometric})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var refBuf bytes.Buffer
-			if err := json.NewEncoder(&refBuf).Encode(ref); err != nil {
+			for _, rec := range testRecords(rng, p.Bands[i].Bounds, n*n) {
+				if err := s.Add(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Current(); err != nil { // repartition before any deadline runs
 				t.Fatal(err)
 			}
-			if !bytes.Equal(httpBody, refBuf.Bytes()) {
-				t.Fatalf("HTTP view != in-process reference:\nhttp: %s\nref:  %s", httpBody, refBuf.Bytes())
+			srv, err := server.New(server.Config{Source: s})
+			if err != nil {
+				t.Fatal(err)
 			}
+			host := fmt.Sprintf("shard%d", i)
+			transport[host] = log.wrap(i, srv.Handler())
+			backends = append(backends, "http://"+host)
+		}
+		// The first read decodes and stitches the whole partition, slowly
+		// under the race detector; the deadlines leave it room.
+		c, err := New(Config{Plan: p, Backends: backends, Client: &http.Client{Transport: transport},
+			ShardTimeout: time.Minute, RequestTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdownCoordinator(t, c)
+		h := c.Handler()
+		read := func() {
+			w := &sinkWriter{header: http.Header{}}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/view", nil))
+			if w.status != http.StatusOK || w.header.Get("Content-Length") != strconv.Itoa(w.n) {
+				t.Fatalf("%d²: /view = %d with Content-Length %q for %d bytes", n, w.status, w.header.Get("Content-Length"), w.n)
+			}
+		}
+		read() // stitches and stores
+		read() // the shards encode their bodies' tags on the first read; serve stored from here
+		log.take()
+		a := testing.AllocsPerRun(20, read)
+		for i, answers := range log.take() {
+			if len(answers) != 21 { // AllocsPerRun's warm-up call, then 20
+				t.Fatalf("%d²: shard %d answered %d requests, want 21", n, i, len(answers))
+			}
+			for _, ans := range answers {
+				if ans.status != http.StatusNotModified || ans.bytes != 0 {
+					t.Fatalf("%d²: shard %d answered a stored read with %d and %d body bytes", n, i, ans.status, ans.bytes)
+				}
+			}
+		}
+		return a
+	}
+	small, large := allocs(16), allocs(128)
+	t.Logf("stored /view: %.0f allocations at 16², %.0f at 128²", small, large)
+	if large > small+3 {
+		t.Errorf("stored /view allocations grow with the partition: %.0f → %.0f (16² → 128²)", small, large)
+	}
+}
+
+// answer is one shard response as its handler wrote it.
+type answer struct{ status, bytes int }
+
+// answerLog wraps shard handlers and records, per shard, the status and body
+// bytes of every /view answer.
+type answerLog struct {
+	mu      sync.Mutex
+	answers [][]answer
+}
+
+func newAnswerLog(shards int) *answerLog { return &answerLog{answers: make([][]answer, shards)} }
+
+func (l *answerLog) wrap(i int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		aw := &answerWriter{ResponseWriter: w}
+		h.ServeHTTP(aw, r)
+		if r.URL.Path == "/view" {
+			l.mu.Lock()
+			l.answers[i] = append(l.answers[i], aw.a)
+			l.mu.Unlock()
+		}
+	})
+}
+
+// take returns the answers recorded since the last take.
+func (l *answerLog) take() [][]answer {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.answers
+	l.answers = make([][]answer, len(out))
+	return out
+}
+
+// answerWriter records the status and body bytes a handler writes.
+type answerWriter struct {
+	http.ResponseWriter
+	a answer
+}
+
+func (w *answerWriter) WriteHeader(status int) {
+	if w.a.status == 0 {
+		w.a.status = status
+	}
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (w *answerWriter) Write(b []byte) (int, error) {
+	if w.a.status == 0 {
+		w.a.status = http.StatusOK
+	}
+	w.a.bytes += len(b)
+	return w.ResponseWriter.Write(b)
+}
+
+// handlerTransport serves each request in process with the handler of its
+// URL's host, so an allocation count sees no network.
+type handlerTransport map[string]http.Handler
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t[r.URL.Host].ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// sinkWriter is a ResponseWriter that counts the body bytes instead of
+// keeping them.
+type sinkWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *sinkWriter) Header() http.Header { return w.header }
+
+func (w *sinkWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *sinkWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	w.n += len(b)
+	return len(b), nil
+}
+
+// TestStoredDegradedViewWarns: a view stitched from a shard that serves a
+// degraded body, and no missing shard, is stored like any other, and a read
+// served from it carries the Warning: 110 and degraded=true of the read
+// that stitched it.
+func TestStoredDegradedViewWarns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	obsv := obs.New()
+	tc := startCluster(t, 10, 5, 2, testRecords(rng, testBounds(), 400), func(cfg *Config) {
+		cfg.Obs = obsv
+	}, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		// Shard 1 serves its view flagged degraded, as a stream serves its
+		// last-good view, through the stored-body helper: with an ETag,
+		// answering If-None-Match.
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/view" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			inner := r.Clone(r.Context())
+			inner.Header.Del("If-None-Match")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, inner)
+			var v server.ViewBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+				t.Errorf("shard 1 view: %v", err)
+				return
+			}
+			v.Degraded = true
+			body, err := server.EncodeBody(v)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			w.Header().Set("Warning", `110 - "serving last-good degraded view"`)
+			body.Write(w, r)
 		})
+	})
+	var first []byte
+	for read := 0; read < 2; read++ { // stitched, then stored
+		resp, body := getBody(t, tc.front.URL+"/view")
+		var cv ViewBody
+		if err := json.Unmarshal(body, &cv); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Warning"), "110 ") ||
+			!cv.Degraded || len(cv.MissingShards) != 0 {
+			t.Fatalf("read %d: status %d Warning %q degraded=%t missing=%v, want 200, a 110 Warning, degraded and no shard missing",
+				read, resp.StatusCode, resp.Header.Get("Warning"), cv.Degraded, cv.MissingShards)
+		}
+		if read == 0 {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Fatal("the stored degraded read differs from the stitched one")
+		}
+	}
+	reg := obsv.Registry()
+	if stored, stitched := reg.Counter("cluster.view.stored").Value(), reg.Counter("cluster.view.stitched").Value(); stored != 1 || stitched != 1 {
+		t.Fatalf("%d stored and %d stitched reads, want 1 and 1", stored, stitched)
 	}
 }
 

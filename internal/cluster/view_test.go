@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spatialrepart/internal/obs"
 	"spatialrepart/internal/server"
 )
 
@@ -245,23 +246,48 @@ func bandView(rows, cols, valid int, ifl float64, includeGroups bool) server.Vie
 }
 
 // TestMalformedShardPayloadGoesMissing: a shard /view body or groups=false
-// summary that does not fit its band is rejected whole. The shard is listed
-// in missing_shards of a 200 + Warning: 110 response, the healthy shard's
-// groups (or counts and IFL) are served unchanged, and no rejection counts as
-// a breaker failure.
+// summary that does not fit its band is rejected whole, and so is a 304
+// answer to a request that named no ETag. The shard is listed in
+// missing_shards of a 200 + Warning: 110 response, the healthy shard's
+// groups (or counts and IFL) are served unchanged, no rejection counts as a
+// breaker failure, and no view with a rejected shard is stored.
 func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var mutate atomic.Pointer[func(*server.ViewBody)]
-	tc := startCluster(t, 10, 6, 2, testRecords(rng, testBounds(), 700), nil, func(i int, h http.Handler) http.Handler {
-		if i != 1 {
-			return h
+	var notModified atomic.Bool      // shard 1 answers every /view with 304
+	var notModifiedHits atomic.Int64 // /view requests shard 1 answered with 304
+	var conditional0 atomic.Int64    // /view requests shard 0 got with If-None-Match
+	obsv := obs.New()
+	tc := startCluster(t, 10, 6, 2, testRecords(rng, testBounds(), 700), func(cfg *Config) {
+		cfg.Obs = obsv
+	}, func(i int, h http.Handler) http.Handler {
+		if i == 0 {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/view" && r.Header.Get("If-None-Match") != "" {
+					conditional0.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/view" && notModified.Load() {
+				notModifiedHits.Add(1)
+				if tag := r.Header.Get("If-None-Match"); tag != "" {
+					t.Errorf("shard 1 asked for /view with If-None-Match %s, want an unconditional request", tag)
+				}
+				w.WriteHeader(http.StatusNotModified)
+				return
+			}
 			m := mutate.Load()
 			if r.URL.Path != "/view" || m == nil {
 				h.ServeHTTP(w, r)
 				return
 			}
+			// The inner call names no ETag, so it always answers with a body
+			// to mutate; the mutated body goes out under the inner body's
+			// ETag, so only the band check keeps it out of the store.
+			r = r.Clone(r.Context())
+			r.Header.Del("If-None-Match")
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			var v server.ViewBody
@@ -270,14 +296,26 @@ func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 				return
 			}
 			(*m)(&v)
+			w.Header().Set("ETag", rec.Header().Get("ETag"))
 			json.NewEncoder(w).Encode(v)
 		})
 	})
+	viewReads := func() (stored, stitched int64) {
+		reg := obsv.Registry()
+		return reg.Counter("cluster.view.stored").Value(), reg.Counter("cluster.view.stitched").Value()
+	}
 
 	_, body := getBody(t, tc.front.URL+"/view")
 	var healthy ViewBody
 	if err := json.Unmarshal(body, &healthy); err != nil {
 		t.Fatal(err)
+	}
+	// The healthy view is stored: the next read revalidates it and serves it.
+	if _, again := getBody(t, tc.front.URL+"/view"); !bytes.Equal(again, body) {
+		t.Fatalf("stored read differs from the stitched one:\ngot  %s\nwant %s", again, body)
+	}
+	if stored, stitched := viewReads(); stored != 1 || stitched != 1 {
+		t.Fatalf("healthy reads: %d stored, %d stitched, want 1 and 1", stored, stitched)
 	}
 	var shard0 []server.GroupBody
 	for _, g := range healthy.CellGroups {
@@ -355,6 +393,36 @@ func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 				c.name, cv.Groups, cv.ValidGroups, cv.IFL, len(shard0), valid0, healthy.Shards[0].IFL)
 		}
 	}
+	notModified.Store(true) // the wrapper checks it before any mutation
+	cv := reject("304 to an unconditional request", "/view", nil)
+	if got, _ := json.Marshal(cv.CellGroups); !bytes.Equal(got, want0) {
+		t.Fatalf("304 to an unconditional request: shard 0's groups changed:\ngot  %s\nwant %s", got, want0)
+	}
+	if got := notModifiedHits.Load(); got != 1 {
+		t.Fatalf("shard 1 was asked %d times for a view it answered with 304, want once", got)
+	}
+	notModified.Store(false)
+	mutate.Store(nil)
+
+	// Only the first rejected read revalidated the healthy stored view, and
+	// it dropped it: had a view with a rejected shard been stored, a later
+	// read would have sent shard 0 its tag. Once shard 1 heals, the view is
+	// stitched and stored again.
+	if got := conditional0.Load(); got != 2 {
+		t.Fatalf("shard 0 got %d conditional /view requests, want 2 (the healthy stored read, the first rejected read)", got)
+	}
+	if _, again := getBody(t, tc.front.URL+"/view"); !bytes.Equal(again, body) {
+		t.Fatalf("healed view differs from the healthy one:\ngot  %s\nwant %s", again, body)
+	}
+	if _, again := getBody(t, tc.front.URL+"/view"); !bytes.Equal(again, body) {
+		t.Fatalf("healed stored view differs from the healthy one:\ngot  %s\nwant %s", again, body)
+	}
+	if stored, stitched := viewReads(); stored != 2 || stitched != int64(2+len(cases)+1) {
+		t.Fatalf("%d stored and %d stitched /view reads, want 2 and %d", stored, stitched, 2+len(cases)+1)
+	}
+	if got := conditional0.Load(); got != 3 {
+		t.Fatalf("shard 0 got %d conditional /view requests, want 3", got)
+	}
 
 	_, body = getBody(t, tc.front.URL+"/stats")
 	var sb StatsBody
@@ -362,6 +430,6 @@ func TestMalformedShardPayloadGoesMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sb.Shards[1].Breaker != "closed" || sb.Shards[1].Failures != 0 {
-		t.Fatalf("%d rejected payloads reached the breaker: %+v", len(cases)+len(summaryCases), sb.Shards[1])
+		t.Fatalf("%d rejected payloads reached the breaker: %+v", len(cases)+len(summaryCases)+1, sb.Shards[1])
 	}
 }

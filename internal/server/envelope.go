@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -390,4 +394,64 @@ func WriteJSON(w http.ResponseWriter, v any) error {
 		return fmt.Errorf("encoding response: %w", err)
 	}
 	return nil
+}
+
+// StoredBody is a JSON response body encoded once and written on many reads:
+// the bytes WriteJSON writes for its value, their Content-Length, and a
+// strong ETag, the quoted hex of the first 16 bytes of their SHA-256. The
+// tag names the content, never a generation number: generations restart
+// with the process, so a restored shard can serve other bytes under a number
+// it has used before, while equal bytes get equal tags in any process.
+type StoredBody struct {
+	json   []byte
+	length string
+	etag   string
+}
+
+// EncodeBody encodes v into a StoredBody.
+func EncodeBody(v any) (*StoredBody, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("encoding response: %w", err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return &StoredBody{
+		json:   buf.Bytes(),
+		length: strconv.Itoa(buf.Len()),
+		etag:   `"` + hex.EncodeToString(sum[:16]) + `"`,
+	}, nil
+}
+
+// Write answers r with the stored body: 304 Not Modified with no body when
+// r's If-None-Match names the body's ETag, else 200 with Content-Type and
+// Content-Length. Both carry the ETag, and headers already set on w, such as
+// a degraded view's Warning, go out with either.
+func (b *StoredBody) Write(w http.ResponseWriter, r *http.Request) error {
+	h := w.Header()
+	h.Set("ETag", b.etag)
+	if matchesETag(r.Header.Get("If-None-Match"), b.etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return nil
+	}
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", b.length)
+	if _, err := w.Write(b.json); err != nil {
+		return fmt.Errorf("writing response: %w", err)
+	}
+	return nil
+}
+
+// matchesETag reports whether an If-None-Match list names tag: "*" or the
+// tag itself, with or without the W/ prefix (If-None-Match compares weakly,
+// RFC 9110 §13.1.2).
+func matchesETag(list, tag string) bool {
+	for list != "" {
+		var item string
+		item, list, _ = strings.Cut(list, ",")
+		item = strings.TrimSpace(item)
+		if item == "*" || strings.TrimPrefix(item, "W/") == tag {
+			return true
+		}
+	}
+	return false
 }

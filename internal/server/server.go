@@ -20,7 +20,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -256,27 +255,22 @@ func (s *Server) currentView(ctx context.Context, w http.ResponseWriter) (stream
 
 // handleView serves the current re-partitioned view: GET /view
 // (?groups=false omits the per-group list for a cheap summary). Each body is
-// encoded once per served view, by the first read that asks for it, and
-// later reads of the same view write the stored bytes.
+// encoded and tagged once per served view, by the first read that asks for
+// it; later reads of the same view write the stored bytes, or answer 304
+// when their If-None-Match names its ETag.
 func (s *Server) handleView(w http.ResponseWriter, r *http.Request) error {
 	v, err := s.currentView(r.Context(), w)
 	if err != nil {
 		return err
 	}
-	body := s.viewBytesOf(v).encoded(v, r.URL.Query().Get("groups") != "false")
-	if body.err != nil {
-		return body.err
+	body, err := s.viewBytesOf(v).encoded(v, r.URL.Query().Get("groups") != "false")
+	if err != nil {
+		return err
 	}
 	if r.Context().Err() != nil {
 		return ErrTimeout.WithDetail("deadline expired before the view was written")
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", body.length)
-	if _, err := w.Write(body.json); err != nil {
-		return fmt.Errorf("writing response: %w", err)
-	}
-	return nil
+	return body.Write(w, r)
 }
 
 // viewBytes holds the encoded /view bodies of one served view. The key is
@@ -288,15 +282,8 @@ type viewBytes struct {
 	generation int
 	degraded   bool
 	once       [2]sync.Once // [0] the groups=false summary, [1] the full view
-	bodies     [2]encodedBody
-}
-
-// encodedBody is one stored response body: the bytes WriteJSON would write
-// for it and their Content-Length, or why it could not be encoded.
-type encodedBody struct {
-	json   []byte
-	length string
-	err    error
+	bodies     [2]*StoredBody
+	errs       [2]error // why a body could not be encoded
 }
 
 // viewBytesOf returns the stored bodies of v, replacing those of any other
@@ -313,21 +300,15 @@ func (s *Server) viewBytesOf(v stream.View) *viewBytes {
 
 // encoded returns v's body with or without the group list, encoding it on
 // the first call; concurrent first calls wait for that one encode.
-func (vb *viewBytes) encoded(v stream.View, includeGroups bool) *encodedBody {
+func (vb *viewBytes) encoded(v stream.View, includeGroups bool) (*StoredBody, error) {
 	i := 0
 	if includeGroups {
 		i = 1
 	}
-	b := &vb.bodies[i]
 	vb.once[i].Do(func() {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(ViewBodyOf(v, includeGroups)); err != nil {
-			b.err = fmt.Errorf("encoding response: %w", err)
-			return
-		}
-		b.json, b.length = buf.Bytes(), strconv.Itoa(buf.Len())
+		vb.bodies[i], vb.errs[i] = EncodeBody(ViewBodyOf(v, includeGroups))
 	})
-	return b
+	return vb.bodies[i], vb.errs[i]
 }
 
 // handleGroup serves one cell-group: GET /group?id=N.

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,11 +37,27 @@ func viewTarget(groups bool) string {
 	return "/view?groups=false"
 }
 
-// getView reads /view (or its summary) and checks the status and the
-// Content-Length header against the body.
-func getView(t *testing.T, base string, groups bool) (http.Header, []byte) {
+// etagOf is the ETag a stored body must carry: the quoted hex of the first
+// 16 bytes of its SHA-256.
+func etagOf(body []byte) string {
+	sum := sha256.Sum256(body)
+	return `"` + hex.EncodeToString(sum[:16]) + `"`
+}
+
+// readView reads /view (or its summary), sending ifNoneMatch in
+// If-None-Match when it is non-empty. A 200 must carry a Content-Length equal
+// to its body's and the ETag recomputed from its bytes; a 304 must carry an
+// ETag and no body.
+func readView(t *testing.T, base string, groups bool, ifNoneMatch string) (int, http.Header, []byte) {
 	t.Helper()
-	resp, err := http.Get(base + viewTarget(groups))
+	req, err := http.NewRequest(http.MethodGet, base+viewTarget(groups), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +66,31 @@ func getView(t *testing.T, base string, groups bool) (http.Header, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s = %d: %s", viewTarget(groups), resp.StatusCode, body)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: Content-Length %q for a %d-byte body", viewTarget(groups), got, len(body))
+		}
+		if got, want := resp.Header.Get("ETag"), etagOf(body); got != want {
+			t.Fatalf("%s: ETag %s, the served bytes hash to %s", viewTarget(groups), got, want)
+		}
+	case http.StatusNotModified:
+		if len(body) != 0 || resp.Header.Get("ETag") == "" {
+			t.Fatalf("%s: 304 with ETag %q and a %d-byte body", viewTarget(groups), resp.Header.Get("ETag"), len(body))
+		}
 	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
-		t.Fatalf("%s: Content-Length %q for a %d-byte body", viewTarget(groups), got, len(body))
+	return resp.StatusCode, resp.Header, body
+}
+
+// getView reads /view (or its summary) unconditionally and checks that it
+// is a 200 with readView's headers.
+func getView(t *testing.T, base string, groups bool) (http.Header, []byte) {
+	t.Helper()
+	status, hdr, body := readView(t, base, groups, "")
+	if status != http.StatusOK {
+		t.Fatalf("%s = %d: %s", viewTarget(groups), status, body)
 	}
-	return resp.Header, body
+	return hdr, body
 }
 
 // fillStream adds n random records over a rows×cols stream's bounds.
@@ -83,21 +120,47 @@ func newViewStream(t *testing.T, n int) *stream.Repartitioner {
 // ViewBodyOf — for healthy and degraded views, with and without groups, when
 // only the dataset, only the generation or only the degraded flag changes,
 // for the next generation after an Add, and for concurrent first reads.
+// Every 200 carries the ETag hashed from its bytes, and each change of view
+// changes it. A read naming the current tag gets 304 with no body, the same
+// ETag and, for a degraded view, the Warning; a read naming the previous
+// view's tag gets the new body.
 func TestServedViewBytesMatchProjection(t *testing.T) {
 	src := readySource()
 	_, ts := newTestServer(t, Config{Source: src})
+	var prevTags [2]string // the previous view's ETags, full view and summary
 	check := func(name string, v stream.View) {
 		t.Helper()
-		for _, groups := range []bool{true, false} {
+		for k, groups := range []bool{true, false} {
+			want := projection(t, v, groups)
+			if prev := prevTags[k]; prev != "" {
+				status, _, body := readView(t, ts.URL, groups, prev)
+				if status != http.StatusOK || !bytes.Equal(body, want) {
+					t.Fatalf("%s, %s with the previous view's tag: status %d:\ngot  %s\nwant %s",
+						name, viewTarget(groups), status, body, want)
+				}
+			}
+			var tag string
 			for read := 0; read < 2; read++ { // the encoding read, then a stored one
 				hdr, body := getView(t, ts.URL, groups)
-				if want := projection(t, v, groups); !bytes.Equal(body, want) {
+				if !bytes.Equal(body, want) {
 					t.Fatalf("%s, %s read %d:\ngot  %s\nwant %s", name, viewTarget(groups), read, body, want)
 				}
 				if (hdr.Get("Warning") != "") != v.Degraded {
 					t.Fatalf("%s: Warning %q on a view with degraded=%t", name, hdr.Get("Warning"), v.Degraded)
 				}
+				tag = hdr.Get("ETag")
 			}
+			if tag == prevTags[k] {
+				t.Fatalf("%s, %s: ETag %s is the previous view's", name, viewTarget(groups), tag)
+			}
+			status, hdr, _ := readView(t, ts.URL, groups, tag)
+			if status != http.StatusNotModified || hdr.Get("ETag") != tag {
+				t.Fatalf("%s, %s with its own tag: status %d ETag %s, want 304 %s", name, viewTarget(groups), status, hdr.Get("ETag"), tag)
+			}
+			if warning := hdr.Get("Warning"); strings.HasPrefix(warning, "110 ") != v.Degraded {
+				t.Fatalf("%s: 304 with Warning %q on a view with degraded=%t", name, warning, v.Degraded)
+			}
+			prevTags[k] = tag
 		}
 	}
 	serve := func(v stream.View) {
@@ -181,10 +244,11 @@ func TestServedViewBytesMatchProjection(t *testing.T) {
 }
 
 // TestViewReadAllocs: a repeated /view or summary read of an unchanged stream
-// writes stored bytes, so its allocations do not grow with the partition —
-// the same count on a 16² and a 128² stream.
+// writes stored bytes, and a /view read naming the stored ETag writes a 304,
+// so their allocations do not grow with the partition — the same count on a
+// 16² and a 128² stream.
 func TestViewReadAllocs(t *testing.T) {
-	allocs := func(n int) (view, summary float64) {
+	allocs := func(n int) (view, summary, notModified float64) {
 		s := newViewStream(t, n)
 		fillStream(t, s, rand.New(rand.NewSource(int64(n))), 4*n*n)
 		srv, err := New(Config{Source: s})
@@ -192,30 +256,42 @@ func TestViewReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := srv.Handler()
-		read := func(target string) func() {
+		read := func(target, etag string) *countingWriter {
+			w := &countingWriter{header: http.Header{}, status: http.StatusOK}
+			r := httptest.NewRequest(http.MethodGet, target, nil)
+			if etag != "" {
+				r.Header.Set("If-None-Match", etag)
+			}
+			h.ServeHTTP(w, r)
+			return w
+		}
+		full := func(target string) func() {
 			return func() {
-				w := &countingWriter{header: http.Header{}, status: http.StatusOK}
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
-				if w.status != http.StatusOK || w.header.Get("Content-Length") != strconv.Itoa(w.n) {
+				if w := read(target, ""); w.status != http.StatusOK || w.header.Get("Content-Length") != strconv.Itoa(w.n) {
 					t.Fatalf("%s = %d with Content-Length %q for %d bytes", target, w.status, w.header.Get("Content-Length"), w.n)
 				}
 			}
 		}
-		v, sm := read("/view"), read("/view?groups=false")
-		v() // the reads that encode
+		v, sm := full("/view"), full("/view?groups=false")
+		etag := read("/view", "").header.Get("ETag") // the reads that encode
 		sm()
 		if st := s.Stats(); st.Generation != 1 {
 			t.Fatalf("%d²: generation %d after the first reads", n, st.Generation)
 		}
-		return testing.AllocsPerRun(20, v), testing.AllocsPerRun(20, sm)
+		nm := func() {
+			if w := read("/view", etag); w.status != http.StatusNotModified || w.n != 0 {
+				t.Fatalf("/view with If-None-Match %s = %d with %d bytes", etag, w.status, w.n)
+			}
+		}
+		return testing.AllocsPerRun(20, v), testing.AllocsPerRun(20, sm), testing.AllocsPerRun(20, nm)
 	}
-	smallView, smallSummary := allocs(16)
-	largeView, largeSummary := allocs(128)
-	t.Logf("/view: %.0f allocations at 16², %.0f at 128²; summary: %.0f and %.0f",
-		smallView, largeView, smallSummary, largeSummary)
-	if largeView != smallView || largeSummary != smallSummary {
-		t.Errorf("allocations grow with the partition: /view %.0f → %.0f, summary %.0f → %.0f (16² → 128²)",
-			smallView, largeView, smallSummary, largeSummary)
+	smallView, smallSummary, small304 := allocs(16)
+	largeView, largeSummary, large304 := allocs(128)
+	t.Logf("/view: %.0f allocations at 16², %.0f at 128²; summary: %.0f and %.0f; 304: %.0f and %.0f",
+		smallView, largeView, smallSummary, largeSummary, small304, large304)
+	if largeView != smallView || largeSummary != smallSummary || large304 != small304 {
+		t.Errorf("allocations grow with the partition: /view %.0f → %.0f, summary %.0f → %.0f, 304 %.0f → %.0f (16² → 128²)",
+			smallView, largeView, smallSummary, largeSummary, small304, large304)
 	}
 }
 

@@ -242,6 +242,16 @@ func TestReplayWALRejectsNaNCoordinate(t *testing.T) {
 	}
 }
 
+// TestReplayWALNamesSchemaChange: a WAL record with more values than the
+// stream has attributes fails replay with an error that names the likely
+// cause, a schema changed under a live WAL.
+func TestReplayWALNamesSchemaChange(t *testing.T) {
+	err := replayRaw(t, grid.Record{Lat: 1, Lon: 1, Values: []float64{1, 10, 100}})
+	if err == nil || !strings.Contains(err.Error(), "has 3 values, want 2 (schema changed under a live WAL?)") {
+		t.Fatalf("replay of a 3-value record into a 2-attribute stream: err = %v, want the schema hint", err)
+	}
+}
+
 // replayRaw writes rec straight into a fresh WAL, bypassing Add, and returns
 // the error of replaying it into a 5×5 stream.
 func replayRaw(t *testing.T, rec grid.Record) error {

@@ -324,7 +324,11 @@ func (s *Repartitioner) ReplayWAL() (int, error) {
 		}
 		idx, ok, err := s.agg.Cell(rec)
 		if err != nil {
-			return fmt.Errorf("stream: wal record %d %w", seq, err)
+			hint := ""
+			if len(rec.Values) != len(s.agg.Attrs) {
+				hint = " (schema changed under a live WAL?)"
+			}
+			return fmt.Errorf("stream: wal record %d %w%s", seq, err, hint)
 		}
 		if !ok {
 			// Only appended records replay, and only in-bounds records are
