@@ -37,7 +37,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
 	workers := flag.Int("workers", 0, "goroutines per re-partitioning call (0 = all cores, 1 = sequential; results are identical either way)")
 	reportOut := flag.String("report", "", "write a JSON summary of every re-partitioning the experiments performed")
-	benchOut := flag.String("bench", "", "run only the instrumented repartition benchmark and write its JSON to this path (e.g. BENCH_repartition.json)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
@@ -59,20 +58,12 @@ func main() {
 		"model_size", cfg.ModelSize.Name, "thresholds", fmt.Sprint(cfg.Thresholds))
 
 	if *metricsAddr != "" {
-		_, addr, err := obs.Serve(*metricsAddr, benchRegistry)
+		_, addr, err := obs.Serve(*metricsAddr, obs.NewRegistry())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
 			os.Exit(1)
 		}
 		logger.Info("metrics endpoint up", "addr", addr)
-	}
-	if *benchOut != "" {
-		if err := runBench(*benchOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-		logger.Info("benchmark report written", "path", *benchOut)
-		return
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,5 +65,45 @@ func TestCSVExport(t *testing.T) {
 		if len(b) == 0 {
 			t.Fatalf("%s is empty", name)
 		}
+	}
+}
+
+func TestExperimentsReportCollector(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Collector = &experiments.Collector{}
+	if err := run("fig5", cfg); err != nil {
+		t.Fatal(err)
+	}
+	s := cfg.Collector.Summary(cfg)
+	if len(s.Runs) == 0 {
+		t.Fatal("collector recorded no runs")
+	}
+	if s.TotalRepartitionNS <= 0 || s.TotalEvaluations < s.TotalIterations || s.TotalIterations == 0 {
+		t.Errorf("summary aggregates wrong: %+v", s)
+	}
+	for _, r := range s.Runs {
+		if r.Report == nil || len(r.Report.Phases) == 0 {
+			t.Errorf("run %s/θ=%v has no report phases", r.Dataset, r.Theta)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Collector.WriteJSON(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed experiments.Summary
+	if err := json.Unmarshal(b, &parsed); err != nil {
+		t.Fatalf("summary JSON does not parse: %v", err)
+	}
+	if len(parsed.Runs) != len(s.Runs) {
+		t.Errorf("round-trip lost runs: %d vs %d", len(parsed.Runs), len(s.Runs))
 	}
 }

@@ -10,8 +10,8 @@ import (
 // precisely so the -race overload/degradation tests can advance time by
 // hand. A direct call into package time inside those packages silently
 // escapes the injected clock — the test still passes, but it is no
-// longer testing the timing it claims to, and a token-bucket refill or
-// backoff computed from the real clock under a fake one is the kind of
+// longer testing the timing it claims to, and a queue wait or a backoff
+// computed from the real clock under a fake one is the kind of
 // skew that only shows up as flake. Both calls and bare references
 // (`now: time.Now` passed as a value) are flagged; the sanctioned
 // real-clock bridges carry //spatialvet:ignore clockdirect <reason>.

@@ -86,16 +86,13 @@ func (b *backend) recordLatency(d time.Duration) {
 }
 
 // hedgeDelay returns the p99 of the recorded success latencies, and whether
-// enough samples exist (min) to hedge at all. Hedging off a handful of
-// samples would fire spurious duplicate reads on a cold cluster.
-func (b *backend) hedgeDelay(min int) (time.Duration, bool) {
+// enough samples exist (hedgeMinSamples) to hedge at all. Hedging off a
+// handful of samples would fire spurious duplicate reads on a cold cluster.
+func (b *backend) hedgeDelay() (time.Duration, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := b.latN
-	if n > latRingSize {
-		n = latRingSize
-	}
-	if n < min || n == 0 {
+	n := min(b.latN, latRingSize)
+	if n < hedgeMinSamples {
 		return 0, false
 	}
 	samples := make([]time.Duration, n)
@@ -124,7 +121,7 @@ type outcome struct {
 }
 
 // fetch performs one defended idempotent read against a backend: breaker
-// admission, up to 1+RetryMax attempts with the breaker's capped jittered
+// admission, up to 1+retryMax attempts with the breaker's capped jittered
 // backoff between them, per-attempt shard deadline, and optional hedging
 // (attempt launches a duplicate request after the backend's p99 delay and
 // takes whichever answers first). A non-empty etag goes out in If-None-Match
@@ -137,7 +134,7 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq, etag string) (f
 	defer sp.End()
 	label := strconv.Itoa(b.index)
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.RetryMax; attempt++ {
+	for attempt := 0; attempt <= retryMax; attempt++ {
 		now := c.Clock().Now()
 		b.mu.Lock()
 		allowed := b.brk.Allow(now)
@@ -181,13 +178,13 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq, etag string) (f
 		b.mu.Unlock()
 		c.count("cluster.backend.failures", label)
 		c.gaugeBreaker(b, state)
-		if state == breaker.Open || attempt == c.cfg.RetryMax || ctx.Err() != nil {
+		if state == breaker.Open || attempt == retryMax || ctx.Err() != nil {
 			break
 		}
 		// Honor the breaker's jittered backoff window before the next
-		// attempt — Allow would refuse an immediate retry anyway, and the
-		// shared jitter stream is what de-synchronizes a fleet of
-		// coordinators hammering the same recovering shard.
+		// attempt — Allow would refuse an immediate retry anyway. Each
+		// backend draws its own jitter stream, so one coordinator's retries
+		// against different shards do not fire in lockstep.
 		if wait := retryAt.Sub(failedAt); wait > 0 {
 			select {
 			case <-c.Clock().After(wait):
@@ -207,7 +204,7 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, pq, etag string) 
 	if ferr := c.flt.Hit("cluster.fetch"); ferr != nil {
 		return fetchResult{}, 0, fmt.Errorf("cluster: shard %d: %w", b.index, ferr)
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+	actx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 
 	ch := make(chan outcome, 2)
@@ -219,8 +216,8 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, pq, etag string) 
 	go do(false)
 
 	var hedgeTimer <-chan time.Time
-	if c.cfg.Hedge {
-		if d, ok := b.hedgeDelay(c.cfg.HedgeMinSamples); ok {
+	if c.hedge {
+		if d, ok := b.hedgeDelay(); ok {
 			hedgeTimer = c.Clock().After(d)
 		}
 	}

@@ -96,7 +96,7 @@ func (ks *killableShard) Close()                { ks.ts.Close() }
 //  2. shard 1 killed under load (SIGKILL semantics: the old process image is
 //     abandoned, nothing flushed)
 //  3. the cluster keeps serving 200 + Warning with shard 1 explicitly
-//     missing; the breaker opens after exactly 1+RetryMax transport failures
+//     missing; the breaker opens after exactly 1+retryMax transport failures
 //     and later fetches are refused locally (no new requests reach the dead
 //     shard); /readyz stays ready-but-degraded. The first degraded read drops
 //     the stored view, so every degraded read is stitched afresh and none
@@ -195,14 +195,9 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	defer client.CloseIdleConnections()
 	coord, err := New(Config{
 		Plan: p, Backends: backends,
-		Client:           client,
-		Clock:            clock,
-		Obs:              obsv,
-		RetryMax:         2,
-		FailureThreshold: 3,
-		InitialBackoff:   100 * time.Millisecond,
-		MaxBackoff:       time.Second,
-		JitterSeed:       42,
+		Client: client,
+		Clock:  clock,
+		Obs:    obsv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,9 +284,9 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	}
 
 	// ---- 4. exact counter reconciliation ----
-	// The first degraded /view burns the full retry budget (1+RetryMax = 3
+	// The first degraded /view burns the full retry budget (1+retryMax = 3
 	// transport failures) and opens the breaker exactly at
-	// FailureThreshold=3; each of the 4 later /view rounds is refused
+	// failureThreshold = 3; each of the 4 later /view rounds is refused
 	// locally without touching the wire.
 	downHits := shards[1].downHits.Load()
 	if downHits != 3 {
@@ -364,7 +359,7 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	shards[1].revive(srv.Handler())
 
 	// The open breaker refuses until its (jittered, capped) backoff deadline
-	// passes; advance the injected clock far beyond the 1s cap and the next
+	// passes; advance the injected clock beyond the 5 s cap and the next
 	// fetch is the half-open probe.
 	clock.Advance(10 * time.Second)
 	resp, body = getBody(t, front.URL+"/view")
@@ -420,8 +415,6 @@ func TestChaosInjectedFetchFaultsReconcile(t *testing.T) {
 		cfg.Clock = clock
 		cfg.Obs = obsv
 		cfg.Fault = inj
-		cfg.RetryMax = 2
-		cfg.FailureThreshold = 3
 	}, nil)
 
 	resp, body := getBody(t, tc.front.URL+"/view")
@@ -468,7 +461,7 @@ func TestChaosAllShardsDown(t *testing.T) {
 	clock := newFakeClock()
 	coord, err := New(Config{
 		Plan: p, Backends: []string{dead[0].ts.URL, dead[1].ts.URL},
-		Clock: clock, RetryMax: 1, FailureThreshold: 2,
+		Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -540,7 +533,7 @@ func TestChaosHedgedRequestWins(t *testing.T) {
 	coord, err := New(Config{
 		Plan: p, Backends: []string{backend.URL},
 		Clock: clock, Obs: obsv,
-		Hedge: true, HedgeMinSamples: 2,
+		Hedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -549,8 +542,8 @@ func TestChaosHedgedRequestWins(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	defer front.Close()
 
-	// Prime the latency ring past HedgeMinSamples.
-	for i := 0; i < 3; i++ {
+	// Prime the latency ring with hedgeMinSamples successes.
+	for i := 0; i < hedgeMinSamples; i++ {
 		resp, _ := getBody(t, front.URL+"/view")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("prime %d: status %d", i, resp.StatusCode)

@@ -18,14 +18,25 @@ import (
 	"spatialrepart/internal/server"
 )
 
-// Defaults for the zero Config fields.
+// The coordinator's shard-fetch policy (DESIGN.md §3.20). Its routes run on
+// server.Envelope, whose limits are the server package's constants.
 const (
-	DefaultShardTimeout     = 2 * time.Second
-	DefaultRetryMax         = 2
-	DefaultFailureThreshold = 3
-	DefaultInitialBackoff   = 50 * time.Millisecond
-	DefaultMaxBackoff       = 5 * time.Second
-	DefaultHedgeMinSamples  = 8
+	// shardTimeout bounds one shard attempt.
+	shardTimeout = 2 * time.Second
+	// retryMax is the number of additional attempts per shard fetch after
+	// the first fails retryably (reads are idempotent GETs).
+	retryMax = 2
+	// failureThreshold consecutive failures open a backend's breaker.
+	failureThreshold = 3
+	// initialBackoff and maxBackoff bound the per-backend retry backoff.
+	initialBackoff = 50 * time.Millisecond
+	maxBackoff     = 5 * time.Second
+	// jitterSeed seeds the backoff jitter: backend i draws from the stream
+	// seeded jitterSeed+i+1.
+	jitterSeed = 1
+	// hedgeMinSamples recorded successes gate hedging, so the p99 it hedges
+	// after is a real estimate.
+	hedgeMinSamples = 8
 )
 
 // Config parameterizes a Coordinator. Plan and Backends are required and
@@ -40,40 +51,10 @@ type Config struct {
 	// cloned default transport, so Shutdown's CloseIdleConnections never
 	// touches unrelated traffic).
 	Client *http.Client
-	// ShardTimeout bounds one shard attempt (default 2s).
-	ShardTimeout time.Duration
-	// RetryMax is the number of ADDITIONAL attempts per shard fetch after
-	// the first fails retryably (default 2; reads are idempotent GETs).
-	RetryMax int
-	// FailureThreshold consecutive failures open a backend's breaker
-	// (default 3).
-	FailureThreshold int
-	// InitialBackoff/MaxBackoff bound the per-backend retry backoff
-	// (defaults 50ms / 5s).
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
-	// JitterSeed seeds the deterministic backoff jitter; backend i draws
-	// from stream seed+i, the shed Retry-After hints from stream seed
-	// (0 = a fixed default).
-	JitterSeed int64
-	// Hedge enables hedged reads: once a backend has HedgeMinSamples
+	// Hedge enables hedged reads: once a backend has hedgeMinSamples
 	// recorded successes, a duplicate request launches after its observed
 	// p99 latency and the first answer wins.
 	Hedge bool
-	// HedgeMinSamples gates hedging until the latency estimate is real
-	// (default 8).
-	HedgeMinSamples int
-
-	// MaxInFlight/MaxQueue/QueueWait/RequestTimeout configure the request
-	// envelope the coordinator shares with the shard server
-	// (server.Envelope; defaults 64/16/100ms/5s, negative counts rejected).
-	MaxInFlight    int
-	MaxQueue       int
-	QueueWait      time.Duration
-	RequestTimeout time.Duration
-	// RetryAfter is the Retry-After hint attached to shed responses,
-	// jittered per response into [RetryAfter/2, RetryAfter) (default 1s).
-	RetryAfter time.Duration
 
 	// Obs, when non-nil, receives the coordinator metrics (per-backend
 	// breaker gauges, retry/hedge counters, the envelope's admission and
@@ -98,7 +79,7 @@ type Config struct {
 // /view?groups=false summary reads only their summaries.
 type Coordinator struct {
 	*server.Envelope
-	cfg      Config
+	hedge    bool
 	plan     Plan
 	backends []*backend
 	client   *http.Client
@@ -109,8 +90,7 @@ type Coordinator struct {
 	view atomic.Pointer[stitched] // the stored /view body, nil while none
 }
 
-// New validates cfg, applies defaults, and returns a ready-to-mount
-// Coordinator.
+// New validates cfg and returns a ready-to-mount Coordinator.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Plan.Bands) == 0 {
 		return nil, fmt.Errorf("cluster: Config.Plan is required (see NewPlan)")
@@ -124,44 +104,10 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: backend %d: invalid base URL %q", i, b)
 		}
 	}
-	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = DefaultShardTimeout
-	}
-	if cfg.RetryMax < 0 {
-		return nil, fmt.Errorf("cluster: negative RetryMax %d", cfg.RetryMax)
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultFailureThreshold
-	}
-	if cfg.InitialBackoff <= 0 {
-		cfg.InitialBackoff = DefaultInitialBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = DefaultHedgeMinSamples
-	}
-	env, err := server.NewEnvelope("cluster", server.Config{
-		MaxInFlight:          cfg.MaxInFlight,
-		MaxQueue:             cfg.MaxQueue,
-		QueueWait:            cfg.QueueWait,
-		RequestTimeout:       cfg.RequestTimeout,
-		RetryAfter:           cfg.RetryAfter,
-		RetryAfterJitterSeed: cfg.JitterSeed,
-		Obs:                  cfg.Obs,
-		Fault:                cfg.Fault,
-		Clock:                cfg.Clock,
-	})
-	if err != nil {
-		return nil, err
-	}
+	env := server.NewEnvelope("cluster", cfg.Obs, cfg.Fault, cfg.Clock, nil)
 	c := &Coordinator{
 		Envelope: env,
-		cfg:      cfg,
+		hedge:    cfg.Hedge,
 		plan:     cfg.Plan,
 		obs:      cfg.Obs,
 		flt:      cfg.Fault,
@@ -171,17 +117,13 @@ func New(cfg Config) (*Coordinator, error) {
 		c.client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 		c.ownsClnt = true
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	for i, base := range cfg.Backends {
 		band := cfg.Plan.Bands[i]
 		c.backends = append(c.backends, &backend{
 			index:   i,
 			base:    base,
 			maxBody: shardBodyFloor + shardBodyPerCell*int64(band.Rows())*int64(cfg.Plan.Cols),
-			brk:     breaker.New(cfg.FailureThreshold, cfg.InitialBackoff, cfg.MaxBackoff, seed+int64(i)+1),
+			brk:     breaker.New(failureThreshold, initialBackoff, maxBackoff, jitterSeed+int64(i)+1),
 		})
 	}
 	env.Probe("/healthz", c.handleHealthz)

@@ -684,6 +684,10 @@ func TestRunReportPopulated(t *testing.T) {
 			t.Errorf("phase %q missing or empty: %+v", phase, rep.Phases)
 		}
 	}
+	// The phases describe this run only: one rung.eval span per evaluation.
+	if got := rep.Phases["rung.eval"].Count; got != int64(rep.Evaluations) {
+		t.Errorf("%d rung.eval spans for %d evaluations", got, rep.Evaluations)
+	}
 	if rp.NumGroups() != rep.Groups || rp.ValidGroups() != rep.ValidGroups {
 		t.Errorf("report group counts disagree with result")
 	}

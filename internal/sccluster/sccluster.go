@@ -164,10 +164,23 @@ type merge struct {
 	va, vb int
 }
 
+// mergeHeap pops the cheapest merge first, ties broken on the pair (a, b):
+// entries are pushed while ranging over the adjacency maps, in Go's random
+// map order, so without a total order equal costs would pop in a different
+// order on every run and the same input could cluster differently.
 type mergeHeap []merge
 
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].cost < h[j].cost }
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	x, y := h[i], h[j]
+	if x.cost != y.cost {
+		return x.cost < y.cost
+	}
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
+}
 func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(merge)) }
 func (h *mergeHeap) Pop() interface{} {

@@ -168,3 +168,26 @@ func connected(g *grid.Grid, members []int) bool {
 	}
 	return len(seen) == len(members)
 }
+
+// TestReduceGridDeterministic: repeated calls on one grid return the same
+// clustering. Equal Ward costs are common on a grid of repeated values, and
+// the merge heap is filled in map order, so without a total order on merges
+// the labels changed from call to call.
+func TestReduceGridDeterministic(t *testing.T) {
+	g := datagen.TaxiTripsUni(42, 36, 36).Grid
+	want, err := ReduceGrid(g, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		got, err := ReduceGrid(g, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx := range want.Assign {
+			if got.Assign[idx] != want.Assign[idx] {
+				t.Fatalf("call %d: cell %d in cluster %d, first call put it in %d", i+1, idx, got.Assign[idx], want.Assign[idx])
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
@@ -102,6 +103,38 @@ func getStatus(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, resp.Header.Get("Retry-After")
 }
 
+// gatedSource is a ready stub whose every CurrentCtx blocks on its gate, so
+// each /view request holds its in-flight slot until the gate closes.
+// entered holds one send per in-flight slot, so no handler blocks on it.
+func gatedSource() *stubSource {
+	return &stubSource{
+		view:    testView(1, false),
+		stats:   stream.Stats{HasView: true, Generation: 1},
+		entered: make(chan struct{}, maxInFlight),
+		gate:    make(chan struct{}),
+	}
+}
+
+// occupy issues maxInFlight GETs of /view and returns once every one holds an
+// in-flight slot inside the gated source. Each request's status arrives on
+// the returned channel once the gate opens.
+func occupy(t *testing.T, wg *sync.WaitGroup, url string, src *stubSource) chan int {
+	t.Helper()
+	statuses := make(chan int, maxInFlight)
+	for i := 0; i < maxInFlight; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, _ := getStatus(t, url+"/view")
+			statuses <- status
+		}()
+	}
+	for i := 0; i < maxInFlight; i++ {
+		<-src.entered
+	}
+	return statuses
+}
+
 // TestChaosOverloadShedsExactly pins the load-shedding contract: with the
 // in-flight limit and queue full, every excess request is shed immediately
 // with 503 + Retry-After, and afterwards the obs counters reconcile exactly —
@@ -109,78 +142,61 @@ func getStatus(t *testing.T, url string) (int, string) {
 func TestChaosOverloadShedsExactly(t *testing.T) {
 	fc := newFakeClock()
 	o := obs.New()
-	src := &stubSource{
-		view:    testView(1, false),
-		stats:   stream.Stats{HasView: true, Generation: 1},
-		entered: make(chan struct{}, 8),
-		gate:    make(chan struct{}),
-	}
-	_, ts := newTestServer(t, Config{
-		Source:         src,
-		MaxInFlight:    2,
-		MaxQueue:       1,
-		QueueWait:      time.Hour, // fake clock: never fires
-		RequestTimeout: time.Hour,
-		RetryAfter:     2 * time.Second,
-		Obs:            o,
-		Clock:          fc,
-	})
+	src := gatedSource()
+	_, ts := newTestServer(t, Config{Source: src, Obs: o, Clock: fc})
 
+	// Every slot occupied: the handlers are inside Current, holding the gate.
 	var wg sync.WaitGroup
-	results := make(chan int, 3)
-	for i := 0; i < 2; i++ {
+	inflight := occupy(t, &wg, ts.URL, src)
+
+	// The next maxQueue requests queue (they hold no slot and shed nothing;
+	// the fake clock never fires their queue wait).
+	queued := make(chan int, maxQueue)
+	for i := 0; i < maxQueue; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			status, _ := getStatus(t, ts.URL+"/view")
-			results <- status
+			queued <- status
 		}()
 	}
-	// Both slots occupied: the handlers are inside Current, holding the gate.
-	<-src.entered
-	<-src.entered
+	waitFor(t, func() bool { return counter(o, "server.queued") == maxQueue }, "the queue to fill")
 
-	// Third request queues (it holds no slot, sheds nothing).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		status, _ := getStatus(t, ts.URL+"/view")
-		results <- status
-	}()
-	waitFor(t, func() bool { return counter(o, "server.queued") == 1 }, "third request to queue")
-
-	// Capacity and queue full: four more requests shed synchronously.
+	// Capacity and queue full: four more requests shed synchronously, each
+	// with the 1 s Retry-After jittered into [0.5 s, 1 s) and rounded up.
 	for i := 0; i < 4; i++ {
 		status, retryAfter := getStatus(t, ts.URL+"/view")
 		if status != http.StatusServiceUnavailable {
 			t.Fatalf("shed request %d: status %d", i, status)
 		}
-		if retryAfter != "2" {
-			t.Fatalf("shed request %d: Retry-After %q, want 2", i, retryAfter)
+		if retryAfter != "1" {
+			t.Fatalf("shed request %d: Retry-After %q, want 1", i, retryAfter)
 		}
 	}
 
-	// Release the gate: both in-flight and the queued request complete.
+	// Release the gate: every in-flight and queued request completes.
 	close(src.gate)
 	wg.Wait()
-	close(results)
-	for status := range results {
-		if status != http.StatusOK {
-			t.Fatalf("gated request finished with %d", status)
+	close(inflight)
+	close(queued)
+	for _, results := range []chan int{inflight, queued} {
+		for status := range results {
+			if status != http.StatusOK {
+				t.Fatalf("gated request finished with %d", status)
+			}
 		}
 	}
 
-	// Exact reconciliation: 7 requests = 3 admitted (1 of them queued) + 4
-	// shed at capacity; no timeouts, no drain sheds, no rate limits.
+	// Exact reconciliation: 84 requests = 80 admitted (16 of them queued) +
+	// 4 shed at capacity; no timeouts, no drain sheds.
 	for name, want := range map[string]int64{
-		"server.requests":      7,
-		"server.admitted":      3,
-		"server.queued":        1,
+		"server.requests":      maxInFlight + maxQueue + 4,
+		"server.admitted":      maxInFlight + maxQueue,
+		"server.queued":        maxQueue,
 		"server.shed":          4,
 		"server.shed_capacity": 4,
 		"server.shed_timeout":  0,
 		"server.shed_draining": 0,
-		"server.rate_limited":  0,
 		"server.panics":        0,
 	} {
 		if got := counter(o, name); got != want {
@@ -190,36 +206,16 @@ func TestChaosOverloadShedsExactly(t *testing.T) {
 }
 
 // TestChaosQueueDeadline: a queued request is shed once the fake clock steps
-// past the queue wait — the deadline-aware queue never holds a request
-// indefinitely.
+// past the 100 ms queue wait — the deadline-aware queue never holds a
+// request indefinitely.
 func TestChaosQueueDeadline(t *testing.T) {
 	fc := newFakeClock()
 	o := obs.New()
-	src := &stubSource{
-		view:    testView(1, false),
-		stats:   stream.Stats{HasView: true, Generation: 1},
-		entered: make(chan struct{}, 4),
-		gate:    make(chan struct{}),
-	}
-	s, ts := newTestServer(t, Config{
-		Source:         src,
-		MaxInFlight:    1,
-		MaxQueue:       2,
-		QueueWait:      100 * time.Millisecond,
-		RequestTimeout: time.Hour,
-		Obs:            o,
-		Clock:          fc,
-	})
+	src := gatedSource()
+	s, ts := newTestServer(t, Config{Source: src, Obs: o, Clock: fc})
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if status, _ := getStatus(t, ts.URL+"/view"); status != http.StatusOK {
-			t.Errorf("gated request = %d", status)
-		}
-	}()
-	<-src.entered
+	inflight := occupy(t, &wg, ts.URL, src)
 
 	queuedStatus := make(chan int, 1)
 	wg.Add(1)
@@ -230,7 +226,7 @@ func TestChaosQueueDeadline(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return fc.pendingTimers() == 1 }, "queue-wait timer to arm")
 
-	fc.Advance(101 * time.Millisecond)
+	fc.Advance(queueWait + time.Millisecond)
 	if status := <-queuedStatus; status != http.StatusServiceUnavailable {
 		t.Fatalf("expired waiter = %d, want 503", status)
 	}
@@ -240,50 +236,23 @@ func TestChaosQueueDeadline(t *testing.T) {
 
 	close(src.gate)
 	wg.Wait()
+	close(inflight)
+	for status := range inflight {
+		if status != http.StatusOK {
+			t.Errorf("gated request = %d", status)
+		}
+	}
 	if inflight, queued := s.adm.Depth(); inflight != 0 || queued != 0 {
 		t.Errorf("final depth: inflight=%d queued=%d", inflight, queued)
 	}
 }
 
-// TestChaosRateLimit drives the per-client token bucket with the fake clock:
-// the burst is admitted, the next request gets 429 + Retry-After, and one
-// refill interval later requests flow again.
-func TestChaosRateLimit(t *testing.T) {
-	fc := newFakeClock()
-	o := obs.New()
-	_, ts := newTestServer(t, Config{
-		Source:           readySource(),
-		ClientRatePerSec: 1,
-		ClientRateBurst:  2,
-		Obs:              o,
-		Clock:            fc,
-	})
-
-	for i := 0; i < 2; i++ {
-		if status, _ := getStatus(t, ts.URL+"/stats"); status != http.StatusOK {
-			t.Fatalf("burst request %d shed", i)
-		}
-	}
-	status, retryAfter := getStatus(t, ts.URL+"/stats")
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("over-burst request = %d, want 429", status)
-	}
-	if retryAfter != "1" {
-		t.Errorf("Retry-After = %q, want 1", retryAfter)
-	}
-	if got := counter(o, "server.rate_limited"); got != 1 {
-		t.Errorf("server.rate_limited = %d, want 1", got)
-	}
-
-	fc.Advance(time.Second)
-	if status, _ := getStatus(t, ts.URL+"/stats"); status != http.StatusOK {
-		t.Fatalf("post-refill request = %d", status)
-	}
-}
-
 // breakerOpenStream builds a real stream whose circuit breaker has been
 // forced open through the internal/fault recompute injection point, with a
-// last-good view still installed.
+// last-good view still installed. The stream opens its breaker on the third
+// consecutive failure and backs off from 100 ms, jittered into [50, 100) ms
+// after the first failure and [100, 200) ms after the second, so the test
+// sleeps past each window on the real clock.
 func breakerOpenStream(t *testing.T) *stream.Repartitioner {
 	t.Helper()
 	inj := fault.New(5)
@@ -292,12 +261,8 @@ func breakerOpenStream(t *testing.T) *stream.Repartitioner {
 		{Name: "value", Agg: grid.Average},
 	}
 	s, err := stream.New(grid.Bounds{MinLat: 0, MaxLat: 10, MinLon: 0, MaxLon: 10}, 6, 6, attrs, stream.Options{
-		Threshold:        0.2,
-		FailureThreshold: 1, // first failure opens the breaker
-		InitialBackoff:   time.Minute,
-		MaxBackoff:       time.Hour,
-		JitterSeed:       4,
-		Fault:            inj,
+		Threshold: 0.2,
+		Fault:     inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +289,17 @@ func breakerOpenStream(t *testing.T) *stream.Repartitioner {
 		t.Fatal(err)
 	}
 	inj.Set("stream.recompute", fault.Plan{Count: -1, Err: errors.New("chaos: dependency down")})
-	v, err := s.Current()
-	if err != nil || !v.Degraded {
-		t.Fatalf("degraded serve: view %+v, err %v", v, err)
+	for i, backoff := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 0} {
+		v, err := s.Current()
+		if err != nil || !v.Degraded {
+			t.Fatalf("failure %d: degraded serve: view %+v, err %v", i+1, v, err)
+		}
+		time.Sleep(backoff)
 	}
-	if st := s.Stats(); st.Breaker != stream.BreakerOpen {
+	if hits, fired := inj.Stats("stream.recompute"); hits != 3 || fired != 3 {
+		t.Fatalf("recompute fault point hit %d times, fired %d, want 3 and 3", hits, fired)
+	}
+	if st := s.Stats(); st.Breaker != breaker.Open {
 		t.Fatalf("breaker %v, want open", st.Breaker)
 	}
 	return s
@@ -374,34 +345,13 @@ func TestChaosBreakerOpenServing(t *testing.T) {
 // admitted in-flight request completes, queued waiters and new arrivals get
 // 503, and Shutdown returns within the drain deadline.
 func TestChaosGracefulDrain(t *testing.T) {
+	fc := newFakeClock() // the queued waiter's queue wait never fires
 	o := obs.New()
-	src := &stubSource{
-		view:    testView(1, false),
-		stats:   stream.Stats{HasView: true, Generation: 1},
-		entered: make(chan struct{}, 8),
-		gate:    make(chan struct{}),
-	}
-	s, ts := newTestServer(t, Config{
-		Source:         src,
-		MaxInFlight:    2,
-		MaxQueue:       2,
-		QueueWait:      time.Hour,
-		RequestTimeout: time.Hour,
-		Obs:            o,
-	})
+	src := gatedSource()
+	s, ts := newTestServer(t, Config{Source: src, Obs: o, Clock: fc})
 
 	var wg sync.WaitGroup
-	inflightStatus := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, _ := getStatus(t, ts.URL+"/view")
-			inflightStatus <- status
-		}()
-	}
-	<-src.entered
-	<-src.entered
+	inflightStatus := occupy(t, &wg, ts.URL, src)
 
 	// One queued waiter: holds no slot, so drain rejects it.
 	queuedStatus := make(chan int, 1)
@@ -465,9 +415,10 @@ func TestChaosGracefulDrain(t *testing.T) {
 	if o.Registry().Gauge("server.drain_ns").Value() < 0 {
 		t.Error("drain duration gauge not set")
 	}
-	// Nothing admitted after drain began: 2 in-flight was the total.
-	if got := counter(o, "server.admitted"); got != 2 {
-		t.Errorf("server.admitted = %d, want 2", got)
+	// Nothing admitted after drain began: the full in-flight set was the
+	// total.
+	if got := counter(o, "server.admitted"); got != maxInFlight {
+		t.Errorf("server.admitted = %d, want %d", got, maxInFlight)
 	}
 }
 

@@ -3,10 +3,10 @@ package server
 import "time"
 
 // Clock abstracts the two time operations the serving layer performs —
-// reading the wall clock (token-bucket refill, drain timing) and arming a
+// reading the wall clock (request latency, drain timing) and arming a
 // one-shot timer (queue-wait deadlines) — so the overload chaos suite can
-// drive admission and rate limiting with a manually advanced fake clock
-// under -race. The zero Config uses the real clock.
+// drive admission with a manually advanced fake clock under -race. The zero
+// Config uses the real clock.
 type Clock interface {
 	Now() time.Time
 	// After returns a channel that receives once, after d has elapsed.

@@ -24,33 +24,52 @@ import (
 // itself.
 type HandlerFunc func(w http.ResponseWriter, r *http.Request) error
 
+// The request envelope's limits. Every front end runs these values; DESIGN.md
+// §3.17 tabulates what each one bounds.
+const (
+	// maxInFlight bounds concurrently executing query requests.
+	maxInFlight = 64
+	// maxQueue bounds requests waiting for an in-flight slot.
+	maxQueue = 16
+	// queueWait bounds how long a queued request waits for a slot before it
+	// is shed; the request deadline clips it too.
+	queueWait = 100 * time.Millisecond
+	// requestTimeout is the per-request deadline threaded through the
+	// request context.
+	requestTimeout = 5 * time.Second
+	// retryAfter is the Retry-After hint on shed (503) responses, jittered
+	// per response into [retryAfter/2, retryAfter) so clients shed at the
+	// same instant do not all come back at the same instant.
+	retryAfter = time.Second
+	// retryAfterSeed seeds the deterministic Retry-After jitter stream.
+	retryAfterSeed = 1
+	// maxBodyBytes caps request bodies. Query endpoints are GET-only, so
+	// this is pure abuse protection.
+	maxBodyBytes = 1 << 20
+)
+
 // Envelope is the request envelope every HTTP front end in the module mounts
 // its routes on — the shard Server and the cluster coordinator alike. Probe
 // routes get panic isolation and a method check; query routes get the full
 // robustness envelope: request span, RED metrics and access log, panic
-// isolation, body cap, rate limiting, per-request deadline, admission control
-// with graceful drain, jittered Retry-After on sheds, and a fault point.
+// isolation, body cap, per-request deadline, admission control with graceful
+// drain, jittered Retry-After on sheds, and a fault point.
 //
 // The envelope's name prefixes every metric, span and fault point it
 // records ("server" → server.requests, server.request, …), so each front end
 // keeps its own series.
 type Envelope struct {
-	name  string
-	cfg   Config
-	names envNames
-	adm   *Admission
-	lim   *limiter
-	clock Clock
-	obs   *obs.Observer
-	flt   *fault.Injector
-	mux   *http.ServeMux
+	name   string
+	names  envNames
+	adm    *Admission
+	clock  Clock
+	obs    *obs.Observer
+	flt    *fault.Injector
+	logger *slog.Logger
+	mux    *http.ServeMux
 
 	draining atomic.Bool
 	httpSrv  *http.Server
-
-	logger   *slog.Logger
-	logEvery uint64
-	reqSeq   atomic.Uint64
 
 	// retryRng is the SplitMix64 state behind the jittered Retry-After
 	// hints. Advanced with a single atomic add per shed, so concurrent
@@ -61,11 +80,11 @@ type Envelope struct {
 // envNames are an envelope's metric, span and fault-point names, built once
 // from its name so the request path never concatenates strings.
 type envNames struct {
-	requests, admitted, queued, inflight, queueDepth           string
-	shed, shedCapacity, shedTimeout, shedDraining, rateLimited string
-	panics, request                                            string // request: span and fault point
-	httpRequests, httpErrors, httpLatency                      string
-	draining, drainNS                                          string
+	requests, admitted, queued, inflight, queueDepth string
+	shed, shedCapacity, shedTimeout, shedDraining    string
+	panics, request                                  string // request: span and fault point
+	httpRequests, httpErrors, httpLatency            string
+	draining, drainNS                                string
 }
 
 func namesFor(name string) envNames {
@@ -73,73 +92,40 @@ func namesFor(name string) envNames {
 		requests: name + ".requests", admitted: name + ".admitted", queued: name + ".queued",
 		inflight: name + ".inflight", queueDepth: name + ".queue_depth",
 		shed: name + ".shed", shedCapacity: name + ".shed_capacity", shedTimeout: name + ".shed_timeout",
-		shedDraining: name + ".shed_draining", rateLimited: name + ".rate_limited",
-		panics: name + ".panics", request: name + ".request",
+		shedDraining: name + ".shed_draining", panics: name + ".panics", request: name + ".request",
 		httpRequests: name + ".http.requests", httpErrors: name + ".http.errors", httpLatency: name + ".http.latency_ns",
 		draining: name + ".draining", drainNS: name + ".drain_ns",
 	}
 }
 
-// NewEnvelope validates the envelope fields of cfg, applies their defaults,
-// and returns an envelope with no routes mounted. name prefixes every
-// metric, span and fault point the envelope records. cfg.Source is not used.
-func NewEnvelope(name string, cfg Config) (*Envelope, error) {
-	if cfg.MaxInFlight < 0 || cfg.MaxQueue < 0 {
-		return nil, fmt.Errorf("%s: negative MaxInFlight/MaxQueue (%d/%d)", name, cfg.MaxInFlight, cfg.MaxQueue)
-	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.MaxQueue == 0 {
-		cfg.MaxQueue = 16
-	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	clock := cfg.Clock
+// NewEnvelope returns an envelope with no routes mounted. name prefixes
+// every metric, span and fault point the envelope records; o, flt and logger
+// may be nil (no metrics, no fault point, no access log), and a nil clock is
+// the real one.
+func NewEnvelope(name string, o *obs.Observer, flt *fault.Injector, clock Clock, logger *slog.Logger) *Envelope {
 	if clock == nil {
 		clock = realClock{}
 	}
-	logEvery := cfg.AccessLogEvery
-	if logEvery <= 0 {
-		logEvery = 1
-	}
 	e := &Envelope{
-		name:     name,
-		cfg:      cfg,
-		names:    namesFor(name),
-		adm:      NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		lim:      newLimiter(cfg.RatePerSec, cfg.RateBurst, cfg.ClientRatePerSec, cfg.ClientRateBurst, clock.Now()),
-		clock:    clock,
-		obs:      cfg.Obs,
-		flt:      cfg.Fault,
-		mux:      http.NewServeMux(),
-		logger:   cfg.Logger,
-		logEvery: uint64(logEvery),
+		name:   name,
+		names:  namesFor(name),
+		adm:    NewAdmission(maxInFlight, maxQueue),
+		clock:  clock,
+		obs:    o,
+		flt:    flt,
+		logger: logger,
+		mux:    http.NewServeMux(),
 	}
-	seed := cfg.RetryAfterJitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	e.retryRng.Store(uint64(seed))
+	e.retryRng.Store(retryAfterSeed)
 	e.adm.OnQueued = func() { e.obs.Count(e.names.queued, 1) }
-	return e, nil
+	return e
 }
 
 // Handler returns the handler serving every mounted route.
 func (e *Envelope) Handler() http.Handler { return e.mux }
 
-// Clock returns the envelope's time source (the real clock unless
-// Config.Clock substituted one).
+// Clock returns the envelope's time source (the real clock unless the
+// caller substituted one).
 func (e *Envelope) Clock() Clock { return e.clock }
 
 // Draining reports whether Shutdown has begun.
@@ -186,7 +172,7 @@ func (e *Envelope) Shutdown(ctx context.Context) error {
 
 // Probe mounts a liveness/readiness endpoint: panic isolation and a method
 // check only — probes must keep answering while the query path sheds load,
-// so they bypass rate limiting and admission entirely.
+// so they bypass admission entirely.
 func (e *Envelope) Probe(pattern string, h HandlerFunc) {
 	e.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
@@ -203,9 +189,8 @@ func (e *Envelope) Probe(pattern string, h HandlerFunc) {
 
 // Query mounts a query endpoint at route behind the full robustness
 // envelope, outermost first: request accounting (span, RED metrics, access
-// log), panic isolation, method check, body cap, rate limiting,
-// per-request deadline, admission control, fault injection, then the
-// handler. route is also the static endpoint label of the per-route×status
+// log), panic isolation, method check, body cap, per-request deadline,
+// admission control, fault injection, then the handler. route is also the static endpoint label of the per-route×status
 // series, so metric cardinality stays bounded by the route table, not by
 // request URLs.
 func (e *Envelope) Query(route string, h HandlerFunc) {
@@ -235,22 +220,13 @@ func (e *Envelope) Query(route string, h HandlerFunc) {
 			WriteError(sw, ErrMethodNotAllowed.WithDetail("%s not allowed; query endpoints are GET-only", r.Method))
 			return
 		}
-		r.Body = http.MaxBytesReader(sw, r.Body, e.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(sw, r.Body, maxBodyBytes)
 
-		if ok, wait := e.lim.allow(clientKey(r), e.clock.Now()); !ok {
-			e.obs.Count(e.names.rateLimited, 1)
-			shed = "rate_limited"
-			WriteError(sw, ErrRateLimited.
-				WithDetail("token bucket empty; retry after %v", wait).
-				withRetryAfter(wait))
-			return
-		}
-
-		ctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		defer cancel()
 		r = r.WithContext(ctx)
 
-		queued, err := e.adm.Admit(ctx, e.clock, e.cfg.QueueWait)
+		queued, err := e.adm.Admit(ctx, e.clock, queueWait)
 		if err != nil {
 			shed = e.countShed(queued, err)
 			WriteError(sw, e.attachRetryAfter(err))
@@ -268,7 +244,7 @@ func (e *Envelope) Query(route string, h HandlerFunc) {
 		}
 		if err := h(sw, r); err != nil {
 			if ctx.Err() != nil {
-				err = ErrTimeout.WithDetail("request deadline (%v) expired: %v", e.cfg.RequestTimeout, err)
+				err = ErrTimeout.WithDetail("request deadline (%v) expired: %v", requestTimeout, err)
 			}
 			WriteError(sw, err)
 		}
@@ -277,7 +253,7 @@ func (e *Envelope) Query(route string, h HandlerFunc) {
 
 // finishRequest closes out one query request: it ends the request span
 // (status and shed reason become span attributes), records the RED
-// route×status series, and emits the sampled structured access log line.
+// route×status series, and emits the structured access log line.
 func (e *Envelope) finishRequest(sw *statusWriter, route, shed string, sp obs.Span, start time.Time) {
 	status := sw.status
 	if status == 0 {
@@ -298,9 +274,6 @@ func (e *Envelope) finishRequest(sw *statusWriter, route, shed string, sp obs.Sp
 		sp.End()
 	}
 	if e.logger == nil {
-		return
-	}
-	if n := e.reqSeq.Add(1); (n-1)%e.logEvery != 0 {
 		return
 	}
 	traceID := ""
@@ -350,14 +323,14 @@ func (e *Envelope) countShed(queued bool, err error) string {
 // moment a synchronized burst of shed clients comes back.
 func (e *Envelope) attachRetryAfter(err error) error {
 	se := asError(err)
-	if (is(se, ErrOverloaded) || is(se, ErrDraining)) && se.RetryAfter == 0 {
+	if is(se, ErrOverloaded) || is(se, ErrDraining) {
 		return se.withRetryAfter(e.jitteredRetryAfter())
 	}
 	return err
 }
 
-// jitteredRetryAfter scales the configured Retry-After by the next factor in
-// [0.5, 1.0) of the seeded jitter stream.
+// jitteredRetryAfter scales retryAfter by the next factor in [0.5, 1.0) of
+// the seeded jitter stream.
 func (e *Envelope) jitteredRetryAfter() time.Duration {
 	// SplitMix64: an atomic add of the Weyl constant advances the stream;
 	// the mix function turns the state into the output. Concurrent sheds
@@ -368,22 +341,13 @@ func (e *Envelope) jitteredRetryAfter() time.Duration {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	f := 0.5 + 0.5*float64(z>>11)/float64(1<<53)
-	return time.Duration(float64(e.cfg.RetryAfter) * f)
+	return time.Duration(float64(retryAfter) * f)
 }
 
 // is reports whether err matches the sentinel by Code.
 func is(err error, sentinel *Error) bool {
 	se := asError(err)
 	return se.Code == sentinel.Code
-}
-
-// clientKey extracts the rate-limiting key (remote IP without port).
-func clientKey(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
 }
 
 // WriteJSON writes v as the 200 response.

@@ -23,7 +23,7 @@ type Error struct {
 	// Detail is the optional human-readable elaboration.
 	Detail string
 	// RetryAfter, when positive, is surfaced as a Retry-After header —
-	// set on load-shedding and rate-limiting errors.
+	// set on load-shedding errors.
 	RetryAfter time.Duration
 }
 
@@ -68,10 +68,8 @@ var (
 	ErrNotFound = &Error{Status: http.StatusNotFound, Code: "not_found"}
 	// ErrMethodNotAllowed: the endpoint exists but not for this verb.
 	ErrMethodNotAllowed = &Error{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed"}
-	// ErrBodyTooLarge: the request body exceeded Config.MaxBodyBytes.
+	// ErrBodyTooLarge: the request body exceeded the envelope's 1 MiB cap.
 	ErrBodyTooLarge = &Error{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large"}
-	// ErrRateLimited: the global or per-client token bucket is empty.
-	ErrRateLimited = &Error{Status: http.StatusTooManyRequests, Code: "rate_limited"}
 	// ErrInternal: a handler failed or panicked; the panic is recovered and
 	// isolated to the one request.
 	ErrInternal = &Error{Status: http.StatusInternalServerError, Code: "internal"}

@@ -2,12 +2,12 @@
 // repartitioner (DESIGN.md §3.17): a stdlib-only HTTP front end exposing the
 // current re-partitioned view, per-cell-group lookups, and run/stream stats
 // as JSON, wrapped in a full robustness envelope — admission control with a
-// bounded in-flight limit and a deadline-aware wait queue, token-bucket rate
-// limiting (global and per-client), per-request timeouts and body limits,
-// per-request panic isolation, a structured error taxonomy, liveness vs
-// readiness endpoints, and graceful drain on shutdown. The envelope is
-// exported (Envelope) so the cluster coordinator mounts its routes on the
-// same one, under its own metric names.
+// bounded in-flight limit and a deadline-aware wait queue, per-request
+// timeouts and body limits, per-request panic isolation, a structured error
+// taxonomy, liveness vs readiness endpoints, and graceful drain on shutdown.
+// The envelope's limits are fixed constants, the same for every front end.
+// The envelope is exported (Envelope) so the cluster coordinator mounts its
+// routes on the same one, under its own metric names.
 //
 // The design premise is that PR 4's fault tolerance ends at the process
 // boundary unless the serving edge carries it the rest of the way: a
@@ -15,8 +15,8 @@
 // an open circuit breaker must flip readiness so load balancers route away
 // without killing the process, and overload must shed requests in
 // microseconds with 503 + Retry-After instead of stacking goroutines. Every
-// decision (admitted, queued, shed, rate-limited, panicked, drain duration)
-// is exported through internal/obs.
+// decision (admitted, queued, shed, panicked, drain duration) is exported
+// through internal/obs.
 package server
 
 import (
@@ -27,8 +27,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/core"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/obs"
@@ -51,60 +51,21 @@ type Source interface {
 	Report() stream.Report
 }
 
-// Config parameterizes a Server. The zero value of every field takes the
-// documented default; only Source is required.
+// Config parameterizes a Server. Only Source is required. The envelope's
+// limits are not configurable: every front end runs the constants tabulated
+// in DESIGN.md §3.17.
 type Config struct {
 	// Source supplies views and stats (required).
 	Source Source
-
-	// MaxInFlight bounds concurrently executing query requests (default 64).
-	MaxInFlight int
-	// MaxQueue bounds requests waiting for an in-flight slot (default 16).
-	MaxQueue int
-	// QueueWait bounds how long a queued request waits for a slot before it
-	// is shed (default 100ms; also clipped by the request timeout).
-	QueueWait time.Duration
-	// RequestTimeout is the per-request deadline threaded through the
-	// request context (default 5s).
-	RequestTimeout time.Duration
-	// RetryAfter is the Retry-After hint attached to shed (503) responses
-	// (default 1s). The advertised value is jittered per response into
-	// [RetryAfter/2, RetryAfter) so a fleet of clients (or an upstream
-	// coordinator's retry loop) shed at the same instant does not
-	// thundering-herd a recovering shard when the hint expires.
-	RetryAfter time.Duration
-	// RetryAfterJitterSeed seeds the deterministic Retry-After jitter
-	// stream (0 = a fixed default), so tests can pin the exact advertised
-	// values while distinct servers in a cluster can be de-synchronized.
-	RetryAfterJitterSeed int64
-
-	// RatePerSec/RateBurst configure the global token bucket (0 = no global
-	// rate limit; burst defaults to max(1, RatePerSec)).
-	RatePerSec float64
-	RateBurst  int
-	// ClientRatePerSec/ClientRateBurst configure the per-client (remote IP)
-	// buckets (0 = no per-client limit).
-	ClientRatePerSec float64
-	ClientRateBurst  int
-
-	// MaxBodyBytes caps request bodies (default 1 MiB). Query endpoints are
-	// GET-only, so this is pure abuse protection.
-	MaxBodyBytes int64
-
 	// Obs, when non-nil, receives the serving metrics — including RED
 	// (rate/errors/duration) series per route×status — and records
 	// server.request spans into its flight recorder. Nil disables
 	// instrumentation at the usual one-branch cost.
 	Obs *obs.Observer
 	// Logger, when non-nil, receives one structured access-log record per
-	// sampled query request: trace ID, route, status, shed reason, and
-	// latency. Nil disables access logging.
+	// query request: trace ID, route, status, shed reason, and latency. Nil
+	// disables access logging.
 	Logger *slog.Logger
-	// AccessLogEvery samples the access log: every Nth query request is
-	// logged (1 or 0 = every request). Sampling is deterministic — a plain
-	// modulo on the request counter — so a load test's log volume is
-	// predictable.
-	AccessLogEvery int
 	// Fault, when non-nil, is consulted at the "server.request" injection
 	// point after admission — the overload/drain chaos hook (injected
 	// delays occupy a real in-flight slot; injected panics exercise the
@@ -127,15 +88,12 @@ type Server struct {
 	views  *viewBytes // the encoded /view bodies of the latest served view
 }
 
-// New validates cfg, applies defaults, and returns a ready-to-mount Server.
+// New validates cfg and returns a ready-to-mount Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("server: Config.Source is required")
 	}
-	env, err := NewEnvelope("server", cfg)
-	if err != nil {
-		return nil, err
-	}
+	env := NewEnvelope("server", cfg.Obs, cfg.Fault, cfg.Clock, cfg.Logger)
 	s := &Server{Envelope: env, src: cfg.Source}
 	env.Probe("/healthz", s.handleHealthz)
 	env.Probe("/readyz", s.handleReadyz)
@@ -188,7 +146,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 		body.Ready, body.Reason = false, "draining"
 	case !st.HasView:
 		body.Ready, body.Reason = false, "no view produced yet"
-	case st.Breaker == stream.BreakerOpen:
+	case st.Breaker == breaker.Open:
 		body.Ready, body.Reason = false, "stream circuit breaker open"
 		body.Degraded = true
 	}

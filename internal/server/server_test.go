@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/core"
 	"spatialrepart/internal/obs"
 	"spatialrepart/internal/stream"
@@ -124,9 +125,6 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil Source accepted")
 	}
-	if _, err := New(Config{Source: readySource(), MaxInFlight: -1}); err == nil {
-		t.Error("negative MaxInFlight accepted")
-	}
 }
 
 func TestErrorTaxonomy(t *testing.T) {
@@ -177,7 +175,7 @@ func TestReadyzStates(t *testing.T) {
 
 	// Breaker open: not ready (degraded view may still serve).
 	src.mu.Lock()
-	src.stats.Breaker = stream.BreakerOpen
+	src.stats.Breaker = breaker.Open
 	src.mu.Unlock()
 	status, _, body = get(t, ts.URL+"/readyz")
 	if status != http.StatusServiceUnavailable || body["reason"] != "stream circuit breaker open" {
@@ -186,7 +184,7 @@ func TestReadyzStates(t *testing.T) {
 
 	// Draining: not ready; healthz stays ok.
 	src.mu.Lock()
-	src.stats.Breaker = stream.BreakerClosed
+	src.stats.Breaker = breaker.Closed
 	src.mu.Unlock()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -231,7 +229,7 @@ func TestViewEndpoint(t *testing.T) {
 func TestDegradedViewServesWithWarning(t *testing.T) {
 	src := &stubSource{
 		view:  testView(7, true),
-		stats: stream.Stats{HasView: true, Generation: 7, Breaker: stream.BreakerOpen},
+		stats: stream.Stats{HasView: true, Generation: 7, Breaker: breaker.Open},
 	}
 	_, ts := newTestServer(t, Config{Source: src})
 	status, hdr, body := get(t, ts.URL+"/view")
@@ -331,57 +329,6 @@ func TestPanicIsolation(t *testing.T) {
 	// In-flight accounting was not leaked by the panic.
 	if inflight, _ := s.adm.Depth(); inflight != 0 {
 		t.Errorf("in-flight after panic = %d", inflight)
-	}
-}
-
-func TestLimiterTokenBuckets(t *testing.T) {
-	now := time.Unix(1000, 0)
-	l := newLimiter(0, 0, 2, 2, now) // per-client only: 2/s, burst 2
-
-	for i := 0; i < 2; i++ {
-		if ok, _ := l.allow("a", now); !ok {
-			t.Fatalf("burst request %d denied", i)
-		}
-	}
-	ok, wait := l.allow("a", now)
-	if ok || wait <= 0 {
-		t.Fatalf("drained bucket allowed (wait %v)", wait)
-	}
-	// A different client has its own bucket.
-	if ok, _ := l.allow("b", now); !ok {
-		t.Fatal("second client denied by first client's bucket")
-	}
-	// Refill: half a second buys one token at 2/s.
-	if ok, _ := l.allow("a", now.Add(500*time.Millisecond)); !ok {
-		t.Fatal("refilled bucket denied")
-	}
-
-	// Global bucket gates everyone.
-	g := newLimiter(1, 1, 0, 0, now)
-	if ok, _ := g.allow("a", now); !ok {
-		t.Fatal("first global request denied")
-	}
-	if ok, _ := g.allow("b", now); ok {
-		t.Fatal("global bucket not enforced across clients")
-	}
-}
-
-func TestLimiterPrunesIdleClients(t *testing.T) {
-	now := time.Unix(0, 0)
-	l := newLimiter(0, 0, 1000, 1, now)
-	for i := 0; i < maxTrackedClients; i++ {
-		l.allow("client"+string(rune('a'+i%26))+"-"+time.Unix(int64(i), 0).String(), now)
-	}
-	if len(l.clients) != maxTrackedClients {
-		t.Fatalf("tracked %d clients, want %d", len(l.clients), maxTrackedClients)
-	}
-	// All buckets refill within 1ms at rate 1000; the next new client prunes.
-	later := now.Add(10 * time.Millisecond)
-	if ok, _ := l.allow("fresh", later); !ok {
-		t.Fatal("fresh client denied")
-	}
-	if len(l.clients) > 1 {
-		t.Errorf("idle buckets not pruned: %d remain", len(l.clients))
 	}
 }
 

@@ -96,14 +96,15 @@ func TestREDMetricsPerRouteStatus(t *testing.T) {
 	}
 }
 
-// TestAccessLogSampled: with AccessLogEvery=2, exactly every other request
-// produces one structured line carrying trace_id, route, status, and latency.
+// TestAccessLogSampled: every query request produces exactly one structured
+// line carrying trace_id, route, status, and latency — the log is not
+// sampled.
 func TestAccessLogSampled(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
 	o := obs.NewSeeded(3)
-	_, ts := newTestServer(t, Config{Source: readySource(), Obs: o, Logger: logger, AccessLogEvery: 2})
+	_, ts := newTestServer(t, Config{Source: readySource(), Obs: o, Logger: logger})
 	for i := 0; i < 4; i++ {
 		resp, err := http.Get(ts.URL + "/view")
 		if err != nil {
@@ -114,27 +115,34 @@ func TestAccessLogSampled(t *testing.T) {
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	mu.Unlock()
-	if len(lines) != 2 {
-		t.Fatalf("%d access-log lines for 4 requests at 1-in-2 sampling, want 2:\n%s", len(lines), strings.Join(lines, "\n"))
+	if len(lines) != 4 {
+		t.Fatalf("%d access-log lines for 4 requests, want 4:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
-	var rec struct {
-		Msg     string `json:"msg"`
-		TraceID string `json:"trace_id"`
-		Route   string `json:"route"`
-		Status  int    `json:"status"`
-		Latency any    `json:"latency"`
+	traces := map[string]bool{}
+	for _, line := range lines {
+		var rec struct {
+			Msg     string `json:"msg"`
+			TraceID string `json:"trace_id"`
+			Route   string `json:"route"`
+			Status  int    `json:"status"`
+			Latency any    `json:"latency"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("access log line is not JSON: %v", err)
+		}
+		if rec.Msg != "request" || rec.Route != "/view" || rec.Status != 200 {
+			t.Fatalf("unexpected access log record %+v", rec)
+		}
+		if len(rec.TraceID) != 32 {
+			t.Fatalf("trace_id %q, want 32 hex chars", rec.TraceID)
+		}
+		if rec.Latency == nil {
+			t.Fatal("access log record lacks latency")
+		}
+		traces[rec.TraceID] = true
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("access log line is not JSON: %v", err)
-	}
-	if rec.Msg != "request" || rec.Route != "/view" || rec.Status != 200 {
-		t.Fatalf("unexpected access log record %+v", rec)
-	}
-	if len(rec.TraceID) != 32 {
-		t.Fatalf("trace_id %q, want 32 hex chars", rec.TraceID)
-	}
-	if rec.Latency == nil {
-		t.Fatal("access log record lacks latency")
+	if len(traces) != len(lines) {
+		t.Fatalf("%d distinct trace IDs over %d lines, want one line per request", len(traces), len(lines))
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/core"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
@@ -58,24 +60,18 @@ func chaosStream(t *testing.T, inj *fault.Injector, opts Options) (*Repartitione
 
 // TestBreakerLifecycle drives the full closed → open → half-open → closed
 // cycle deterministically: an injected failure plan supplies exactly
-// FailureThreshold errors, a fake clock steps over each backoff window, and
+// failureThreshold errors, a fake clock steps over each backoff window, and
 // the exhausted plan lets the half-open probe succeed.
 func TestBreakerLifecycle(t *testing.T) {
 	errBoom := errors.New("boom")
 	inj := fault.New(99)
-	s, advance := chaosStream(t, inj, Options{
-		Threshold:        0.2,
-		FailureThreshold: 3,
-		InitialBackoff:   100 * time.Millisecond,
-		MaxBackoff:       time.Second,
-		JitterSeed:       42,
-	})
+	s, advance := chaosStream(t, inj, Options{Threshold: 0.2})
 	inj.Set("stream.recompute", fault.Plan{Count: 3, Err: errBoom})
 	statsBefore := s.Stats()
 
 	// Three consecutive failures; each serves the last-good view degraded
 	// and the third opens the breaker.
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= failureThreshold; i++ {
 		advance(2 * time.Second) // step over any pending backoff window
 		v, err := s.Current()
 		if err != nil {
@@ -91,9 +87,9 @@ func TestBreakerLifecycle(t *testing.T) {
 		if !errors.Is(st.LastRecomputeErr, errBoom) {
 			t.Fatalf("attempt %d: LastRecomputeErr = %v", i, st.LastRecomputeErr)
 		}
-		want := BreakerClosed
-		if i == 3 {
-			want = BreakerOpen
+		want := breaker.Closed
+		if i == failureThreshold {
+			want = breaker.Open
 		}
 		if st.Breaker != want {
 			t.Fatalf("attempt %d: breaker %v, want %v", i, st.Breaker, want)
@@ -117,8 +113,9 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("open breaker performed a recompute")
 	}
 
-	// Past the deadline the half-open probe runs; the exhausted plan lets it
-	// succeed, closing the breaker and serving a fresh view.
+	// Past the deadline (at most 400 ms after the third failure) the
+	// half-open probe runs; the exhausted plan lets it succeed, closing the
+	// breaker and serving a fresh view.
 	advance(5 * time.Second)
 	v, err = s.Current()
 	if err != nil {
@@ -128,7 +125,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("recovered view still degraded")
 	}
 	st := s.Stats()
-	if st.Breaker != BreakerClosed || st.ConsecutiveFailures != 0 {
+	if st.Breaker != breaker.Closed || st.ConsecutiveFailures != 0 {
 		t.Fatalf("after probe: breaker %v, consecutive %d", st.Breaker, st.ConsecutiveFailures)
 	}
 	if st.StaleRecords != 0 {
@@ -142,13 +139,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // ingested records it is missing; recovery serves fresh and resets the bound.
 func TestDegradedServingBoundsStaleness(t *testing.T) {
 	inj := fault.New(7)
-	s, advance := chaosStream(t, inj, Options{
-		Threshold:        0.2,
-		FailureThreshold: 3,
-		InitialBackoff:   50 * time.Millisecond,
-		MaxBackoff:       500 * time.Millisecond,
-		JitterSeed:       5,
-	})
+	s, advance := chaosStream(t, inj, Options{Threshold: 0.2})
 	inj.Set("stream.recompute", fault.Plan{Count: -1}) // fail forever
 	goodGen := -1
 	stale := 1 // chaosStream added one record past the installed view
@@ -182,7 +173,8 @@ func TestDegradedServingBoundsStaleness(t *testing.T) {
 	}
 
 	// Disarm the plan: the next admitted attempt succeeds and the staleness
-	// debt is repaid.
+	// debt is repaid. The rounds above failed at most six times, so the
+	// pending backoff is at most 3.2 s.
 	inj.Set("stream.recompute", fault.Plan{})
 	advance(5 * time.Second)
 	v, err := s.Current()
@@ -241,7 +233,7 @@ func TestRecomputeDeadline(t *testing.T) {
 // recovered into an ordinary failure — the serving goroutine survives.
 func TestInjectedPanicBecomesFailure(t *testing.T) {
 	inj := fault.New(11)
-	s, advance := chaosStream(t, inj, Options{Threshold: 0.2, JitterSeed: 3})
+	s, advance := chaosStream(t, inj, Options{Threshold: 0.2})
 	inj.Set("stream.recompute", fault.Plan{Count: 1, Panic: true})
 	advance(time.Second)
 	v, err := s.Current()
@@ -271,18 +263,19 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 	inj := fault.New(12345)
 	o := obs.New()
 	opts := Options{
-		Threshold:        0.25,
-		FailureThreshold: 2,
-		InitialBackoff:   time.Microsecond, // keep attempts flowing
-		MaxBackoff:       4 * time.Microsecond,
-		JitterSeed:       9,
-		Obs:              o,
-		Fault:            inj,
+		Threshold: 0.25,
+		Obs:       o,
+		Fault:     inj,
 	}
 	s, err := New(testBounds(), 8, 8, ckptAttrs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Keep attempts flowing: every reading of the clock steps a whole
+	// maxBackoff past the previous one, so each backoff window has passed by
+	// the next attempt.
+	var ticks atomic.Int64
+	s.now = func() time.Time { return time.Unix(0, ticks.Add(int64(maxBackoff))) }
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 150; i++ {
 		rec := grid.Record{
@@ -354,9 +347,11 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 	}
 	// Injected errors are the only failure source, so the injector's fire
 	// count and the stream's failure count must agree exactly.
-	if _, fired := inj.Stats("stream.recompute"); int(fired) != st.RecomputeFailures {
+	hits, fired := inj.Stats("stream.recompute")
+	if int(fired) != st.RecomputeFailures {
 		t.Errorf("injector fired %d, stream recorded %d failures", fired, st.RecomputeFailures)
 	}
+	t.Logf("%d recompute attempts, %d injected failures, %d degraded serves", hits, fired, st.DegradedServes)
 	if st.RecomputeFailures > 0 && !errors.Is(st.LastRecomputeErr, errChaos) {
 		t.Errorf("LastRecomputeErr = %v", st.LastRecomputeErr)
 	}

@@ -36,12 +36,15 @@ import (
 	"spatialrepart/internal/wal"
 )
 
-// Defaults for the retry/backoff and circuit-breaker policy (Options fields
-// left zero).
+// The recompute retry policy (DESIGN.md §3.16). The circuit breaker opens
+// after failureThreshold CONSECUTIVE failed attempts; the retry delay starts
+// at initialBackoff and doubles with each further failure up to maxBackoff,
+// jittered from the seeded stream jitterSeed.
 const (
-	DefaultFailureThreshold = 3
-	DefaultInitialBackoff   = 100 * time.Millisecond
-	DefaultMaxBackoff       = 30 * time.Second
+	failureThreshold = 3
+	initialBackoff   = 100 * time.Millisecond
+	maxBackoff       = 30 * time.Second
+	jitterSeed       = 1
 )
 
 // Options configures a Repartitioner.
@@ -73,18 +76,6 @@ type Options struct {
 	// abandoned (core.RepartitionCtx observes the deadline within one rung)
 	// and handled like any other failure. 0 = no deadline.
 	RecomputeTimeout time.Duration
-	// FailureThreshold is the number of CONSECUTIVE failed attempts after
-	// which the circuit breaker opens (≤ 0 = DefaultFailureThreshold).
-	FailureThreshold int
-	// InitialBackoff is the retry delay after the first failure; each
-	// further consecutive failure doubles it up to MaxBackoff. Zero values
-	// take the defaults.
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
-	// JitterSeed seeds the deterministic backoff jitter (0 = a fixed
-	// default), so a fleet of streams can be de-synchronized while any
-	// single stream's retry schedule stays reproducible.
-	JitterSeed int64
 
 	// Fault, when non-nil, is consulted at the stream's named injection
 	// points ("stream.recompute", "stream.checkpoint", "stream.restore") —
@@ -122,7 +113,7 @@ type Stats struct {
 	// Breaker is the circuit breaker's current state; BreakerOpens counts
 	// closed→open transitions; ConsecutiveFailures is the current failure
 	// streak (reset by any success).
-	Breaker             BreakerState
+	Breaker             breaker.State
 	BreakerOpens        int
 	ConsecutiveFailures int
 	// StaleRecords is the number of ingested records not yet reflected in
@@ -226,29 +217,10 @@ func New(bounds grid.Bounds, rows, cols int, attrs []grid.Attribute, opts Option
 	if opts.Threshold < 0 || opts.Threshold > 1 {
 		return nil, fmt.Errorf("stream: threshold %v outside [0,1]", opts.Threshold)
 	}
-	threshold := opts.FailureThreshold
-	if threshold <= 0 {
-		threshold = DefaultFailureThreshold
-	}
-	initial := opts.InitialBackoff
-	if initial <= 0 {
-		initial = DefaultInitialBackoff
-	}
-	max := opts.MaxBackoff
-	if max <= 0 {
-		max = DefaultMaxBackoff
-	}
-	if max < initial {
-		max = initial
-	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	return &Repartitioner{
 		opts: opts,
 		agg:  agg,
-		brk:  breaker.New(threshold, initial, max, seed),
+		brk:  breaker.New(failureThreshold, initialBackoff, maxBackoff, jitterSeed),
 		//spatialvet:ignore clockdirect the production default for the injectable clock
 		now: time.Now,
 	}, nil
@@ -376,8 +348,8 @@ func (s *Repartitioner) RecordCheckpointResult(err error) {
 // Failure policy: once any view exists, Current never returns an error. A
 // failed attempt (error, injected fault, panic, or RecomputeTimeout expiry)
 // serves the last good view flagged Degraded, schedules the next attempt
-// with capped exponential backoff, and — after FailureThreshold consecutive
-// failures — opens the circuit breaker so no further work is attempted until
+// with capped exponential backoff, and — after three consecutive failures —
+// opens the circuit breaker so no further work is attempted until
 // a half-open probe succeeds. Only a stream that has never produced a view
 // surfaces the error directly.
 //
@@ -446,7 +418,7 @@ func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 		s.mu.Unlock()
 		return v, "degraded", nil
 	}
-	probing := s.brk.State() == BreakerHalfOpen
+	probing := s.brk.State() == breaker.HalfOpen
 	g := s.agg.Grid()
 	cur := s.current
 	snapshotted := s.sinceLastCheck

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/core"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
@@ -256,7 +257,7 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 	// decides when the retry runs.
 	errBoom := errors.New("boom")
 	inj := fault.New(3)
-	c, advance := chaosStream(t, inj, Options{Threshold: 0.2, InitialBackoff: time.Second, MaxBackoff: time.Second})
+	c, advance := chaosStream(t, inj, Options{Threshold: 0.2})
 	inj.Set("stream.recompute", fault.Plan{Count: 1, Err: errBoom})
 	good := c.Stats().Generation
 	for i := 0; i < 3; i++ {
@@ -279,7 +280,7 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 	if hits, _ := inj.Stats("stream.recompute"); hits != 2 {
 		t.Fatalf("retry did not run: %d attempts", hits)
 	}
-	if st := c.Stats(); st.StaleRecords != 0 || st.Breaker != BreakerClosed {
+	if st := c.Stats(); st.StaleRecords != 0 || st.Breaker != breaker.Closed {
 		t.Fatalf("after the retry: %+v", st)
 	}
 }
