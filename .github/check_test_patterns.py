@@ -7,7 +7,9 @@ deleted test then drops out of a suite and nothing says so. For every
 `go test` command in the named jobs of the workflow, this script lists the
 tests of the command's packages with `go test -list` and checks that each
 top-level |-alternative of the command's -fuzz pattern (or, when it has no
--fuzz, its -run pattern) matches at least one test, fuzz target or example.
+-fuzz, its -run pattern) matches at least one test, fuzz target or example
+of those packages, and that the whole pattern matches at least one test of
+each package the command lists.
 
 Usage: python3 .github/check_test_patterns.py [--workflow PATH] JOB...
 """
@@ -80,6 +82,10 @@ def main():
             for alt in alternatives(m.group(1)):
                 if not any(re.search(alt, n) for n in names):
                     print(f"{job}: -{flag} alternative {alt!r} matches no test in {' '.join(packages)}")
+                    dead += 1
+            for pkg in packages:
+                if not any(re.search(m.group(1), n) for n in test_names((pkg,))):
+                    print(f"{job}: -{flag} pattern matches no test in {pkg}, which the command lists")
                     dead += 1
         if commands == 0:
             print(f"{job}: no go test command with a -run or -fuzz pattern")

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"spatialrepart"
+	"spatialrepart/internal/datagen"
 )
 
 func writeTestGrid(t *testing.T, dir string) string {
@@ -100,6 +103,40 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(runConfig{in: in, threshold: 7, schedule: "exact"}); err == nil {
 		t.Error("want threshold error")
+	}
+}
+
+// TestRunRejectsNonFiniteInput: a NaN or infinite value in the -in grid
+// stops the run with an error naming its line, and no output is written.
+// The 64×64 taxi grid partitions into 1,593 groups at θ 0.1; with one such
+// value it used to come back as the 4,096-cell identity partition, no error.
+func TestRunRejectsNonFiniteInput(t *testing.T) {
+	dir := t.TempDir()
+	var clean bytes.Buffer
+	if err := datagen.TaxiTripsMulti(42, 64, 64).Grid.WriteCSV(&clean); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(clean.String(), "\n")
+	if lines[1] != "row,col,pickups:sum:int,passengers:sum:int,distance:sum,fare:sum" {
+		t.Fatalf("unexpected header %q", lines[1])
+	}
+	for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+		dirty := slices.Clone(lines)
+		fields := strings.Split(dirty[99], ",") // line 100
+		fields[4] = bad                         // distance
+		dirty[99] = strings.Join(fields, ",")
+		in := filepath.Join(dir, "in.csv")
+		if err := os.WriteFile(in, []byte(strings.Join(dirty, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, "out.csv")
+		err := run(runConfig{in: in, outputs: outputs{out: out}, threshold: 0.1, schedule: "geometric"})
+		if err == nil || !strings.Contains(err.Error(), "line 100:") {
+			t.Errorf("distance %s on line 100: run = %v, want an error naming line 100", bad, err)
+		}
+		if _, serr := os.Stat(out); !os.IsNotExist(serr) {
+			t.Errorf("distance %s: -out written despite the error", bad)
+		}
 	}
 }
 

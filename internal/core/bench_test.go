@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"spatialrepart/internal/datagen"
@@ -24,6 +25,20 @@ func BenchmarkBuildLadder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildLadder(norm)
+	}
+}
+
+// BenchmarkLadder times Ladder alone on the taxi-multi fields of the ingest
+// (256²) and batch (1024²) benchmark workloads.
+func BenchmarkLadder(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		norm, _ := datagen.TaxiTripsMulti(1, n, n).Grid.Normalized()
+		field := BuildFieldParallel(norm, 0)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				field.Ladder()
+			}
+		})
 	}
 }
 

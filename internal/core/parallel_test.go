@@ -675,9 +675,9 @@ func TestRunReportPopulated(t *testing.T) {
 			t.Errorf("peak groups %d below trajectory point %d", rep.PeakGroups, e.Groups)
 		}
 	}
-	for _, phase := range []string{"varfield.build", "rung.extract", "rung.allocate", "rung.loss", "rung.eval"} {
+	for _, phase := range []string{"varfield.build", "ladder.build", "rung.extract", "rung.allocate", "rung.loss", "rung.eval"} {
 		ps, ok := rep.Phases[phase]
-		if rep.Evaluations == 0 && phase != "varfield.build" {
+		if rep.Evaluations == 0 && phase != "varfield.build" && phase != "ladder.build" {
 			continue
 		}
 		if !ok || ps.Count == 0 {

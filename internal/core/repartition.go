@@ -199,7 +199,11 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	_, sp := o.StartSpanCtx(ctx, "varfield.build")
 	field := BuildFieldParallel(norm, workers)
 	sp.End()
+	// Histogram-only, like the rung sub-phases: the flight recorder keeps
+	// the events per run it had.
+	sp = o.StartSpan("ladder.build")
 	ladder := field.Ladder()
+	sp.End()
 	o.SetGauge("repart.ladder_rungs", float64(ladder.Len()))
 	if rec != nil {
 		rec.field = field.Stats()

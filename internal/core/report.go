@@ -97,8 +97,8 @@ type RunReport struct {
 
 	TotalNS int64 `json:"total_ns"`
 
-	// Phases holds per-phase timing stats keyed by span name
-	// (varfield.build, rung.extract, rung.allocate, rung.loss, …).
+	// Phases holds per-phase timing stats keyed by span name (varfield.build,
+	// ladder.build, rung.extract, rung.allocate, rung.loss, …).
 	Phases map[string]PhaseStat `json:"phases,omitempty"`
 	// Trajectory lists every evaluated rung in ascending rung order.
 	Trajectory []EvalPoint `json:"trajectory,omitempty"`

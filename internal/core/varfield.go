@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"spatialrepart/internal/grid"
 )
@@ -76,29 +75,81 @@ func (f *VariationField) Valid(r, c int) bool { return f.valid[r*f.Cols+c] }
 
 // Ladder drains the field into the distinct ascending variation ladder —
 // the same values the §III-A1 heap pops produce, without the boxed heap:
-// finite entries are collected, sorted, and deduplicated in place.
+// finite entries are collected, radix-sorted, and deduplicated in place.
+// +Inf entries (no neighbour, or a null–valid pair) never merge and NaN
+// orders against nothing, so both are dropped before the sort.
 func (f *VariationField) Ladder() *VariationLadder {
 	vals := make([]float64, 0, 2*len(f.H))
 	for _, v := range f.H {
-		if !math.IsInf(v, 1) {
+		if finite(v) {
 			vals = append(vals, v)
 		}
 	}
 	for _, v := range f.V {
-		if !math.IsInf(v, 1) {
+		if finite(v) {
 			vals = append(vals, v)
 		}
 	}
-	sort.Float64s(vals)
+	vals = radixSort(vals, make([]float64, len(vals)))
 	out := vals[:0]
-	prev := math.Inf(-1)
 	for _, v := range vals {
-		if v > prev {
+		if len(out) == 0 || v > out[len(out)-1] {
 			out = append(out, v)
-			prev = v
 		}
 	}
 	return &VariationLadder{values: out}
+}
+
+// radixSort sorts the finite values a ascending with an LSD radix sort over
+// sortKey, using b (len(b) ≥ len(a)) as the scatter buffer, and returns the
+// sorted slice, which is a or b. A pass whose digit is the same for every
+// key moves nothing and is skipped. The sort is stable, so equal keys —
+// equal bits — keep their input order; -0 sorts before +0.
+func radixSort(a, b []float64) []float64 {
+	// 11-bit digits: 2,048 counters per pass fit in L1, and six passes
+	// cover the 64-bit key.
+	const digit = 11
+	const buckets = 1 << digit
+	const passes = (64 + digit - 1) / digit
+	if len(a) < 2 {
+		return a
+	}
+	b = b[:len(a)]
+	var counts [passes][buckets]int
+	for _, v := range a {
+		k := sortKey(v)
+		for d := range counts {
+			counts[d][k>>(d*digit)&(buckets-1)]++
+		}
+	}
+	first := sortKey(a[0])
+	for d := range counts {
+		shift := d * digit
+		c := &counts[d]
+		if c[first>>shift&(buckets-1)] == len(a) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, v := range a {
+			i := sortKey(v) >> shift & (buckets - 1)
+			b[c[i]] = v
+			c[i]++
+		}
+		a, b = b, a
+	}
+	return a
+}
+
+// sortKey maps a float's bits to a uint64 whose unsigned order is the
+// float's order: bits with the sign bit clear get it set, bits with it set
+// are all flipped, so larger negative magnitudes sort lower.
+func sortKey(v float64) uint64 {
+	k := math.Float64bits(v)
+	return k ^ (uint64(int64(k)>>63) | 1<<63)
 }
 
 // ExtractField is Algorithm 1 over a precomputed variation field: identical

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,8 +144,8 @@ func TestBuildFieldParallelBitIdentical(t *testing.T) {
 }
 
 // TestLadderFromFieldMatchesHeapReference rebuilds the ladder the way the
-// seed's container/heap implementation did and checks the sort-and-dedupe
-// replacement yields the identical rung sequence.
+// seed's container/heap implementation did and checks the radix sort and
+// dedupe that replaced it yields the identical rung sequence.
 func TestLadderFromFieldMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -194,4 +195,75 @@ func distinctSorted(vals []float64) []float64 {
 		return nil
 	}
 	return dedup
+}
+
+// TestLadderRadixMatchesSort checks the radix-sorted ladder bit for bit
+// against slices.Sort plus the v > prev dedupe, on value sets up to 300,002
+// values that mix duplicates, +0, subnormals, both sides of exponent
+// boundaries, 1.0, negatives, NaNs of either sign and payload, and ±Inf.
+func TestLadderRadixMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	var edges []float64
+	for _, e := range []int{-1074, -1022, -1021, -600, -52, -11, -1, 0, 1, 11, 52, 600, 1023} {
+		p := math.Ldexp(1, e)
+		edges = append(edges, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+	}
+	specials := []float64{
+		0, 1, math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		math.MaxFloat64, -1, -2.5, -math.SmallestNonzeroFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN payload
+		math.Float64frombits(0xfff8000000000000), // negative quiet NaN
+		math.Float64frombits(0xfff0000000000abc), // negative NaN, other payload
+	}
+	draws := []func() float64{
+		func() float64 { return rng.Float64() }, // the variations of a normalized grid
+		func() float64 { return edges[rng.Intn(len(edges))] },
+		func() float64 { return specials[rng.Intn(len(specials))] },
+		func() float64 { return float64(rng.Intn(50)) / 49 }, // heavy duplicates
+		func() float64 { return 1 + rng.Float64() },          // one exponent: high passes skip
+		func() float64 { return -rng.ExpFloat64() },
+		func() float64 { return math.Float64frombits(rng.Uint64()) },
+	}
+	for _, n := range []int{0, 1, 2, 3, 17, 1000, 65_537, 150_001} {
+		for trial := 0; trial < 4; trial++ {
+			mix := draws[:1+rng.Intn(len(draws))]
+			if trial == 3 {
+				mix = draws[4:5]
+			}
+			f := &VariationField{H: make([]float64, n), V: make([]float64, n)}
+			for i := range f.H {
+				f.H[i] = mix[rng.Intn(len(mix))]()
+				f.V[i] = mix[rng.Intn(len(mix))]()
+			}
+			want := sortDedupe(append(append([]float64(nil), f.H...), f.V...))
+			got := f.Ladder().Values()
+			if len(got) != len(want) {
+				t.Fatalf("n=%d trial %d: %d rungs, want %d", 2*n, trial, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d trial %d: rung %d = %v (%#x), want %v (%#x)",
+						2*n, trial, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// sortDedupe is the ladder as the comparison sort built it: drop +Inf, sort
+// (NaN first), keep each value greater than the last kept, starting at -Inf.
+func sortDedupe(vals []float64) []float64 {
+	vals = slices.DeleteFunc(vals, func(v float64) bool { return math.IsInf(v, 1) })
+	slices.Sort(vals)
+	out := vals[:0]
+	prev := math.Inf(-1)
+	for _, v := range vals {
+		if v > prev {
+			out = append(out, v)
+			prev = v
+		}
+	}
+	return out
 }

@@ -84,10 +84,10 @@ type VariationLadder struct {
 // BuildLadder computes the variation between every pair of 4-adjacent cells
 // of the normalized grid and returns the distinct ascending ladder. Pairs
 // involving exactly one null cell have infinite variation and are excluded
-// (they can never merge). Implemented as a sort-and-dedupe over the dense
-// VariationField (the §III-A1 min-heap produced the same sequence with far
-// more allocation); callers that also need per-pair lookups should call
-// BuildField once and use VariationField.Ladder.
+// (they can never merge), and so is NaN. Implemented as a radix sort and
+// dedupe over the dense VariationField (the §III-A1 min-heap produced the
+// same sequence with far more allocation); callers that also need per-pair
+// lookups should call BuildField once and use VariationField.Ladder.
 func BuildLadder(norm *grid.Grid) *VariationLadder {
 	return BuildField(norm).Ladder()
 }

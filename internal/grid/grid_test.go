@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -299,7 +300,8 @@ func TestCSVRoundTrip(t *testing.T) {
 // TestWriteCSVMatchesEncodingCSV: WriteCSV encodes cell records without
 // encoding/csv, so its bytes must equal what encoding/csv writes for the same
 // records — across null cells, negative zero, extreme magnitudes, NaN and
-// infinities, and attribute names and tags that do need quoting.
+// infinities, and attribute names and tags that do need quoting. ReadCSV
+// rejects the non-finite values and reads the finite cells back bit-exact.
 func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	attrs := []Attribute{
 		{Name: "a b", Agg: Average},
@@ -350,21 +352,37 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("WriteCSV wrote\n%s\nencoding/csv writes\n%s", got.Bytes(), want.Bytes())
 	}
+	// ReadCSV rejects the first non-finite value: the NaN of cell (1,2),
+	// the third record, on line 5.
+	if _, err := ReadCSV(bytes.NewReader(got.Bytes())); err == nil || !strings.Contains(err.Error(), "line 5:") {
+		t.Fatalf("ReadCSV = %v, want the non-finite value on line 5", err)
+	}
+	// Without the non-finite cells, every value reads back bit-exact.
+	finite := g.Clone()
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			for _, v := range g.Vector(r, c) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					finite.SetNull(r, c)
+				}
+			}
+		}
+	}
+	got.Reset()
+	if err := finite.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
 	back, err := ReadCSV(&got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
-			if back.Valid(r, c) != g.Valid(r, c) {
+			if back.Valid(r, c) != finite.Valid(r, c) {
 				t.Fatalf("validity mismatch at (%d,%d)", r, c)
 			}
-			if !g.Valid(r, c) {
-				continue
-			}
 			for k := range attrs {
-				v, w := back.At(r, c, k), g.At(r, c, k)
-				if math.IsNaN(w) && !math.IsNaN(v) || !math.IsNaN(w) && math.Float64bits(v) != math.Float64bits(w) {
+				if v, w := back.At(r, c, k), finite.At(r, c, k); math.Float64bits(v) != math.Float64bits(w) {
 					t.Errorf("(%d,%d,%d): read back %v, wrote %v", r, c, k, v, w)
 				}
 			}
@@ -387,6 +405,32 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(bytes.NewBufferString(in)); err == nil {
 			t.Errorf("ReadCSV(%q): want error", in)
 		}
+	}
+}
+
+// TestReadCSVRejectsNonFinite: a NaN or infinite value is an error that
+// names its line and its attribute, in every spelling ParseFloat accepts.
+// Such a value used to load, and the run on the grid returned the identity
+// partition without an error.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "nan", "+Inf", "-Inf", "inf", "Infinity", "-infinity"} {
+		in := "#grid,2,2\nrow,col,count:sum:int,price:average\n0,0,1,2.5\n0,1,3," + bad + "\n1,1,4,5\n"
+		g, err := ReadCSV(strings.NewReader(in))
+		if err == nil {
+			t.Errorf("%s: read a grid with %v at (0,1), want an error", bad, g.At(0, 1, 1))
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "line 4:") || !strings.Contains(msg, "(price)") {
+			t.Errorf("%s: error %q does not name line 4 and attribute price", bad, msg)
+		}
+	}
+	// Overflowing literals were already errors; finite extremes still load.
+	if _, err := ReadCSV(strings.NewReader("#grid,1,1\nrow,col,a\n0,0,1e400\n")); err == nil {
+		t.Error("1e400: want an error")
+	}
+	g, err := ReadCSV(strings.NewReader("#grid,1,2\nrow,col,a\n0,0,1.7976931348623157e308\n0,1,-5e-324\n"))
+	if err != nil || g.At(0, 0, 0) != math.MaxFloat64 || g.At(0, 1, 0) != -math.SmallestNonzeroFloat64 {
+		t.Errorf("finite extremes: %v, %v", g, err)
 	}
 }
 

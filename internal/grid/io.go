@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,9 +19,18 @@ import (
 // null on read.
 //
 // The two header records go through encoding/csv; the cell records are
-// encoded straight into one reused line buffer. Their fields are integers
+// encoded straight into one reused buffer per row. Their fields are integers
 // and strconv 'g' floats, which never need quoting, so the bytes are the
 // ones encoding/csv would write.
+//
+// A reconstructed grid gives every cell of a group the same vector, so most
+// cells repeat a neighbour's values. A valid cell whose vector has the same
+// bits as the valid cell directly above copies that cell's value text from
+// the previous row's buffer; failing that, it tries the valid cell directly
+// to its left; only then are its values formatted. Equal bits always format
+// to equal text, so the bytes do not depend on the reuse. Bits, not ==, so
+// -0 beside 0 and differing NaN payloads keep their own text; validity
+// first, because a null cell stores zeros and its offsets are stale.
 func (g *Grid) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
@@ -45,29 +55,66 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 	if err := cw.Error(); err != nil {
 		return err
 	}
-	var line []byte
+	// row holds the records of row r and above those of row r-1; the text
+	// ",v1,…,vp" of valid cell (r, c) is row[at[c]:end[c]], of (r-1, c)
+	// above[atAbove[c]:endAbove[c]].
+	var row, above []byte
+	at, end := make([]int, g.Cols), make([]int, g.Cols)
+	atAbove, endAbove := make([]int, g.Cols), make([]int, g.Cols)
+	p := len(g.Attrs)
 	for r := 0; r < g.Rows; r++ {
+		row = row[:0]
 		for c := 0; c < g.Cols; c++ {
-			if !g.Valid(r, c) {
+			i := r*g.Cols + c
+			if !g.valid[i] {
 				continue
 			}
-			line = strconv.AppendInt(line[:0], int64(r), 10)
-			line = append(line, ',')
-			line = strconv.AppendInt(line, int64(c), 10)
-			for _, v := range g.Vector(r, c) {
-				line = append(line, ',')
-				line = strconv.AppendFloat(line, v, 'g', -1, 64)
+			row = strconv.AppendInt(row, int64(r), 10)
+			row = append(row, ',')
+			row = strconv.AppendInt(row, int64(c), 10)
+			start := len(row)
+			fv := g.data[i*p : i*p+p]
+			switch {
+			case r > 0 && g.valid[i-g.Cols] && sameBits(fv, g.data[(i-g.Cols)*p:]):
+				row = append(row, above[atAbove[c]:endAbove[c]]...)
+			case c > 0 && g.valid[i-1] && sameBits(fv, g.data[(i-1)*p:]):
+				row = append(row, row[at[c-1]:end[c-1]]...)
+			default:
+				for _, v := range fv {
+					row = append(row, ',')
+					row = strconv.AppendFloat(row, v, 'g', -1, 64)
+				}
 			}
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
+			at[c], end[c] = start, len(row)
+			row = append(row, '\n')
 		}
+		if _, err := bw.Write(row); err != nil {
+			return err
+		}
+		row, above = above, row
+		at, atAbove = atAbove, at
+		end, endAbove = endAbove, end
 	}
 	return bw.Flush()
 }
 
-// ReadCSV parses a grid previously written by WriteCSV.
+// sameBits reports whether the first len(a) floats of b have the bits of a.
+// It folds every difference into one word instead of returning at the first
+// one: on a raw grid neighbours often share their leading values, so an
+// early exit would sit at a data-dependent position.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	var diff uint64
+	for k, v := range a {
+		diff |= math.Float64bits(v) ^ math.Float64bits(b[k])
+	}
+	return diff == 0
+}
+
+// ReadCSV parses a grid previously written by WriteCSV. A NaN or infinite
+// value is an error naming its line, as it is for a record in FromRecords:
+// loaded, it would make the information loss of every rung NaN, and
+// a run on the grid would return the identity partition without an error.
 func ReadCSV(r io.Reader) (*Grid, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -151,6 +198,9 @@ func ReadCSV(r io.Reader) (*Grid, error) {
 			v, err := strconv.ParseFloat(rec[2+k], 64)
 			if err != nil {
 				return nil, fmt.Errorf("grid: line %d: bad value %q: %w", line, rec[2+k], err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("grid: line %d: value %d (%s) is %v, want a finite number", line, k, attrs[k].Name, v)
 			}
 			fv[k] = v
 		}

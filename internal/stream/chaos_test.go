@@ -258,6 +258,11 @@ func TestInjectedPanicBecomesFailure(t *testing.T) {
 // recomputes. Invariants: Current never errors or returns a nil view once
 // one exists, and afterwards every counter reconciles — accepted records,
 // injector fires vs recorded failures, degraded serves vs failures+skips.
+//
+// The checks must reach the fault point, which only a full recompute hits:
+// on a 32×32 grid that 150 records leave mostly empty, most records land in
+// a still-empty cell, and a partition that has the cell null cannot be kept
+// by a refresh.
 func TestChaosConcurrentReconciliation(t *testing.T) {
 	errChaos := errors.New("chaos")
 	inj := fault.New(12345)
@@ -267,7 +272,8 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 		Obs:       o,
 		Fault:     inj,
 	}
-	s, err := New(testBounds(), 8, 8, ckptAttrs(), opts)
+	const rows, cols = 32, 32
+	s, err := New(testBounds(), rows, cols, ckptAttrs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +285,7 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 150; i++ {
 		rec := grid.Record{
-			Lat: rng.Float64() * 10, Lon: rng.Float64() * 10,
+			Lat: rng.Float64() * 5, Lon: rng.Float64() * 10,
 			Values: []float64{1, rng.Float64() * 100, float64(rng.Intn(3))},
 		}
 		if err := s.Add(rec); err != nil {
@@ -290,8 +296,17 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Arm only after the first view exists: from here on, every injected
-	// failure has a last-good view to fall back on.
-	inj.Set("stream.recompute", fault.Plan{Prob: 0.3, Err: errChaos})
+	// failure has a last-good view to fall back on. The window fails the
+	// first recompute for certain, and the record below, in the empty top
+	// half, makes the next check one: so at least one failure and one
+	// degraded serve happen whatever the goroutines below do.
+	inj.Set("stream.recompute", fault.Plan{First: 0, Count: 1, Prob: 0.3, Err: errChaos})
+	if err := s.Add(grid.Record{Lat: 9.9, Lon: 9.9, Values: []float64{1, 50, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Current(); err != nil || !v.Degraded {
+		t.Fatalf("first armed check: degraded %v, err %v; want a degraded serve", v.Degraded, err)
+	}
 
 	const adders, addsEach = 4, 250
 	var wg sync.WaitGroup
@@ -308,6 +323,15 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 				if err := s.Add(rec); err != nil {
 					t.Error(err)
 					return
+				}
+				// A check of its own every 25 records keeps recomputes
+				// coming while the records arrive: one takes far longer
+				// than the adds it races.
+				if i%25 == 24 {
+					if v, err := s.Current(); err != nil || v.Repartitioned == nil {
+						t.Errorf("Current with a view available: %v, nil view %v", err, v.Repartitioned == nil)
+						return
+					}
 				}
 			}
 		}(int64(100 + w))
@@ -342,8 +366,8 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 	wg.Wait()
 
 	st := s.Stats()
-	if st.Accepted != 150+adders*addsEach {
-		t.Errorf("accepted = %d, want %d", st.Accepted, 150+adders*addsEach)
+	if st.Accepted != 151+adders*addsEach {
+		t.Errorf("accepted = %d, want %d", st.Accepted, 151+adders*addsEach)
 	}
 	// Injected errors are the only failure source, so the injector's fire
 	// count and the stream's failure count must agree exactly.
@@ -352,6 +376,9 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 		t.Errorf("injector fired %d, stream recorded %d failures", fired, st.RecomputeFailures)
 	}
 	t.Logf("%d recompute attempts, %d injected failures, %d degraded serves", hits, fired, st.DegradedServes)
+	if fired < 1 || st.DegradedServes < 1 {
+		t.Errorf("%d injected failures and %d degraded serves; the soak must reach its fault point", fired, st.DegradedServes)
+	}
 	if st.RecomputeFailures > 0 && !errors.Is(st.LastRecomputeErr, errChaos) {
 		t.Errorf("LastRecomputeErr = %v", st.LastRecomputeErr)
 	}
@@ -361,7 +388,7 @@ func TestChaosConcurrentReconciliation(t *testing.T) {
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(testBounds(), 8, 8, ckptAttrs(), Options{Threshold: 0.25})
+	s2, err := New(testBounds(), rows, cols, ckptAttrs(), Options{Threshold: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

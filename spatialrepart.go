@@ -110,7 +110,9 @@ func GridFromRecords(records []Record, bounds Bounds, rows, cols int, attrs []At
 	return grid.FromRecords(records, bounds, rows, cols, attrs)
 }
 
-// ReadGridCSV parses a grid from the CSV form produced by Grid.WriteCSV.
+// ReadGridCSV parses a grid from the CSV form produced by Grid.WriteCSV. A
+// NaN or infinite value is an error that names its line, as it is for a
+// record in GridFromRecords.
 func ReadGridCSV(r io.Reader) (*Grid, error) {
 	return grid.ReadCSV(r)
 }
