@@ -400,6 +400,7 @@ func TestReadCSVErrors(t *testing.T) {
 		"#grid,2,2\nrow,col,a:bogus\n",
 		"#grid,2,2\nrow,col,a\n9,9,1\n",
 		"#grid,2,2\nrow,col,a\n0,0,notanumber\n",
+		"#grid,2,8888888\nrow,col" + strings.Repeat(",a", 16) + "\n",
 	}
 	for _, in := range cases {
 		if _, err := ReadCSV(bytes.NewBufferString(in)); err == nil {

@@ -2,7 +2,9 @@ package grid
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -111,44 +113,117 @@ func sameBits(a, b []float64) bool {
 	return diff == 0
 }
 
+// readBufSize is the size of ReadCSV's input buffer, and so the longest data
+// line its fast path takes.
+const readBufSize = 64 << 10
+
 // ReadCSV parses a grid previously written by WriteCSV. A NaN or infinite
 // value is an error naming its line, as it is for a record in FromRecords:
 // loaded, it would make the information loss of every rung NaN, and
 // a run on the grid would return the identity partition without an error.
+// Errors name physical lines, counting blank lines and the line breaks
+// inside quoted fields.
+//
+// encoding/csv reads the two header records. Data rows are split by hand:
+// each line is one record, its fields separated by commas, and its values
+// decoded by parseDecimal. A line that holds a quote or does not fit the
+// buffer hands that line and the rest of the input to encoding/csv, so
+// quoted rows still parse; the rows WriteCSV writes never need quoting.
+// setRow checks the fields of every row on both paths.
 func ReadCSV(r io.Reader) (*Grid, error) {
+	// csv.NewReader keeps br as its own buffer, and encoding/csv reads one
+	// line per ReadSlice, so the data rows start at br's next byte.
+	br := bufio.NewReaderSize(r, readBufSize)
+	g, line, err := readHeader(newCSVReader(br))
+	if err != nil {
+		return nil, err
+	}
+	fv := make([]float64, len(g.Attrs))
+	fields := make([][]byte, 0, 2+len(g.Attrs))
+	for ; ; line++ {
+		b, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull || bytes.IndexByte(b, '"') >= 0 {
+			rest := io.MultiReader(bytes.NewReader(bytes.Clone(b)), br)
+			if err := readCSVRows(g, fv, rest, line); err != nil {
+				return nil, err
+			}
+			return g, nil
+		}
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("grid: line %d: %w", line, err)
+		}
+		// Drop the line ending as encoding/csv does: \n or \r\n, or one \r
+		// before EOF.
+		if n := len(b); n > 0 && b[n-1] == '\n' {
+			b = b[:n-1]
+			if n > 1 && b[n-2] == '\r' {
+				b = b[:n-2]
+			}
+		} else if n > 0 && b[n-1] == '\r' {
+			b = b[:n-1]
+		}
+		if len(b) > 0 { // encoding/csv skips blank lines
+			fields = fields[:0]
+			for {
+				i := bytes.IndexByte(b, ',')
+				if i < 0 {
+					break
+				}
+				fields = append(fields, b[:i])
+				b = b[i+1:]
+			}
+			if err := setRow(g, fv, line, append(fields, b)); err != nil {
+				return nil, err
+			}
+		}
+		if err == io.EOF {
+			return g, nil
+		}
+	}
+}
+
+func newCSVReader(r io.Reader) *csv.Reader {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	// Each record is fully consumed before the next Read, so Read may reuse
 	// the record slice.
 	cr.ReuseRecord = true
+	return cr
+}
+
+// readHeader reads the metadata and column header records and returns the
+// empty grid they describe and the physical line after the header.
+func readHeader(cr *csv.Reader) (*Grid, int, error) {
 	meta, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("grid: reading metadata: %w", err)
+		return nil, 0, fmt.Errorf("grid: reading metadata: %w", err)
 	}
 	if len(meta) != 3 || meta[0] != "#grid" {
-		return nil, fmt.Errorf("grid: bad metadata record %q", meta)
+		return nil, 0, fmt.Errorf("grid: bad metadata record %q", meta)
 	}
 	rows, err := strconv.Atoi(meta[1])
 	if err != nil {
-		return nil, fmt.Errorf("grid: bad row count %q: %w", meta[1], err)
+		return nil, 0, fmt.Errorf("grid: bad row count %q: %w", meta[1], err)
 	}
 	cols, err := strconv.Atoi(meta[2])
 	if err != nil {
-		return nil, fmt.Errorf("grid: bad column count %q: %w", meta[2], err)
+		return nil, 0, fmt.Errorf("grid: bad column count %q: %w", meta[2], err)
 	}
 	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("grid: negative dimensions %dx%d", rows, cols)
+		return nil, 0, fmt.Errorf("grid: negative dimensions %dx%d", rows, cols)
 	}
-	const maxCells = 1 << 28 // refuse absurd allocations from hostile input
+	// Refuse absurd allocations from hostile input: at most 2^28 cells, and
+	// 2^28 values once the header gives the attributes.
+	const maxCells = 1 << 28
 	if rows > 0 && cols > maxCells/max(rows, 1) {
-		return nil, fmt.Errorf("grid: dimensions %dx%d exceed the size limit", rows, cols)
+		return nil, 0, fmt.Errorf("grid: dimensions %dx%d exceed the size limit", rows, cols)
 	}
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("grid: reading header: %w", err)
+		return nil, 0, fmt.Errorf("grid: reading header: %w", err)
 	}
 	if len(header) < 3 || header[0] != "row" || header[1] != "col" {
-		return nil, fmt.Errorf("grid: bad header %q", header)
+		return nil, 0, fmt.Errorf("grid: bad header %q", header)
 	}
 	attrs := make([]Attribute, 0, len(header)-2)
 	for _, col := range header[2:] {
@@ -165,46 +240,101 @@ func ReadCSV(r io.Reader) (*Grid, error) {
 			case "cat":
 				a.Categorical = true
 			default:
-				return nil, fmt.Errorf("grid: unknown attribute tag %q in column %q", p, col)
+				return nil, 0, fmt.Errorf("grid: unknown attribute tag %q in column %q", p, col)
 			}
 		}
 		attrs = append(attrs, a)
 	}
-	g := New(rows, cols, attrs)
-	fv := make([]float64, len(attrs))
-	for line := 3; ; line++ {
+	if cells := rows * cols; cells > 0 && len(attrs) > maxCells/cells {
+		return nil, 0, fmt.Errorf("grid: %d cells of %d attributes exceed the size limit", cells, len(attrs))
+	}
+	return New(rows, cols, attrs), lastLine(cr, header) + 1, nil
+}
+
+// lastLine returns the physical line on which rec, the record cr read last,
+// ends: its last field starts on the line FieldPos names, and a quoted field
+// holds one \n for each line break inside it.
+func lastLine(cr *csv.Reader, rec []string) int {
+	line, _ := cr.FieldPos(len(rec) - 1)
+	return line + strings.Count(rec[len(rec)-1], "\n")
+}
+
+// readCSVRows reads the data records of r through encoding/csv into g. The
+// first line of r is physical line first of the input; the lines FieldPos
+// and a *csv.ParseError name are shifted to match.
+func readCSVRows(g *Grid, fv []float64, r io.Reader, first int) error {
+	cr := newCSVReader(r)
+	shift, next := first-1, first
+	var fields [][]byte
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return nil
+		}
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			pe.StartLine += shift
+			pe.Line += shift
+			next = pe.StartLine
 		}
 		if err != nil {
-			return nil, fmt.Errorf("grid: line %d: %w", line, err)
+			return fmt.Errorf("grid: line %d: %w", next, err)
 		}
-		if len(rec) != 2+len(attrs) {
-			return nil, fmt.Errorf("grid: line %d: %d fields, want %d", line, len(rec), 2+len(attrs))
+		line, _ := cr.FieldPos(0)
+		fields = fields[:0]
+		for _, f := range rec {
+			fields = append(fields, []byte(f))
 		}
-		r, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("grid: line %d: bad row %q: %w", line, rec[0], err)
+		if err := setRow(g, fv, shift+line, fields); err != nil {
+			return err
 		}
-		c, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("grid: line %d: bad col %q: %w", line, rec[1], err)
-		}
-		if !g.InBounds(r, c) {
-			return nil, fmt.Errorf("grid: line %d: cell (%d,%d) outside %dx%d", line, r, c, rows, cols)
-		}
-		for k := range attrs {
-			v, err := strconv.ParseFloat(rec[2+k], 64)
-			if err != nil {
-				return nil, fmt.Errorf("grid: line %d: bad value %q: %w", line, rec[2+k], err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("grid: line %d: value %d (%s) is %v, want a finite number", line, k, attrs[k].Name, v)
-			}
-			fv[k] = v
-		}
-		g.SetVector(r, c, fv)
+		next = shift + lastLine(cr, rec) + 1
 	}
-	return g, nil
+}
+
+// setRow checks the fields of the data record that starts on physical line
+// line and stores its cell's values in g, using fv as scratch.
+func setRow(g *Grid, fv []float64, line int, rec [][]byte) error {
+	if len(rec) != 2+len(fv) {
+		return fmt.Errorf("grid: line %d: %d fields, want %d", line, len(rec), 2+len(fv))
+	}
+	r, err := parseIndex(rec[0])
+	if err != nil {
+		return fmt.Errorf("grid: line %d: bad row %q: %w", line, rec[0], err)
+	}
+	c, err := parseIndex(rec[1])
+	if err != nil {
+		return fmt.Errorf("grid: line %d: bad col %q: %w", line, rec[1], err)
+	}
+	if !g.InBounds(r, c) {
+		return fmt.Errorf("grid: line %d: cell (%d,%d) outside %dx%d", line, r, c, g.Rows, g.Cols)
+	}
+	for k := range fv {
+		v, err := parseDecimal(rec[2+k])
+		if err != nil {
+			return fmt.Errorf("grid: line %d: bad value %q: %w", line, rec[2+k], err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("grid: line %d: value %d (%s) is %v, want a finite number", line, k, g.Attrs[k].Name, v)
+		}
+		fv[k] = v
+	}
+	g.SetVector(r, c, fv)
+	return nil
+}
+
+// parseIndex returns strconv.Atoi(string(b)), reading up to nine decimal
+// digits itself; no index of a grid within the size limit has more.
+func parseIndex(b []byte) (int, error) {
+	if len(b) == 0 || len(b) > 9 {
+		return strconv.Atoi(string(b))
+	}
+	n := 0
+	for _, c := range b {
+		if c -= '0'; c > 9 {
+			return strconv.Atoi(string(b))
+		}
+		n = n*10 + int(c)
+	}
+	return n, nil
 }

@@ -3,6 +3,7 @@ package grid_test
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -131,22 +132,102 @@ func TestWriteCSVNeighbourReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteCSV encodes the 1024² taxi-multi grid raw, where few
-// vectors repeat, and reconstructed at θ 0.1, where most cells repeat a
-// neighbour's.
-func BenchmarkWriteCSV(b *testing.B) {
-	raw := datagen.TaxiTripsMulti(1, 1024, 1024).Grid
+// taxiMulti1024 returns the 1024² taxi-multi grid of the given seed raw,
+// where few vectors repeat, and reconstructed at θ 0.1, where most cells
+// repeat a neighbour's.
+func taxiMulti1024(tb testing.TB, seed int64) []namedGrid {
+	tb.Helper()
+	raw := datagen.TaxiTripsMulti(seed, 1024, 1024).Grid
 	rp, err := core.Repartition(raw, core.Options{Threshold: 0.1, Schedule: core.ScheduleGeometric})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		g    *grid.Grid
-	}{{"raw", raw}, {"reconstructed", rp.ReconstructGrid()}} {
+	return []namedGrid{{"raw", raw}, {"reconstructed", rp.ReconstructGrid()}}
+}
+
+type namedGrid struct {
+	name string
+	g    *grid.Grid
+}
+
+// TestReadCSVMatchesReferenceAt1024: on the 1024² taxi-multi input the batch
+// benchmark reads, and on the output a run writes from it, every value
+// decodes to ParseFloat's bits and ReadCSV returns the grid the
+// encoding/csv reference returns, bit for bit.
+func TestReadCSVMatchesReferenceAt1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and repartitions a 1024² grid")
+	}
+	for _, tc := range taxiMulti1024(t, 42) {
+		var buf bytes.Buffer
+		if err := tc.g.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		values := 0
+		for _, line := range bytes.Split(data, []byte("\n"))[2:] {
+			for i, f := range bytes.Split(line, []byte(",")) {
+				if i < 2 {
+					continue
+				}
+				got, err := grid.ParseDecimal(f)
+				want, werr := strconv.ParseFloat(string(f), 64)
+				if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("%s: parseDecimal(%q) = %v, %v; ParseFloat = %v, %v", tc.name, f, got, err, want, werr)
+				}
+				values++
+			}
+		}
+		got, err := grid.ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := grid.ReferenceReadCSV(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < want.Rows; r++ {
+			for c := 0; c < want.Cols; c++ {
+				if got.Valid(r, c) != want.Valid(r, c) {
+					t.Fatalf("%s: cell (%d,%d) valid %v, reference %v", tc.name, r, c, got.Valid(r, c), want.Valid(r, c))
+				}
+				for k := range want.Attrs {
+					if v, w := got.At(r, c, k), want.At(r, c, k); math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("%s: (%d,%d,%d) = %v, reference %v", tc.name, r, c, k, v, w)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d bytes, %d values", tc.name, len(data), values)
+	}
+}
+
+// BenchmarkWriteCSV encodes the 1024² taxi-multi grid raw and
+// reconstructed.
+func BenchmarkWriteCSV(b *testing.B) {
+	for _, bc := range taxiMulti1024(b, 1) {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := bc.g.WriteCSV(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadCSV reads the CSV of the batch benchmark's 1024² taxi-multi
+// input and of the grid a run reconstructs from it.
+func BenchmarkReadCSV(b *testing.B) {
+	for _, bc := range taxiMulti1024(b, 42) {
+		var buf bytes.Buffer
+		if err := bc.g.WriteCSV(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(buf.Len()))
+			for i := 0; i < b.N; i++ {
+				if _, err := grid.ReadCSV(bytes.NewReader(buf.Bytes())); err != nil {
 					b.Fatal(err)
 				}
 			}

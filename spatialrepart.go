@@ -112,7 +112,9 @@ func GridFromRecords(records []Record, bounds Bounds, rows, cols int, attrs []At
 
 // ReadGridCSV parses a grid from the CSV form produced by Grid.WriteCSV. A
 // NaN or infinite value is an error that names its line, as it is for a
-// record in GridFromRecords.
+// record in GridFromRecords. Errors name physical lines, counting blank
+// lines and the line breaks inside quoted fields. Quoted data rows are
+// still accepted, as encoding/csv reads them.
 func ReadGridCSV(r io.Reader) (*Grid, error) {
 	return grid.ReadCSV(r)
 }
