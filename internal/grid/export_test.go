@@ -1,7 +1,4 @@
 package grid
 
 // The external tests build their grids with core, which imports grid.
-var (
-	ParseDecimal     = parseDecimal
-	ReferenceReadCSV = referenceReadCSV
-)
+var ReferenceReadCSV = referenceReadCSV

@@ -122,7 +122,9 @@ const readBufSize = 64 << 10
 // loaded, it would make the information loss of every rung NaN, and
 // a run on the grid would return the identity partition without an error.
 // Errors name physical lines, counting blank lines and the line breaks
-// inside quoted fields.
+// inside quoted fields. A header that declares more than 2^28 cells, or
+// more than 2^28 values (cells × attributes), is rejected before the grid
+// is allocated, so a short hostile header cannot ask for gigabytes.
 //
 // encoding/csv reads the two header records. Data rows are split by hand:
 // each line is one record, its fields separated by commas, and its values
@@ -298,11 +300,11 @@ func setRow(g *Grid, fv []float64, line int, rec [][]byte) error {
 	if len(rec) != 2+len(fv) {
 		return fmt.Errorf("grid: line %d: %d fields, want %d", line, len(rec), 2+len(fv))
 	}
-	r, err := parseIndex(rec[0])
+	r, err := strconv.Atoi(string(rec[0]))
 	if err != nil {
 		return fmt.Errorf("grid: line %d: bad row %q: %w", line, rec[0], err)
 	}
-	c, err := parseIndex(rec[1])
+	c, err := strconv.Atoi(string(rec[1]))
 	if err != nil {
 		return fmt.Errorf("grid: line %d: bad col %q: %w", line, rec[1], err)
 	}
@@ -321,20 +323,4 @@ func setRow(g *Grid, fv []float64, line int, rec [][]byte) error {
 	}
 	g.SetVector(r, c, fv)
 	return nil
-}
-
-// parseIndex returns strconv.Atoi(string(b)), reading up to nine decimal
-// digits itself; no index of a grid within the size limit has more.
-func parseIndex(b []byte) (int, error) {
-	if len(b) == 0 || len(b) > 9 {
-		return strconv.Atoi(string(b))
-	}
-	n := 0
-	for _, c := range b {
-		if c -= '0'; c > 9 {
-			return strconv.Atoi(string(b))
-		}
-		n = n*10 + int(c)
-	}
-	return n, nil
 }

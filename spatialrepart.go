@@ -114,7 +114,9 @@ func GridFromRecords(records []Record, bounds Bounds, rows, cols int, attrs []At
 // NaN or infinite value is an error that names its line, as it is for a
 // record in GridFromRecords. Errors name physical lines, counting blank
 // lines and the line breaks inside quoted fields. Quoted data rows are
-// still accepted, as encoding/csv reads them.
+// still accepted, as encoding/csv reads them. A header that declares more
+// than 2^28 cells, or more than 2^28 values (cells × attributes), is
+// rejected before anything is allocated.
 func ReadGridCSV(r io.Reader) (*Grid, error) {
 	return grid.ReadCSV(r)
 }
