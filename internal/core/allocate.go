@@ -62,24 +62,43 @@ func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi i
 }
 
 // allocateGroup writes the Algorithm 2 feature vector of the non-null group
-// cg into fv (length NumAttrs). vals is scratch space, returned for reuse.
+// cg into fv (length NumAttrs). One row-major sweep over each row's
+// contiguous cell vectors adds up every attribute, which leaves each Sum
+// attribute's value in fv with the bits allocateAttr's gathered sum has:
+// same values, same order. Every other attribute then gathers its values
+// into vals, scratch space returned for reuse, and takes allocateAttr's
+// mean-or-mode rule over them.
 func allocateGroup(orig *grid.Grid, cg *CellGroup, fv, vals []float64, meanOnly bool) []float64 {
-	for k := range fv {
-		vals = vals[:0]
-		for r := cg.RBeg; r <= cg.REnd; r++ {
-			for c := cg.CBeg; c <= cg.CEnd; c++ {
-				vals = append(vals, orig.At(r, c, k))
+	p := len(fv)
+	clear(fv)
+	for r := cg.RBeg; r <= cg.REnd; r++ {
+		row := orig.RowSpan(r, cg.CBeg, cg.CEnd)
+		for i := 0; i < len(row); i += p {
+			for k, v := range row[i : i+p] {
+				fv[k] += v
 			}
 		}
-		if meanOnly && orig.Attrs[k].Agg == grid.Average && !orig.Attrs[k].Categorical {
+	}
+	for k, attr := range orig.Attrs {
+		if attr.Agg == grid.Sum {
+			continue
+		}
+		vals = vals[:0]
+		for r := cg.RBeg; r <= cg.REnd; r++ {
+			row := orig.RowSpan(r, cg.CBeg, cg.CEnd)
+			for i := k; i < len(row); i += p {
+				vals = append(vals, row[i])
+			}
+		}
+		if meanOnly && attr.Agg == grid.Average && !attr.Categorical {
 			a := mean(vals)
-			if orig.Attrs[k].Integer {
+			if attr.Integer {
 				a = math.Round(a)
 			}
 			fv[k] = a
 			continue
 		}
-		fv[k] = allocateAttr(orig.Attrs[k], vals)
+		fv[k] = allocateAttr(attr, vals)
 	}
 	return vals
 }

@@ -131,3 +131,42 @@ func TestModeDeterministicTieBreak(t *testing.T) {
 		t.Errorf("mode = %v, want 5", got)
 	}
 }
+
+// TestAllocateFeaturesMatchesSeedLoop holds Algorithm 2 to an independent
+// implementation: on the partition of every rung either schedule evaluates
+// on the fan-out grids, AllocateFeatures must return the bits of
+// seedAllocateFeatures, the seed's loop that gathers one attribute at a time
+// and takes the mode through a map. The rung memo, the final gather and
+// AllocateFeaturesParallel all run allocateGroup, so the properties that
+// compare them with AllocateFeatures would all still pass if allocateGroup
+// added a group's cells in another order; this one would not.
+func TestAllocateFeaturesMatchesSeedLoop(t *testing.T) {
+	values := 0
+	for gi, g := range fanOutGrids() {
+		norm, _ := g.Normalized()
+		field := BuildField(norm)
+		for _, tc := range fanOutCases {
+			_, rep, err := RepartitionWithReport(g, Options{Threshold: tc.th, Schedule: tc.sched, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range rep.Trajectory {
+				part := ExtractField(field, e.MinAdjVariation)
+				got, want := AllocateFeatures(g, part), seedAllocateFeatures(g, part)
+				for i := range want {
+					if (got[i] == nil) != (want[i] == nil) {
+						t.Fatalf("grid %d rung %d group %d: vector %v, seed loop %v", gi, e.Rung, i, got[i], want[i])
+					}
+					for k := range want[i] {
+						if math.Float64bits(got[i][k]) != math.Float64bits(want[i][k]) {
+							t.Fatalf("grid %d rung %d group %d %+v attribute %d: %v, seed loop %v",
+								gi, e.Rung, i, part.Groups[i], k, got[i][k], want[i][k])
+						}
+					}
+					values += len(want[i])
+				}
+			}
+		}
+	}
+	t.Logf("%d feature values agree", values)
+}

@@ -42,6 +42,24 @@ func BenchmarkLadder(b *testing.B) {
 	}
 }
 
+// BenchmarkRepartition1024 times the whole ladder search on the grid of the
+// benchmark's batch workload (taxi-multi 1024², seed 42, θ 0.1, geometric:
+// 18 rung evaluations), sequentially and on all cores. It is the only core
+// benchmark at a size where the rung memo carries most of the work.
+func BenchmarkRepartition1024(b *testing.B) {
+	g := datagen.TaxiTripsMulti(42, 1024, 1024).Grid
+	for _, w := range []int{1, 0} {
+		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Repartition(g, Options{Threshold: 0.1, Schedule: ScheduleGeometric, Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkExtract(b *testing.B) {
 	ds := datagen.TaxiTripsUni(1, 40, 40)
 	norm, _ := ds.Grid.Normalized()

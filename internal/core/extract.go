@@ -34,6 +34,22 @@ func (p *Partition) GroupOf(r, c int) int { return p.CellToGroup[r*p.Cols+c] }
 // NumGroups returns the number of cell-groups.
 func (p *Partition) NumGroups() int { return len(p.Groups) }
 
+// indexCells writes CellToGroup from Groups, which must tile the grid,
+// reusing CellToGroup when it already has one entry per cell.
+func (p *Partition) indexCells() {
+	if len(p.CellToGroup) != p.Rows*p.Cols {
+		p.CellToGroup = make([]int, p.Rows*p.Cols)
+	}
+	for id, cg := range p.Groups {
+		for r := cg.RBeg; r <= cg.REnd; r++ {
+			row := p.CellToGroup[r*p.Cols+cg.CBeg : r*p.Cols+cg.CEnd+1]
+			for i := range row {
+				row[i] = id
+			}
+		}
+	}
+}
+
 // Identity returns the trivial partition in which every cell of g is its own
 // cell-group. It is the starting point of the re-partitioning loop (IFL 0).
 func Identity(g *grid.Grid) *Partition {

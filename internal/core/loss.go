@@ -52,8 +52,10 @@ func IFLTerm(d, rep, span float64) float64 {
 }
 
 // attrSpans returns each attribute's observed range span over valid cells.
-func attrSpans(g *grid.Grid) []float64 {
-	ranges := g.Ranges()
+func attrSpans(g *grid.Grid) []float64 { return rangeSpans(g.Ranges()) }
+
+// rangeSpans returns the span Max − Min of each attribute range.
+func rangeSpans(ranges []grid.AttrRange) []float64 {
 	spans := make([]float64, len(ranges))
 	for k, r := range ranges {
 		spans[k] = r.Max - r.Min

@@ -195,7 +195,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	ctx, spRun := o.StartSpanCtx(ctx, "repart.run", "schedule", scheduleName(opts.Schedule))
 	defer spRun.End()
 
-	norm, _ := g.Normalized()
+	norm, ranges := g.Normalized()
 	_, sp := o.StartSpanCtx(ctx, "varfield.build")
 	field := BuildFieldParallel(norm, workers)
 	sp.End()
@@ -211,7 +211,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rec.workers = workers
 	}
 
-	memo := newRungMemo(g, workers)
+	memo := newRungMemo(g, ranges, workers)
 	var best *rungBuffers // the accepted rung, nil until a rung passes
 	next := &rungBuffers{}
 	// pass evaluates one ladder rung into next and, when its loss is within
@@ -228,16 +228,16 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		// recorder holds one event per rung, not four.
 		_, spe := o.StartSpanCtx(ctx, "rung.eval")
 		sp := o.StartSpan("rung.extract")
-		field.extractInto(&next.part, ladder.Rung(i))
+		next.groups = field.extractGroups(next.groups[:0], memo.visited, ladder.Rung(i))
 		sp.End()
 		sp = o.StartSpan("rung.allocate")
-		hits := memo.allocate(next)
+		hits := memo.allocate(next.groups)
 		sp.End()
 		sp = o.StartSpan("rung.loss")
 		loss := memo.ifl()
 		sp.End()
 		spe.End()
-		groups := len(next.part.Groups)
+		groups := len(next.groups)
 		ok := loss <= opts.Threshold
 		o.Count("rung.evaluated", 1)
 		o.Count("extract.calls", 1)
@@ -261,7 +261,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 
 	var rp *Repartitioned
 	if best != nil {
-		rp = best.result(g)
+		rp = memo.result(best)
 	} else {
 		// No rung passed: the identity partition, IFL 0.
 		part := Identity(g)
@@ -278,56 +278,22 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	return rp, nil
 }
 
-// rungBuffers is one evaluated rung: its partition, the features of its
-// groups (group gi's vector at feat[gi*attrs:], unused for null groups) and
-// its loss. The search keeps two — the accepted rung and a scratch rung —
-// and extracts each new rung into the scratch one, so per-rung buffers are
-// allocated only when a rung outgrows them.
+// rungBuffers is one evaluated rung: its groups and, once it passes, its
+// loss and variation threshold. The search keeps two — the accepted rung and
+// a scratch rung — and extracts each new rung into the scratch one, so the
+// group slices are allocated only when a rung outgrows them. Features live
+// in the memo only; result gathers the accepted rung's.
 type rungBuffers struct {
-	part            Partition
-	feat            []float64
+	groups          []CellGroup
 	ifl             float64
 	minAdjVariation float64
-}
-
-// result copies the rung into a Repartitioned that owns exact-size buffers:
-// no spare capacity and nothing shared with the memo, whose memory is
-// dropped when the run returns.
-func (b *rungBuffers) result(g *grid.Grid) *Repartitioned {
-	p := g.NumAttrs()
-	groups := make([]CellGroup, len(b.part.Groups))
-	copy(groups, b.part.Groups)
-	valid := 0
-	for _, cg := range groups {
-		if !cg.Null {
-			valid++
-		}
-	}
-	backing := make([]float64, valid*p)
-	feats := make([][]float64, len(groups))
-	for gi, cg := range groups {
-		if cg.Null {
-			continue
-		}
-		fv := backing[:p:p]
-		backing = backing[p:]
-		copy(fv, b.feat[gi*p:])
-		feats[gi] = fv
-	}
-	return &Repartitioned{
-		Source:          g,
-		Partition:       &Partition{Rows: g.Rows, Cols: g.Cols, Groups: groups, CellToGroup: b.part.CellToGroup},
-		Features:        feats,
-		IFL:             b.ifl,
-		MinAdjVariation: b.minAdjVariation,
-	}
 }
 
 // rungMemo evaluates the rungs of one run (DESIGN.md §3.22). For every
 // anchor (top-left) cell it keeps the last rectangle evaluated there with
 // that rectangle's Algorithm 2 features and Eq. 3 loss sum. Both depend only
-// on the rectangle, so a group whose extents match its anchor's slot copies
-// them, and allocation and loss cost work only for new rectangles. Within
+// on the rectangle, so a group whose extents match its anchor's slot costs
+// nothing to allocate, and only new rectangles read their cells. Within
 // one partition each anchor belongs to one group, so the sharded passes
 // never write the same slot and the hit count does not depend on the
 // sharding. The arrays are flat and pointer-free, allocated once per run.
@@ -338,16 +304,17 @@ type rungMemo struct {
 	workers int
 
 	// rEnd and cEnd hold each slot's rectangle extents, indexed by anchor
-	// cell. rEnd is -1 while a slot is empty and while the allocate pass has
-	// rewritten its features but the loss pass has not yet stored its loss.
+	// cell; rEnd is -1 while a slot is empty. A slot's extents, features
+	// and loss sum always describe the same rectangle.
 	rEnd, cEnd []int32
 	feat       []float64 // cells × attrs features
 	loss       []float64 // per-cell loss sums
+	visited    []bool    // Algorithm 1's visited cells, one per cell
 
 	// The rung being evaluated and the per-pass scratch the sharded passes
 	// write: one hit count and one Algorithm 2 scratch slice per allocation
 	// shard, one partial per loss chunk.
-	rung      *rungBuffers
+	groups    []CellGroup
 	hits      []int
 	scratch   [][]float64
 	partials  []float64
@@ -355,17 +322,20 @@ type rungMemo struct {
 	lossPass  func(shard, lo, hi int)
 }
 
-func newRungMemo(g *grid.Grid, workers int) *rungMemo {
+// newRungMemo returns the memo of a run over g, whose attribute ranges are
+// given (Normalized returns them), so their Eq. 3 spans need no new scan.
+func newRungMemo(g *grid.Grid, ranges []grid.AttrRange, workers int) *rungMemo {
 	cells := g.NumCells()
 	m := &rungMemo{
 		g:        g,
-		spans:    attrSpans(g),
+		spans:    rangeSpans(ranges),
 		valid:    g.ValidCount(),
 		workers:  workers,
 		rEnd:     make([]int32, cells),
 		cEnd:     make([]int32, cells),
 		feat:     make([]float64, cells*g.NumAttrs()),
 		loss:     make([]float64, cells),
+		visited:  make([]bool, cells),
 		hits:     make([]int, 16*workers),
 		scratch:  make([][]float64, 16*workers),
 		partials: make([]float64, 0, lossChunks(cells)),
@@ -378,23 +348,25 @@ func newRungMemo(g *grid.Grid, workers int) *rungMemo {
 	return m
 }
 
-// allocate fills b's features from the memo, running Algorithm 2 on the
-// groups whose rectangle it does not hold, and returns the number of groups
-// it did hold. Groups are cut into 16 ranges per worker, as in
-// AllocateFeaturesParallel, because their sizes vary widely.
-func (m *rungMemo) allocate(b *rungBuffers) int {
-	n, p := len(b.part.Groups), m.g.NumAttrs()
-	if cap(b.feat) < n*p {
-		b.feat = make([]float64, n*p)
-	}
-	b.feat = b.feat[:n*p]
-	m.rung = b
+// holds reports whether anchor a's slot holds group cg's rectangle.
+func (m *rungMemo) holds(a int, cg *CellGroup) bool {
+	return int(m.rEnd[a]) == cg.REnd && int(m.cEnd[a]) == cg.CEnd
+}
+
+// allocate makes the memo hold every group of a rung: for each group whose
+// rectangle its anchor's slot does not hold, it runs Algorithm 2 into the
+// slot and stores the group's loss sum while the cells are in cache. It
+// returns the number of groups the memo already held. Groups are cut into
+// 16 ranges per worker, as in AllocateFeaturesParallel, because their sizes
+// vary widely.
+func (m *rungMemo) allocate(groups []CellGroup) int {
+	m.groups = groups
 	clear(m.hits)
 	workers := m.workers
-	if n < 2*minParallelGroups {
+	if len(groups) < 2*minParallelGroups {
 		workers = 1
 	}
-	parallelRanges(n, 16*m.workers, workers, m.allocPass)
+	parallelRanges(len(groups), 16*m.workers, workers, m.allocPass)
 	hits := 0
 	for _, h := range m.hits {
 		hits += h
@@ -408,50 +380,83 @@ func (m *rungMemo) allocRange(shard, lo, hi int) {
 	vals := m.scratch[shard]
 	hits := 0
 	for gi := lo; gi < hi; gi++ {
-		cg := &m.rung.part.Groups[gi]
+		cg := &m.groups[gi]
 		a := cg.RBeg*cols + cg.CBeg
-		slot := m.feat[a*p : a*p+p]
-		if int(m.rEnd[a]) == cg.REnd && int(m.cEnd[a]) == cg.CEnd {
+		if m.holds(a, cg) {
 			hits++
-		} else {
-			m.rEnd[a] = -1
-			if !cg.Null {
-				vals = allocateGroup(m.g, cg, slot, vals, false)
-			}
+			continue
 		}
+		slot := m.feat[a*p : a*p+p]
 		if !cg.Null {
-			copy(m.rung.feat[gi*p:gi*p+p], slot)
+			vals = allocateGroup(m.g, cg, slot, vals, false)
 		}
+		m.loss[a] = groupLoss(m.g, cg, slot, m.spans)
+		m.rEnd[a], m.cEnd[a] = int32(cg.REnd), int32(cg.CEnd)
 	}
 	m.scratch[shard] = vals
 	m.hits[shard] = hits
 }
 
 // ifl returns the information loss of the rung allocate last filled: the
-// IFL reduction over the memo's loss sums, computing and storing the sums of
-// the rectangles allocate wrote.
+// one chunked IFL reduction over the loss sums the memo holds.
 func (m *rungMemo) ifl() float64 {
-	m.partials = m.partials[:lossChunks(len(m.rung.part.Groups))]
+	m.partials = m.partials[:lossChunks(len(m.groups))]
 	parallelRanges(len(m.partials), 16*m.workers, m.workers, m.lossPass)
 	return meanLoss(m.partials, m.valid, m.g.NumAttrs())
 }
 
 // lossRange is ifl's shard: loss chunks [lo, hi) of the current rung.
 func (m *rungMemo) lossRange(_, lo, hi int) {
-	sumChunks(m.partials, lo, hi, len(m.rung.part.Groups), m.lossOf)
+	sumChunks(m.partials, lo, hi, len(m.groups), m.lossOf)
 }
 
-// lossOf returns group gi's loss sum, computing and storing it when allocate
-// rewrote the group's slot.
+// lossOf returns the stored loss sum of group gi of the current rung.
 func (m *rungMemo) lossOf(gi int) float64 {
-	cg := &m.rung.part.Groups[gi]
-	a := cg.RBeg*m.g.Cols + cg.CBeg
-	if m.rEnd[a] < 0 {
-		p := m.g.NumAttrs()
-		m.loss[a] = groupLoss(m.g, cg, m.feat[a*p:a*p+p], m.spans)
-		m.rEnd[a], m.cEnd[a] = int32(cg.REnd), int32(cg.CEnd)
+	cg := &m.groups[gi]
+	return m.loss[cg.RBeg*m.g.Cols+cg.CBeg]
+}
+
+// result returns the accepted rung b as a Repartitioned that owns
+// exact-size buffers: no spare capacity and nothing shared with the memo,
+// whose memory is dropped when the run returns. CellToGroup is written here,
+// once per run. A group's features are copied from its anchor's slot when
+// the slot still holds its rectangle; a later rung may have rewritten the
+// slot, and then the same Algorithm 2 recomputes them, bit for bit.
+func (m *rungMemo) result(b *rungBuffers) *Repartitioned {
+	g, p := m.g, m.g.NumAttrs()
+	part := &Partition{Rows: g.Rows, Cols: g.Cols, Groups: make([]CellGroup, len(b.groups))}
+	copy(part.Groups, b.groups)
+	part.indexCells()
+	valid := 0
+	for _, cg := range part.Groups {
+		if !cg.Null {
+			valid++
+		}
 	}
-	return m.loss[a]
+	backing := make([]float64, valid*p)
+	feats := make([][]float64, len(part.Groups))
+	var vals []float64
+	for gi := range part.Groups {
+		cg := &part.Groups[gi]
+		if cg.Null {
+			continue
+		}
+		fv := backing[:p:p]
+		backing = backing[p:]
+		if a := cg.RBeg*g.Cols + cg.CBeg; m.holds(a, cg) {
+			copy(fv, m.feat[a*p:])
+		} else {
+			vals = allocateGroup(g, cg, fv, vals, false)
+		}
+		feats[gi] = fv
+	}
+	return &Repartitioned{
+		Source:          g,
+		Partition:       part,
+		Features:        feats,
+		IFL:             b.ifl,
+		MinAdjVariation: b.minAdjVariation,
+	}
 }
 
 // SearchLadder searches an n-rung variation ladder under schedule s, calling

@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"spatialrepart/internal/datagen"
 	"spatialrepart/internal/grid"
 )
 
@@ -225,5 +227,36 @@ func TestRepartitionMultivariate(t *testing.T) {
 		if !cg.Null && len(rp.Features[gi]) != 2 {
 			t.Fatalf("group %d feature arity %d", gi, len(rp.Features[gi]))
 		}
+	}
+}
+
+// TestRepartitionBatchGridPinned pins the deterministic proxies of the
+// benchmark's batch run (taxi-multi 1024², seed 42, θ 0.1, geometric): the
+// number of rung evaluations, the accepted rung and its group count, the
+// memo's hits and groups evaluated, and the accepted IFL's bits. A change
+// to the rung loop that claims the same search and the same hits must leave
+// every one of them as it is.
+func TestRepartitionBatchGridPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and repartitions a 1024² grid")
+	}
+	g := datagen.TaxiTripsMulti(42, 1024, 1024).Grid
+	rp, rep, err := RepartitionWithReport(g, Options{Threshold: 0.1, Schedule: ScheduleGeometric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := -1
+	for _, e := range rep.Trajectory {
+		if e.Pass {
+			accepted = max(accepted, e.Rung)
+		}
+	}
+	got := []int{rp.Iterations, rep.Evaluations, accepted, len(rp.Partition.Groups), rep.MemoHits, rep.GroupsEvaluated}
+	want := []int{18, 18, 1277538, 302227, 4784359, 5565261}
+	if !slices.Equal(got, want) {
+		t.Errorf("iterations, evaluations, accepted rung, groups, memo hits, groups evaluated = %v, want %v", got, want)
+	}
+	if bits := math.Float64bits(rp.IFL); bits != 0x3fb999990f507c1e {
+		t.Errorf("IFL %v has bits %#x, want 0x3fb999990f507c1e", rp.IFL, bits)
 	}
 }

@@ -161,43 +161,41 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 	return p
 }
 
-// extractInto is ExtractField writing into p, whose buffers it reuses: the
-// ladder search extracts every rung into the partition of a superseded rung
-// instead of allocating a new one. Nothing of p's previous contents survives.
+// extractInto is ExtractField writing into p, whose buffers it reuses.
+// Nothing of p's previous contents survives.
 func (f *VariationField) extractInto(p *Partition, minAdjVariation float64) {
+	p.Rows, p.Cols = f.Rows, f.Cols
+	p.Groups = f.extractGroups(p.Groups[:0], make([]bool, f.Rows*f.Cols), minAdjVariation)
+	p.indexCells()
+}
+
+// extractGroups runs Algorithm 1 and appends the groups, in scan order, to
+// groups. visited (one entry per cell) is scratch: the scan clears it, marks
+// each cell as a group takes it, and leaves it all set. The ladder search
+// extracts every rung this way into recycled buffers and writes CellToGroup
+// only for the rung it accepts.
+func (f *VariationField) extractGroups(groups []CellGroup, visited []bool, minAdjVariation float64) []CellGroup {
 	rows, cols := f.Rows, f.Cols
-	p.Rows, p.Cols = rows, cols
-	p.Groups = p.Groups[:0]
-	if len(p.CellToGroup) != rows*cols {
-		p.CellToGroup = make([]int, rows*cols)
-	}
-	// A cell is visited once it has a group: -1 marks the unvisited ones.
-	cellGroup := p.CellToGroup
-	for i := range cellGroup {
-		cellGroup[i] = -1
-	}
+	clear(visited)
 	hVar, vVar := f.H, f.V
 
-	// vRun returns the number of consecutive unvisited cells downward from
-	// (r, c) — including (r, c) — such that each vertically adjacent pair has
-	// variation ≤ minAdjVariation.
+	// vRun returns the number of consecutive cells downward from the
+	// unvisited cell (r, c) — including (r, c) — such that each vertically
+	// adjacent pair has variation ≤ minAdjVariation. It checks no visited
+	// marks: a group covering a cell below (r, c) would be anchored earlier
+	// in the scan and, being a rectangle, cover (r, c) too.
 	vRun := func(r, c int) int {
-		if cellGroup[r*cols+c] >= 0 {
-			return 0
-		}
 		n := 1
-		for r+n < rows && cellGroup[(r+n)*cols+c] < 0 &&
-			vVar[(r+n-1)*cols+c] <= minAdjVariation {
+		for r+n < rows && vVar[(r+n-1)*cols+c] <= minAdjVariation {
 			n++
 		}
 		return n
 	}
+	// hRun is vRun rightward along row r, where an earlier group reaching
+	// down from a row above can stop the run.
 	hRun := func(r, c int) int {
-		if cellGroup[r*cols+c] >= 0 {
-			return 0
-		}
 		n := 1
-		for c+n < cols && cellGroup[r*cols+c+n] < 0 &&
+		for c+n < cols && !visited[r*cols+c+n] &&
 			hVar[r*cols+c+n-1] <= minAdjVariation {
 			n++
 		}
@@ -206,7 +204,7 @@ func (f *VariationField) extractInto(p *Partition, minAdjVariation float64) {
 
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			if cellGroup[r*cols+c] >= 0 {
+			if visited[r*cols+c] {
 				continue
 			}
 			vCount := vRun(r, c)
@@ -249,21 +247,22 @@ func (f *VariationField) extractInto(p *Partition, minAdjVariation float64) {
 			}
 			cg.Null = !f.valid[r*cols+c]
 
-			id := len(p.Groups)
 			for rr := cg.RBeg; rr <= cg.REnd; rr++ {
-				for cc := cg.CBeg; cc <= cg.CEnd; cc++ {
-					cellGroup[rr*cols+cc] = id
+				seg := visited[rr*cols+cg.CBeg : rr*cols+cg.CEnd+1]
+				for i := range seg {
+					seg[i] = true
 				}
 			}
-			if len(p.Groups) == cap(p.Groups) {
+			if len(groups) == cap(groups) {
 				// Double: append grows large slices by only 1.25×, and near
 				// a million groups its repeated copies cost more than the
 				// rectangle search itself.
-				p.Groups = slices.Grow(p.Groups, len(p.Groups))
+				groups = slices.Grow(groups, len(groups))
 			}
-			p.Groups = append(p.Groups, cg)
+			groups = append(groups, cg)
 		}
 	}
+	return groups
 }
 
 // FieldStats summarizes a variation field for run reports: how many adjacent

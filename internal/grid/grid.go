@@ -142,6 +142,15 @@ func (g *Grid) Vector(r, c int) []float64 {
 	return g.data[base : base+len(g.Attrs)]
 }
 
+// RowSpan returns a view (not a copy) of the feature vectors of cells
+// (r, c0) through (r, c1), which lie next to each other in storage:
+// attribute k of cell (r, c) is at index (c−c0)·NumAttrs() + k.
+func (g *Grid) RowSpan(r, c0, c1 int) []float64 {
+	p := len(g.Attrs)
+	end := (r*g.Cols + c1 + 1) * p
+	return g.data[(r*g.Cols+c0)*p : end : end]
+}
+
 // SetNull marks cell (r, c) as having a null feature vector and zeroes its
 // storage.
 func (g *Grid) SetNull(r, c int) {

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,6 +49,21 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 	if g.ValidCount() != 1 {
 		t.Errorf("ValidCount = %d, want 1", g.ValidCount())
+	}
+}
+
+func TestRowSpan(t *testing.T) {
+	g := New(3, 4, []Attribute{{Name: "a"}, {Name: "b"}})
+	g.SetVector(1, 1, []float64{1, 2})
+	g.SetVector(1, 2, []float64{3, 4})
+	g.SetVector(1, 3, []float64{5, 6})
+	span := g.RowSpan(1, 1, 3)
+	if want := []float64{1, 2, 3, 4, 5, 6}; !slices.Equal(span, want) || cap(span) != len(want) {
+		t.Errorf("RowSpan(1, 1, 3) = %v (cap %d), want %v (cap %d)", span, cap(span), want, len(want))
+	}
+	span[2] = 7
+	if g.At(1, 2, 0) != 7 {
+		t.Error("RowSpan should be a view of the grid's storage")
 	}
 }
 
