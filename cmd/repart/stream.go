@@ -286,8 +286,8 @@ func runStream(cfg streamConfig) error {
 	}
 	if cfg.stats {
 		st := s.Stats()
-		fmt.Fprintf(os.Stderr, "stream: accepted=%d dropped=%d recomputes=%d refreshes=%d failures=%d restored=%t wal-replayed=%d\n",
-			st.Accepted, st.Dropped, st.Recomputes, st.Refreshes, st.RecomputeFailures, restored, replayed)
+		fmt.Fprintf(os.Stderr, "stream: accepted=%d dropped=%d recomputes=%d failures=%d restored=%t wal-replayed=%d\n",
+			st.Accepted, st.Dropped, st.Recomputes, st.RecomputeFailures, restored, replayed)
 		fmt.Fprintf(os.Stderr, "cell-groups: %d (%d non-null), IFL=%.4f, generation=%d, degraded=%t\n",
 			v.NumGroups(), v.ValidGroups(), v.IFL, v.Generation, v.Degraded)
 	}

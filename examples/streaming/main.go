@@ -1,7 +1,8 @@
 // Streaming: the §VI extensions in action. Feeds a live stream of vehicle
-// service requests through the streaming repartitioner (watching it refresh
-// cheaply under mild drift and recompute under regime change), then reduces
-// a month of daily snapshots with the spatio-temporal re-partitioner.
+// service requests through the streaming repartitioner (each read after new
+// records serves core.Repartition of the records so far, through mild drift
+// and a regime change), then reduces a month of daily snapshots with the
+// spatio-temporal re-partitioner.
 //
 // Run with:
 //
@@ -54,7 +55,7 @@ func streamingDemo() {
 	}
 
 	// Warm-up: one record per cell so later drift changes values, not the
-	// null structure (a newly-populated cell always forces a full recompute).
+	// null structure.
 	for r := 0; r < 24; r++ {
 		for c := 0; c < 24; c++ {
 			lat := bounds.MinLat + (float64(r)+0.5)/24*(bounds.MaxLat-bounds.MinLat)
@@ -72,8 +73,9 @@ func streamingDemo() {
 	}
 	fmt.Printf("after 3000 records: %d groups, IFL %.4f\n", rp.ValidGroups(), rp.IFL)
 
-	// Mild drift: one more record per cell (a uniform tide) — representable
-	// by the existing partition, so only the features refresh.
+	// Mild drift: one more record per cell (a uniform tide). The old
+	// partition would still pass θ, but the read recomputes and serves the
+	// coarsest rung that passes on the new counts.
 	for r := 0; r < 24; r++ {
 		for c := 0; c < 24; c++ {
 			lat := bounds.MinLat + (float64(r)+0.5)/24*(bounds.MaxLat-bounds.MinLat)
@@ -97,8 +99,7 @@ func streamingDemo() {
 	}
 	st := s.Stats()
 	fmt.Printf("after regime shift: %d groups, IFL %.4f\n", rp.ValidGroups(), rp.IFL)
-	fmt.Printf("stream stats: %d accepted, %d full recomputes, %d cheap refreshes\n",
-		st.Accepted, st.Recomputes, st.Refreshes)
+	fmt.Printf("stream stats: %d accepted, %d recomputes\n", st.Accepted, st.Recomputes)
 }
 
 func spatioTemporalDemo() {

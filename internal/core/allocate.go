@@ -27,29 +27,19 @@ func AllocateFeaturesMeanOnly(orig *grid.Grid, part *Partition) [][]float64 {
 }
 
 func allocate(orig *grid.Grid, part *Partition, meanOnly bool) [][]float64 {
-	feats := make([][]float64, len(part.Groups))
-	allocateRange(orig, part, feats, 0, len(part.Groups), meanOnly)
-	return feats
-}
-
-// allocateRange fills feats[lo:hi] for the groups in that index range. Each
-// group's feature vector depends only on that group's cells, so disjoint
-// ranges can run concurrently and produce output bit-identical to the
-// sequential pass.
-func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi int, meanOnly bool) {
 	p := orig.NumAttrs()
+	feats := make([][]float64, len(part.Groups))
 	vals := make([]float64, 0, 64)
-	// One backing array for the range's non-null vectors instead of one
-	// allocation per group; each vector is capped at p so an append copies
-	// it out.
+	// One backing array for the non-null vectors instead of one allocation
+	// per group; each vector is capped at p so an append copies it out.
 	valid := 0
-	for _, cg := range part.Groups[lo:hi] {
+	for _, cg := range part.Groups {
 		if !cg.Null {
 			valid++
 		}
 	}
 	backing := make([]float64, valid*p)
-	for gi := lo; gi < hi; gi++ {
+	for gi := range part.Groups {
 		cg := &part.Groups[gi]
 		if cg.Null {
 			continue
@@ -59,6 +49,7 @@ func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi i
 		vals = allocateGroup(orig, cg, fv, vals, meanOnly)
 		feats[gi] = fv
 	}
+	return feats
 }
 
 // allocateGroup writes the Algorithm 2 feature vector of the non-null group

@@ -136,10 +136,10 @@ func TestModeDeterministicTieBreak(t *testing.T) {
 // implementation: on the partition of every rung either schedule evaluates
 // on the fan-out grids, AllocateFeatures must return the bits of
 // seedAllocateFeatures, the seed's loop that gathers one attribute at a time
-// and takes the mode through a map. The rung memo, the final gather and
-// AllocateFeaturesParallel all run allocateGroup, so the properties that
-// compare them with AllocateFeatures would all still pass if allocateGroup
-// added a group's cells in another order; this one would not.
+// and takes the mode through a map. The rung memo and the final gather both
+// run allocateGroup, so the properties that compare them with
+// AllocateFeatures would all still pass if allocateGroup added a group's
+// cells in another order; this one would not.
 func TestAllocateFeaturesMatchesSeedLoop(t *testing.T) {
 	values := 0
 	for gi, g := range fanOutGrids() {

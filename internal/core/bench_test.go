@@ -160,7 +160,7 @@ func repartitionSeedReference(g *grid.Grid, threshold float64) *Partition {
 }
 
 // seedAllocateFeatures is Algorithm 2 exactly as the seed shipped it: the
-// same loop as allocateRange, but with the original map-based mode (one map
+// same loop as allocate, but with the original map-based mode (one map
 // allocated per group-attribute). Kept here so the benchmark delta reflects
 // the full old-vs-new rung loop, not just the extractor swap.
 func seedAllocateFeatures(orig *grid.Grid, part *Partition) [][]float64 {

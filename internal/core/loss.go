@@ -67,19 +67,25 @@ func rangeSpans(ranges []grid.AttrRange) []float64 {
 // re-partitioned dataset (partition + allocated group features): the mean
 // absolute percentage error of the representative cell values against the
 // original ones, averaged over all valid cells and all attributes. It runs
-// the same reduction as IFLParallel on one goroutine, so every path that
-// measures a partition — batch rungs, stream refresh, stream recompute —
-// gets the same bits.
+// the one chunked reduction the rung memo runs over its stored loss sums
+// (sumChunks, then meanLoss), so it returns a rung's IFL bit for bit.
 func IFL(orig *grid.Grid, part *Partition, feats [][]float64) float64 {
-	return IFLParallel(orig, part, feats, 1)
+	spans := attrSpans(orig)
+	n := len(part.Groups)
+	partials := make([]float64, lossChunks(n))
+	sumChunks(partials, 0, len(partials), n, func(gi int) float64 {
+		return groupLoss(orig, &part.Groups[gi], feats[gi], spans)
+	})
+	return meanLoss(partials, orig.ValidCount(), orig.NumAttrs())
 }
 
 // groupLoss returns group cg's share of the Eq. 3 numerator: the terms of
 // its valid cells in row-major order within the rectangle, attributes
 // innermost, against its feature vector fv. It depends only on the rectangle
 // and the grid, which is what lets the ladder search memoize it. cg is a
-// pointer because the refresh path calls this once per group, where copying
-// the rectangle into every call was a measurable share of the IFL sweep.
+// pointer because the memo calls this once per new rectangle of every rung
+// and IFL once per group: passed by value, the copy once made a per-group
+// IFL sweep ~20 % slower (DESIGN.md §3.22).
 func groupLoss(orig *grid.Grid, cg *CellGroup, fv, spans []float64) float64 {
 	size := cg.Size()
 	var sum float64

@@ -167,8 +167,8 @@ func TestRungLoopAllocs(t *testing.T) {
 
 // fanOutGrids returns grids on which every sharded step really splits: both
 // schedules evaluate a rung with more than 2·lossChunk groups, so the IFL
-// reduction combines three or more chunks and AllocateFeaturesParallel (from
-// 2·minParallelGroups groups up) leaves its sequential fallback. The
+// reduction combines three or more chunks and the rung memo's allocate pass
+// (from 2·minParallelGroups groups up) leaves its sequential fallback. The
 // geometric schedule's probes start mid-ladder, so the grids must be large
 // enough that those rungs clear the bar too: the first grid's largest
 // geometric probe has 2,309 groups at 60², but only 1,273 at 48².
@@ -198,7 +198,7 @@ var fanOutCases = []struct {
 
 // requireFanOut fails unless the report shows an evaluated rung large enough
 // for the IFL reduction to span three or more chunks of lossChunk groups,
-// which also makes AllocateFeaturesParallel shard.
+// which also makes the rung memo's allocate pass shard.
 func requireFanOut(t *testing.T, gi int, rep *RunReport) {
 	t.Helper()
 	for _, e := range rep.Trajectory {
@@ -279,79 +279,6 @@ func TestSchedulesAgreeUnderMonotoneIFL(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no monotone-IFL grids generated; test is vacuous")
-	}
-}
-
-// TestAllocateFeaturesParallelBitIdentical: group allocation is embarrassingly
-// parallel (groups are independent), so the sharded variant must be bitwise
-// equal to the sequential one at every worker count, including on grids large
-// enough to clear the parallel-dispatch minimum.
-func TestAllocateFeaturesParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 10; trial++ {
-		rows, cols := 16+rng.Intn(17), 16+rng.Intn(17)
-		g := grid.New(rows, cols, []grid.Attribute{
-			{Name: "n", Agg: grid.Sum, Integer: true},
-			{Name: "price", Agg: grid.Average},
-			{Name: "zone", Agg: grid.Average, Categorical: true},
-		})
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if rng.Float64() < 0.1 {
-					continue
-				}
-				g.SetVector(r, c, []float64{float64(1 + rng.Intn(9)), rng.Float64() * 500, float64(rng.Intn(5))})
-			}
-		}
-		part := Identity(g) // rows*cols groups: well past the dispatch minimum
-		want := AllocateFeatures(g, part)
-		for _, w := range []int{0, 1, 2, 5, 16} {
-			if got := AllocateFeaturesParallel(g, part, w); !reflect.DeepEqual(want, got) {
-				t.Fatalf("AllocateFeaturesParallel(workers=%d) differs", w)
-			}
-		}
-		// Coarser partition too (mixed group sizes).
-		rp, err := Repartition(g, Options{Threshold: 0.3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = AllocateFeatures(g, rp.Partition)
-		for _, w := range []int{2, 8} {
-			if got := AllocateFeaturesParallel(g, rp.Partition, w); !reflect.DeepEqual(want, got) {
-				t.Fatalf("coarse AllocateFeaturesParallel(workers=%d) differs", w)
-			}
-		}
-	}
-}
-
-// TestIFLParallelWorkerInvariant: IFL is one chunked reduction, so
-// IFLParallel must return exactly IFL's bits at every worker count. Every
-// identity partition here spans at least three chunks of lossChunk groups, so
-// the partial sums really are combined across chunks and goroutines.
-func TestIFLParallelWorkerInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	grids := fanOutGrids()
-	for trial := 0; trial < 8; trial++ {
-		grids = append(grids, randomMultiGridSized(rng, 48+rng.Intn(40), 48+rng.Intn(24)))
-	}
-	for i, g := range grids {
-		if chunks := lossChunks(g.NumCells()); chunks < 3 {
-			t.Fatalf("grid %d: identity partition spans %d chunks, want at least 3", i, chunks)
-		}
-		rp, err := Repartition(g, Options{Threshold: 0.25, Schedule: ScheduleGeometric})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, part := range []*Partition{Identity(g), rp.Partition} {
-			feats := AllocateFeatures(g, part)
-			want := IFL(g, part, feats)
-			for _, w := range []int{0, 1, 2, 4, 16} {
-				if got := IFLParallel(g, part, feats, w); got != want {
-					t.Fatalf("grid %d (%d groups): IFLParallel(workers=%d) = %v, IFL = %v; want identical bits",
-						i, len(part.Groups), w, got, want)
-				}
-			}
-		}
 	}
 }
 

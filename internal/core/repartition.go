@@ -268,7 +268,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rp = &Repartitioned{
 			Source:          g,
 			Partition:       part,
-			Features:        AllocateFeaturesParallel(g, part, workers),
+			Features:        AllocateFeatures(g, part),
 			MinAdjVariation: -1,
 		}
 	}
@@ -356,9 +356,9 @@ func (m *rungMemo) holds(a int, cg *CellGroup) bool {
 // allocate makes the memo hold every group of a rung: for each group whose
 // rectangle its anchor's slot does not hold, it runs Algorithm 2 into the
 // slot and stores the group's loss sum while the cells are in cache. It
-// returns the number of groups the memo already held. Groups are cut into
-// 16 ranges per worker, as in AllocateFeaturesParallel, because their sizes
-// vary widely.
+// returns the number of groups the memo already held. Group sizes vary
+// widely, so the groups are cut into 16 ranges per worker and a worker that
+// finishes early takes the next range.
 func (m *rungMemo) allocate(groups []CellGroup) int {
 	m.groups = groups
 	clear(m.hits)

@@ -19,9 +19,9 @@ import (
 )
 
 // chaosStream builds a stream with an armed injector and a manually advanced
-// fake clock, pre-filled far enough that a first view exists, and with the
-// partition's null structure subsequently broken so every later attempt takes
-// the full-recompute path (where the "stream.recompute" fault point lives).
+// fake clock, pre-filled far enough that a first view exists, plus one record
+// past that view, so the next read checks and reaches the
+// "stream.recompute" fault point.
 func chaosStream(t *testing.T, inj *fault.Injector, opts Options) (*Repartitioner, func(time.Duration)) {
 	t.Helper()
 	opts.Fault = inj
@@ -46,8 +46,8 @@ func chaosStream(t *testing.T, inj *fault.Injector, opts Options) (*Repartitione
 	} else if v.Degraded {
 		t.Fatal("first view unexpectedly degraded")
 	}
-	// A record in a previously-null cell invalidates the cheap refresh, so
-	// the injector's full-recompute point is hit on every later attempt.
+	// One record past the installed view, in the empty top row, makes the
+	// next read check.
 	if err := s.Add(grid.Record{Lat: 9.5, Lon: 9.5, Values: []float64{1, 50, 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +259,8 @@ func TestInjectedPanicBecomesFailure(t *testing.T) {
 // one exists, and afterwards every counter reconciles — accepted records,
 // injector fires vs recorded failures, degraded serves vs failures+skips.
 //
-// The checks must reach the fault point, which only a full recompute hits:
-// on a 32×32 grid that 150 records leave mostly empty, most records land in
-// a still-empty cell, and a partition that has the cell null cannot be kept
-// by a refresh.
+// Every check is a recompute, so every check reaches the fault point; the
+// 32×32 grid that 150 records leave mostly empty keeps each one cheap.
 func TestChaosConcurrentReconciliation(t *testing.T) {
 	errChaos := errors.New("chaos")
 	inj := fault.New(12345)

@@ -33,6 +33,10 @@ import (
 // — walSeq uint64, right after the sinceCheck counter — so a restore can
 // replay exactly the WAL suffix the checkpoint does not already contain.
 // Version-1 checkpoints are still read (walSeq = 0: replay everything).
+//
+// Both versions carry a refreshes counter after the recomputes counter. It is
+// kept for the layout only: written as 0 and skipped on restore, so a file
+// that holds a nonzero count still restores.
 var checkpointMagic = [8]byte{'S', 'P', 'R', 'T', 'C', 'K', 'P', 'T'}
 
 const checkpointVersion uint16 = 2
@@ -156,7 +160,7 @@ func encodePayload(st checkpointState) []byte {
 	putI64(int64(st.stats.Accepted))
 	putI64(int64(st.stats.Dropped))
 	putI64(int64(st.stats.Recomputes))
-	putI64(int64(st.stats.Refreshes))
+	putI64(0) // the refreshes slot, kept for the layout
 	putI64(int64(st.stats.RecomputeFailures))
 	putI64(int64(st.stats.DegradedServes))
 	putI64(int64(st.stats.Checkpoints))
@@ -335,7 +339,7 @@ func (s *Repartitioner) Restore(r io.Reader) error {
 	st.Accepted = int(p.i64())
 	st.Dropped = int(p.i64())
 	st.Recomputes = int(p.i64())
-	st.Refreshes = int(p.i64())
+	p.i64() // the refreshes slot: Stats.Refreshes is always 0
 	st.RecomputeFailures = int(p.i64())
 	st.DegradedServes = int(p.i64())
 	st.Checkpoints = int(p.i64())

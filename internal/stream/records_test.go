@@ -2,10 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,11 +85,57 @@ func randomFeed(rng *rand.Rand, b grid.Bounds, attrs []grid.Attribute, n int) []
 	return recs
 }
 
-// TestStreamMatchesFromRecords is the streamed ≡ batch oracle: after random
-// Adds, the stream's Grid() equals grid.FromRecords of the records it
-// accepted, bit for bit in values and validity, and FromRecords of every
-// record it took drops exactly the records the stream dropped. The equality
-// survives Checkpoint → Restore into a fresh stream and a WAL replay.
+// viewDiff describes the first difference between a served view and the
+// batch answer — source grid, partition, the bits of any feature, of the IFL
+// or of the accepted rung, or the iteration count — or returns "" when they
+// are identical.
+func viewDiff(got, want *core.Repartitioned) string {
+	if d := gridDiff(got.Source, want.Source); d != "" {
+		return "source grid: " + d
+	}
+	if !reflect.DeepEqual(got.Partition, want.Partition) {
+		return fmt.Sprintf("partition: %d groups vs %d", got.NumGroups(), want.NumGroups())
+	}
+	if len(got.Features) != len(want.Features) {
+		return fmt.Sprintf("%d feature vectors vs %d", len(got.Features), len(want.Features))
+	}
+	for gi, fv := range want.Features {
+		if len(got.Features[gi]) != len(fv) || (got.Features[gi] == nil) != (fv == nil) {
+			return fmt.Sprintf("group %d features %v vs %v", gi, got.Features[gi], fv)
+		}
+		for k := range fv {
+			if math.Float64bits(got.Features[gi][k]) != math.Float64bits(fv[k]) {
+				return fmt.Sprintf("group %d attr %d: %v vs %v", gi, k, got.Features[gi][k], fv[k])
+			}
+		}
+	}
+	if math.Float64bits(got.IFL) != math.Float64bits(want.IFL) {
+		return fmt.Sprintf("IFL %v vs %v", got.IFL, want.IFL)
+	}
+	if math.Float64bits(got.MinAdjVariation) != math.Float64bits(want.MinAdjVariation) {
+		return fmt.Sprintf("accepted rung %v vs %v", got.MinAdjVariation, want.MinAdjVariation)
+	}
+	if got.Iterations != want.Iterations {
+		return fmt.Sprintf("iterations %d vs %d", got.Iterations, want.Iterations)
+	}
+	return ""
+}
+
+// TestStreamMatchesFromRecords is the streamed ≡ batch oracle, for the grid
+// and for the served view. Grid: after random Adds, the stream's Grid()
+// equals grid.FromRecords of the records it accepted, bit for bit in values
+// and validity, and FromRecords of every record it took drops exactly the
+// records the stream dropped. View: every read serves core.Repartition of
+// that batch grid at the stream's θ and schedule (viewDiff). Both hold
+// after Checkpoint → Restore into a fresh stream and after a WAL replay.
+//
+// Between reads, the view leg adds a few records to cells that are already
+// valid, so the served partition's null structure never changes: the feed
+// on which a stream that kept a still-passing partition would serve a finer
+// one than batch. A twin fed the same records but read only at the end
+// serves the same view. The streams run at Workers 1 and 4 under both
+// schedules, and in the first lossy trial of each schedule θ is the exact
+// IFL of the batch answer over the feed.
 func TestStreamMatchesFromRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := []grid.Attribute{
@@ -97,6 +146,9 @@ func TestStreamMatchesFromRecords(t *testing.T) {
 		{Name: "kind", Agg: grid.Average, Categorical: true},
 		{Name: "mass", Agg: grid.Sum},
 	}
+	schedName := []string{core.ScheduleExact: "exact", core.ScheduleGeometric: "geometric"}
+	borderline := map[core.Schedule]bool{}
+	checks, mismatches := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		rows, cols := 1+rng.Intn(8), 1+rng.Intn(8)
 		lat0, lon0 := rng.Float64()*180-90, rng.Float64()*360-180
@@ -111,51 +163,142 @@ func TestStreamMatchesFromRecords(t *testing.T) {
 			attrs = pool[3:4]
 		}
 		recs := randomFeed(rng, b, attrs, 20+rng.Intn(200))
-
-		dir := t.TempDir()
-		w := openWAL(t, dir)
-		s, err := New(b, rows, cols, attrs, Options{Threshold: 0.2, WAL: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var accepted []grid.Record
-		for _, rec := range recs {
-			before := s.Stats().Accepted
-			if err := s.Add(rec); err != nil {
-				t.Fatalf("trial %d: Add: %v", trial, err)
-			}
-			if s.Stats().Accepted > before {
-				accepted = append(accepted, rec)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want, dropped, err := grid.FromRecords(accepted, b, rows, cols, attrs)
-		if err != nil || dropped != 0 {
-			t.Fatalf("trial %d: FromRecords(accepted): dropped %d, err %v", trial, dropped, err)
-		}
 		all, droppedAll, err := grid.FromRecords(recs, b, rows, cols, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
+
+		sched := []core.Schedule{core.ScheduleExact, core.ScheduleGeometric}[trial%2]
+		opts := Options{Threshold: 0.2, Schedule: sched, Workers: []int{1, 4}[trial/2%2]}
+		if !borderline[sched] {
+			ref, err := core.Repartition(all, core.Options{Threshold: opts.Threshold, Schedule: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.IFL > 0 {
+				opts.Threshold, borderline[sched] = ref.IFL, true
+			}
+		}
+		// The restored, replayed and twin streams run at the other count.
+		other := opts
+		other.Workers = 5 - opts.Workers
+		label := fmt.Sprintf("trial %d (%dx%d, %d attrs, %s, θ=%v, workers %d/%d)",
+			trial, rows, cols, len(attrs), schedName[sched], opts.Threshold, opts.Workers, other.Workers)
+
+		var accepted []grid.Record
+		// add feeds rec to every stream and reports whether they took it.
+		add := func(rec grid.Record, streams ...*Repartitioner) bool {
+			t.Helper()
+			took := 0
+			for _, st := range streams {
+				before := st.Stats().Accepted
+				if err := st.Add(rec); err != nil {
+					t.Fatalf("%s: Add: %v", label, err)
+				}
+				if st.Stats().Accepted > before {
+					took++
+				}
+			}
+			if took != 0 && took != len(streams) {
+				t.Fatalf("%s: %d of %d streams accepted %+v", label, took, len(streams), rec)
+			}
+			return took > 0
+		}
+		// check reads st and compares the view it serves with the batch
+		// answer over the records accepted so far.
+		check := func(what string, st *Repartitioner) {
+			t.Helper()
+			g, _, err := grid.FromRecords(accepted, b, rows, cols, attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Repartition(g, core.Options{Threshold: opts.Threshold, Schedule: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := st.Current()
+			if err != nil {
+				t.Fatalf("%s %s: Current: %v", label, what, err)
+			}
+			checks++
+			if d := viewDiff(v.Repartitioned, want); d != "" {
+				mismatches++
+				t.Errorf("%s %s: served view vs batch: %s", label, what, d)
+			}
+		}
+		// grow adds records at the centers of cells valid in g, and reads
+		// every stream after every few records.
+		grow := func(what string, g *grid.Grid, streams ...*Repartitioner) {
+			t.Helper()
+			var cells [][2]int
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					if g.Valid(r, c) {
+						cells = append(cells, [2]int{r, c})
+					}
+				}
+			}
+			if len(cells) == 0 {
+				return
+			}
+			for read := 0; read < 6; read++ {
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					cell := cells[rng.Intn(len(cells))]
+					rec := randomFeed(rng, b, attrs, 1)[0]
+					rec.Lat, rec.Lon = b.CellCenter(cell[0], cell[1], rows, cols)
+					if !add(rec, streams...) {
+						t.Fatalf("%s: a record at the center of valid cell %v was dropped", label, cell)
+					}
+					accepted = append(accepted, rec)
+				}
+				for i, st := range streams {
+					check(fmt.Sprintf("%s, stream %d, read %d", what, i, read), st)
+				}
+			}
+		}
+
+		dir := t.TempDir()
+		w := openWAL(t, dir)
+		sopts := opts
+		sopts.WAL = w
+		s, err := New(b, rows, cols, attrs, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if add(rec, s) {
+				accepted = append(accepted, rec)
+			}
+		}
+		want, dropped, err := grid.FromRecords(accepted, b, rows, cols, attrs)
+		if err != nil || dropped != 0 {
+			t.Fatalf("%s: FromRecords(accepted): dropped %d, err %v", label, dropped, err)
+		}
 		st := s.Stats()
 		if droppedAll != st.Dropped || len(accepted) != st.Accepted {
-			t.Fatalf("trial %d: FromRecords dropped %d of %d, stream accepted %d and dropped %d",
-				trial, droppedAll, len(recs), st.Accepted, st.Dropped)
+			t.Fatalf("%s: FromRecords dropped %d of %d, stream accepted %d and dropped %d",
+				label, droppedAll, len(recs), st.Accepted, st.Dropped)
 		}
 		if d := gridDiff(all, want); d != "" {
-			t.Fatalf("trial %d: FromRecords(all) vs FromRecords(accepted): %s", trial, d)
+			t.Fatalf("%s: FromRecords(all) vs FromRecords(accepted): %s", label, d)
 		}
 		if d := gridDiff(s.Grid(), want); d != "" {
-			t.Fatalf("trial %d (%dx%d, %d attrs, %d records): stream vs batch: %s", trial, rows, cols, len(attrs), len(recs), d)
+			t.Fatalf("%s (%d records): stream vs batch: %s", label, len(recs), d)
+		}
+		check("after the feed", s)
+		grow("valid cells", want, s)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want, _, err = grid.FromRecords(accepted, b, rows, cols, attrs); err != nil {
+			t.Fatal(err)
 		}
 
 		var ckpt bytes.Buffer
 		if err := s.Checkpoint(&ckpt); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := New(b, rows, cols, attrs, Options{Threshold: 0.2})
+		restored, err := New(b, rows, cols, attrs, other)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,25 +306,46 @@ func TestStreamMatchesFromRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d := gridDiff(restored.Grid(), want); d != "" {
-			t.Fatalf("trial %d: restored stream vs batch: %s", trial, d)
+			t.Fatalf("%s: restored stream vs batch: %s", label, d)
 		}
+		check("restored", restored)
 
 		w2 := openWAL(t, dir)
-		replayed, err := New(b, rows, cols, attrs, Options{Threshold: 0.2, WAL: w2})
+		ropts := other
+		ropts.WAL = w2
+		replayed, err := New(b, rows, cols, attrs, ropts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := replayed.ReplayWAL()
-		if cerr := w2.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil || n != len(accepted) {
-			t.Fatalf("trial %d: replayed %d of %d records, err %v", trial, n, len(accepted), err)
+		if n, err := replayed.ReplayWAL(); err != nil || n != len(accepted) {
+			t.Fatalf("%s: replayed %d of %d records, err %v", label, n, len(accepted), err)
 		}
 		if d := gridDiff(replayed.Grid(), want); d != "" {
-			t.Fatalf("trial %d: replayed stream vs batch: %s", trial, d)
+			t.Fatalf("%s: replayed stream vs batch: %s", label, d)
+		}
+		check("replayed", replayed)
+		grow("valid cells after the restart", want, restored, replayed)
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		twin, err := New(b, rows, cols, attrs, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range accepted {
+			if !add(rec, twin) {
+				t.Fatalf("%s: the twin dropped %+v", label, rec)
+			}
+		}
+		check("twin read once", twin)
+	}
+	for _, sched := range []core.Schedule{core.ScheduleExact, core.ScheduleGeometric} {
+		if !borderline[sched] {
+			t.Errorf("no trial under the %s schedule set θ to a nonzero batch IFL", schedName[sched])
 		}
 	}
+	t.Logf("%d views checked against batch, %d differed", checks, mismatches)
 }
 
 // TestAddDropsNaNCoordinates: a NaN latitude or longitude is dropped like an
@@ -353,7 +517,11 @@ func goldenStream(t *testing.T) *Repartitioner {
 
 // TestCheckpointGoldenBytes pins the checkpoint format: the committed golden
 // file restores and re-encodes to the same bytes, and the same feed
-// checkpoints to them.
+// checkpoints to them. Two variants of the golden payload restore too and
+// re-encode to the golden bytes: one whose refreshes slot holds a nonzero
+// count (the slot is skipped on restore, Stats().Refreshes stays 0, and a
+// checkpoint writes it as 0), and the version-1 layout, which lacks the WAL
+// sequence the golden stream never set.
 func TestCheckpointGoldenBytes(t *testing.T) {
 	golden, err := os.ReadFile("testdata/checkpoint_v2.golden")
 	if err != nil {
@@ -366,19 +534,56 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if !bytes.Equal(fresh.Bytes(), golden) {
 		t.Errorf("the golden feed checkpoints to %d bytes that differ from the %d golden bytes", fresh.Len(), len(golden))
 	}
-	s, err := New(testBounds(), 6, 5, ckptAttrs(), Options{Threshold: 0.2})
-	if err != nil {
-		t.Fatal(err)
+
+	// The payload follows the 18-byte header (magic, version, length) and
+	// ends 4 bytes before the CRC. Its counters start after the geometry
+	// (44 bytes) and the attribute schema: generation, sinceCheck, walSeq,
+	// accepted, dropped, recomputes, refreshes, each 8 bytes.
+	payload := golden[18 : len(golden)-4]
+	counters := 44
+	for _, a := range ckptAttrs() {
+		counters += 4 + len(a.Name) + 2
 	}
-	if err := s.Restore(bytes.NewReader(golden)); err != nil {
-		t.Fatal(err)
+	walSeq, refreshes := counters+16, counters+48
+	if binary.LittleEndian.Uint64(payload[walSeq:]) != 0 || binary.LittleEndian.Uint64(payload[refreshes:]) != 0 {
+		t.Fatal("the golden checkpoint sets a WAL sequence or refreshes; the variants below assume neither")
 	}
-	var again bytes.Buffer
-	if err := s.Checkpoint(&again); err != nil {
-		t.Fatal(err)
+	frame := func(version uint16, payload []byte) []byte {
+		out := append([]byte(nil), golden[:8]...)
+		out = binary.LittleEndian.AppendUint16(out, version)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+		out = append(out, payload...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 	}
-	if !bytes.Equal(again.Bytes(), golden) {
-		t.Error("the restored golden checkpoint re-encodes to different bytes")
+	counted := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint64(counted[refreshes:], 7)
+	v1 := append(append([]byte(nil), payload[:walSeq]...), payload[walSeq+8:]...)
+
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"golden", golden},
+		{"golden with 7 refreshes", frame(checkpointVersion, counted)},
+		{"golden in version 1", frame(1, v1)},
+	} {
+		s, err := New(testBounds(), 6, 5, ckptAttrs(), Options{Threshold: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(bytes.NewReader(tc.file)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := s.Stats(); st.Refreshes != 0 || st.WALSeq != 0 {
+			t.Errorf("%s: restored Refreshes %d and WALSeq %d, want 0 and 0", tc.name, st.Refreshes, st.WALSeq)
+		}
+		var again bytes.Buffer
+		if err := s.Checkpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), golden) {
+			t.Errorf("%s: the restored checkpoint re-encodes to bytes that differ from the golden ones", tc.name)
+		}
 	}
 }
 

@@ -2,14 +2,13 @@
 // — the last of the paper's §VI future-work directions. A Repartitioner
 // ingests raw spatial records, folds them into per-cell aggregates through
 // grid.Aggregates (the §II reduction grid.FromRecords runs, so Grid() equals
-// the batch grid of the accepted records bit for bit), and keeps a
-// re-partitioned view of the grid that is recomputed lazily: an existing
-// partition is retained as long as re-allocating its feature vectors on the
-// freshest data keeps the information loss within the threshold, and a full
-// re-partitioning runs only when the stream has drifted past that bound.
-// Between recomputations readers pay only the (cheap) feature re-allocation,
-// and only after new records arrived: a read of an unchanged stream serves
-// the installed view as it is.
+// the batch grid of the accepted records bit for bit), and serves a
+// re-partitioned view of that grid. Every staleness check is
+// core.RepartitionCtx on a snapshot of the aggregates, so the served view is
+// the batch answer for the records it covers (streamed ≡ batch, DESIGN.md
+// §3.23): it does not depend on when reads happened or on whether the
+// process restarted. A read checks only after new records arrived: a read of
+// an unchanged stream serves the installed view as it is.
 //
 // Serving is fault tolerant (DESIGN.md §3.16): once any view exists, Current
 // never returns an error — a failed, panicking, or deadline-overrunning
@@ -54,19 +53,19 @@ type Options struct {
 	// MinRecordsBetweenChecks throttles staleness checks: Current() serves
 	// the installed view until at least this many records arrived since the
 	// served view's snapshot. A check always needs at least one new record
-	// (0 and 1 both check on the first call after any record): a refresh of
-	// unchanged aggregates would reproduce the served view bit for bit.
+	// (0 and 1 both check on the first call after any record): a recompute
+	// of unchanged aggregates would reproduce the served view bit for bit.
 	MinRecordsBetweenChecks int
 	// Schedule for full recomputations. The zero value is
 	// core.ScheduleExact; callers that want the logarithmic search set
 	// core.ScheduleGeometric.
 	Schedule core.Schedule
-	// Workers bounds the goroutines used by refreshes and full recomputes
-	// (0 = GOMAXPROCS); passed through to core.Options.Workers.
+	// Workers bounds the goroutines a recompute uses (0 = GOMAXPROCS);
+	// passed through to core.Options.Workers, so it never changes a view.
 	Workers int
 	// Obs, when non-nil, receives the stream's metrics: ingestion counters,
-	// refresh/recompute latencies, the served generation, the record lag
-	// behind the served view, and the breaker/degraded-serving state.
+	// recompute latencies, the served generation, the record lag behind the
+	// served view, and the breaker/degraded-serving state.
 	// Forwarded to core.Options.Obs, so full recompute phase timings land in
 	// the same registry. Nil disables all instrumentation at the cost of one
 	// branch per hook.
@@ -97,13 +96,16 @@ type Options struct {
 type Stats struct {
 	Accepted   int // records inside the bounds
 	Dropped    int // records outside the bounds, or with a NaN coordinate
-	Recomputes int // full re-partitionings performed
-	Refreshes  int // cheap feature-only refreshes that kept the partition
+	Recomputes int // re-partitionings installed (every successful check is one)
+	// Refreshes is always 0. It counted checks that kept the served
+	// partition, which no check does any more; it stays for the benchmark
+	// harness, which still reads it (ROADMAP item 1(b)).
+	Refreshes int
 
-	// RecomputeFailures counts attempts (refresh or full recompute) that
-	// failed — error, injected fault, panic, or deadline; LastRecomputeErr
-	// retains the most recent failure. Without these a failure was visible
-	// only to the single Current caller that hit it.
+	// RecomputeFailures counts recomputes that failed — error, injected
+	// fault, panic, or deadline; LastRecomputeErr retains the most recent
+	// failure. Without these a failure was visible only to the single
+	// Current caller that hit it.
 	RecomputeFailures int
 	LastRecomputeErr  error
 
@@ -151,8 +153,8 @@ type Stats struct {
 
 // View is one served partition plus its serving metadata. The embedded
 // dataset is immutable once served; Degraded marks a view served past a
-// failed or skipped refresh (its staleness is bounded by Stats.StaleRecords
-// at serve time). Views are plain comparable values.
+// failed or skipped recompute (its staleness is bounded by
+// Stats.StaleRecords at serve time). Views are plain comparable values.
 type View struct {
 	*core.Repartitioned
 	// Degraded is true when the view was served although the stream knows
@@ -160,16 +162,16 @@ type View struct {
 	// breaker is open, or a retry is still backing off).
 	Degraded bool
 	// Generation identifies the install that produced the view; it bumps on
-	// every successful refresh or recompute.
+	// every successful recompute.
 	Generation int
 }
 
 // Repartitioner maintains a re-partitioned view over a streaming grid. It is
 // safe for concurrent use: Add takes only the aggregate lock, while the
-// expensive refresh/recompute work in Current runs on a snapshot OUTSIDE
-// that lock, so ingestion is never stalled behind a re-partitioning. With
-// Options.WAL set, Add holds the aggregate lock across the log append and
-// whatever sync its policy does, so reads and Stats wait behind that fsync.
+// recompute in Current runs on a snapshot OUTSIDE that lock, so ingestion
+// is never stalled behind a re-partitioning. With Options.WAL set, Add holds
+// the aggregate lock across the log append and whatever sync its policy
+// does, so reads and Stats wait behind that fsync.
 type Repartitioner struct {
 	mu   sync.Mutex // guards agg's counts, sums and votes, current, sinceLastCheck, stats, breaker
 	opts Options
@@ -178,7 +180,7 @@ type Repartitioner struct {
 	agg *grid.Aggregates
 
 	current        *core.Repartitioned
-	generation     int // bumped on every refresh/recompute swap-in
+	generation     int // bumped on every recompute swap-in
 	sinceLastCheck int
 	stats          Stats
 	brk            *breaker.Breaker
@@ -196,8 +198,8 @@ type Repartitioner struct {
 	// concurrency starts).
 	now func() time.Time
 
-	// computeMu serializes the out-of-lock refresh/recompute work so
-	// concurrent Current calls do not duplicate a full re-partitioning.
+	// computeMu serializes the out-of-lock recompute so concurrent Current
+	// calls do not duplicate a re-partitioning.
 	// It is always acquired WITHOUT mu held.
 	computeMu sync.Mutex
 
@@ -339,11 +341,10 @@ func (s *Repartitioner) RecordCheckpointResult(err error) {
 	s.lastCheckpoint = s.now()
 }
 
-// Current returns a re-partitioned view whose information loss against the
-// freshest aggregates is within the threshold, retaining the previous
-// partition when a feature-only refresh suffices and re-partitioning from
-// scratch otherwise. Until max(1, MinRecordsBetweenChecks) records arrived
-// since the served view's snapshot, it serves that view without a check.
+// Current returns core.Repartition of a snapshot of the aggregates: the
+// coarsest rung whose information loss is within the threshold. Until
+// max(1, MinRecordsBetweenChecks) records arrived since the served view's
+// snapshot, it serves that view without a check.
 //
 // Failure policy: once any view exists, Current never returns an error. A
 // failed attempt (error, injected fault, panic, or RecomputeTimeout expiry)
@@ -355,10 +356,10 @@ func (s *Repartitioner) RecordCheckpointResult(err error) {
 //
 // The aggregate lock is held only long enough to snapshot the aggregates and
 // to swap the finished result in: concurrent Add calls keep ingesting while
-// the refresh or recompute runs. Concurrent Current calls are serialized on
-// a separate lock so a recompute is never duplicated; a caller that queued
-// behind another goroutine's recompute serves that (fresher) result instead
-// of starting its own.
+// the recompute runs. Concurrent Current calls are serialized on a separate
+// lock so a recompute is never duplicated; a caller that queued behind
+// another goroutine's recompute serves that (fresher) result instead of
+// starting its own.
 func (s *Repartitioner) Current() (View, error) {
 	return s.CurrentCtx(context.Background())
 }
@@ -366,12 +367,14 @@ func (s *Repartitioner) Current() (View, error) {
 // CurrentCtx is Current with request-scoped tracing: when ctx carries a trace
 // context (and an observer is attached), the call is wrapped in a
 // stream.current span whose end attributes record the served generation,
-// whether the serve was degraded, and how the view was produced (cached,
-// refresh, recompute, degraded, error). Refresh and recompute work links into
-// the same trace, so a traced request shows exactly which stale generation a
-// degraded response served. The ctx is used for TRACE LINKAGE ONLY: a full
-// recompute is shared work that outlives any one request, so its cancellation
-// stays governed by Options.RecomputeTimeout, never by ctx's deadline.
+// whether the serve was degraded, and how the view was produced: cached (the
+// installed view, no check), recompute, degraded (the last good view past a
+// failed or skipped recompute) or error (no view yet). The recompute links
+// into the same trace, so a traced request shows exactly which stale
+// generation a degraded response served. The ctx is used for TRACE LINKAGE
+// ONLY: a recompute is shared work that outlives any one request, so its
+// cancellation stays governed by Options.RecomputeTimeout, never by ctx's
+// deadline.
 func (s *Repartitioner) CurrentCtx(ctx context.Context) (View, error) {
 	ctx, sp := s.opts.Obs.StartSpanCtx(ctx, "stream.current")
 	v, source, err := s.currentCtx(ctx)
@@ -420,7 +423,6 @@ func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 	}
 	probing := s.brk.State() == breaker.HalfOpen
 	g := s.agg.Grid()
-	cur := s.current
 	snapshotted := s.sinceLastCheck
 	s.mu.Unlock()
 
@@ -431,7 +433,7 @@ func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 		s.beforeCompute()
 	}
 
-	rp, recompute, err := s.attempt(ctx, g, cur)
+	rp, err := s.attempt(ctx, g)
 	if err != nil {
 		s.opts.Obs.Count("stream.recompute_failures", 1)
 		s.mu.Lock()
@@ -451,41 +453,21 @@ func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 		s.mu.Unlock()
 		return View{}, "error", err
 	}
-	source := "refresh"
-	if recompute {
-		source = "recompute"
-	}
-	return s.install(rp, snapshotted, recompute), source, nil
+	return s.install(rp, snapshotted), "recompute", nil
 }
 
-// attempt runs one refresh-or-recompute on the snapshotted grid, outside all
+// attempt runs core.RepartitionCtx on the snapshotted grid, outside all
 // locks. It converts panics (a poisoned grid, an injected chaos panic) into
 // errors so a failing recompute can never take the serving path down with it.
 // ctx carries trace linkage only — see CurrentCtx.
-func (s *Repartitioner) attempt(ctx context.Context, g *grid.Grid, cur *core.Repartitioned) (rp *core.Repartitioned, recompute bool, err error) {
+func (s *Repartitioner) attempt(ctx context.Context, g *grid.Grid) (rp *core.Repartitioned, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.opts.Obs.Count("stream.recompute_panics", 1)
-			rp, recompute = nil, false
+			rp = nil
 			err = fmt.Errorf("stream: recompute panicked: %v", r)
 		}
 	}()
-
-	if cur != nil && compatiblePartition(g, cur.Partition) {
-		_, sp := s.opts.Obs.StartSpanCtx(ctx, "stream.refresh")
-		feats := core.AllocateFeaturesParallel(g, cur.Partition, s.opts.Workers)
-		ifl := core.IFLParallel(g, cur.Partition, feats, s.opts.Workers)
-		sp.End()
-		if ifl <= s.opts.Threshold {
-			return &core.Repartitioned{
-				Source:          g,
-				Partition:       cur.Partition,
-				Features:        feats,
-				IFL:             ifl,
-				MinAdjVariation: cur.MinAdjVariation,
-			}, false, nil
-		}
-	}
 
 	// The deadline context is created before the fault hook so an injected
 	// delay consumes the budget exactly like a slow real recompute would. It
@@ -499,7 +481,7 @@ func (s *Repartitioner) attempt(ctx context.Context, g *grid.Grid, cur *core.Rep
 	}
 	defer cancel()
 	if ferr := s.opts.Fault.Hit("stream.recompute"); ferr != nil {
-		return nil, false, fmt.Errorf("stream: recompute: %w", ferr)
+		return nil, fmt.Errorf("stream: recompute: %w", ferr)
 	}
 	rctx, sp := s.opts.Obs.StartSpanCtx(ctx, "stream.recompute")
 	// Graft the recompute span's trace context onto the deadline context so
@@ -517,10 +499,7 @@ func (s *Repartitioner) attempt(ctx context.Context, g *grid.Grid, cur *core.Rep
 	})
 	sp.End()
 	s.opts.Obs.SetGauge("stream.last_recompute_ns", float64(s.now().Sub(start).Nanoseconds()))
-	if err != nil {
-		return nil, false, err
-	}
-	return rp, true, nil
+	return rp, err
 }
 
 // install swaps a freshly computed view in under the aggregate lock and
@@ -528,7 +507,7 @@ func (s *Repartitioner) attempt(ctx context.Context, g *grid.Grid, cur *core.Rep
 // reflected in the snapshot, so only the snapshotted portion of the
 // staleness counter is consumed. Any successful install closes the breaker
 // and resets the retry schedule.
-func (s *Repartitioner) install(rp *core.Repartitioned, snapshotted int, recompute bool) View {
+func (s *Repartitioner) install(rp *core.Repartitioned, snapshotted int) View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.current = rp
@@ -536,13 +515,8 @@ func (s *Repartitioner) install(rp *core.Repartitioned, snapshotted int, recompu
 	s.sinceLastCheck -= snapshotted
 	s.brk.Success()
 	s.breakerObsLocked()
-	if recompute {
-		s.stats.Recomputes++
-		s.opts.Obs.Count("stream.recomputes", 1)
-	} else {
-		s.stats.Refreshes++
-		s.opts.Obs.Count("stream.refreshes", 1)
-	}
+	s.stats.Recomputes++
+	s.opts.Obs.Count("stream.recomputes", 1)
 	s.opts.Obs.SetGauge("stream.generation", float64(s.generation))
 	s.opts.Obs.SetGauge("stream.lag_records", float64(s.sinceLastCheck))
 	s.opts.Obs.SetGauge("stream.served_groups", float64(rp.NumGroups()))
@@ -569,22 +543,6 @@ func (s *Repartitioner) breakerObsLocked() {
 	s.opts.Obs.SetGauge("stream.breaker_state", float64(s.brk.State()))
 	s.opts.Obs.SetGauge("stream.consecutive_failures", float64(s.brk.Consecutive()))
 	s.opts.Obs.SetGauge("stream.retry_backoff_ns", float64(s.brk.Backoff().Nanoseconds()))
-}
-
-// compatiblePartition reports whether the old partition's null structure
-// still matches the grid (a previously empty cell that received records
-// invalidates its null group).
-func compatiblePartition(g *grid.Grid, p *core.Partition) bool {
-	for _, cg := range p.Groups {
-		for r := cg.RBeg; r <= cg.REnd; r++ {
-			for c := cg.CBeg; c <= cg.CEnd; c++ {
-				if g.Valid(r, c) == cg.Null {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // Stats returns the stream's counters.
@@ -615,8 +573,7 @@ func (s *Repartitioner) Grid() *grid.Grid {
 
 // Report is the stream's machine-readable run summary: geometry, serving
 // state, counters, and — when an observer is attached — the full metrics
-// snapshot (ingestion rates, refresh/recompute latencies, recompute phase
-// timings).
+// snapshot (ingestion rates, recompute latencies and phase timings).
 type Report struct {
 	Rows      int     `json:"rows"`
 	Cols      int     `json:"cols"`
@@ -630,7 +587,6 @@ type Report struct {
 	Accepted          int    `json:"accepted"`
 	Dropped           int    `json:"dropped"`
 	Recomputes        int    `json:"recomputes"`
-	Refreshes         int    `json:"refreshes"`
 	RecomputeFailures int    `json:"recompute_failures"`
 	LastRecomputeErr  string `json:"last_recompute_err,omitempty"`
 
@@ -652,7 +608,7 @@ type Report struct {
 	ServedIFL    float64 `json:"served_ifl"`
 
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// Phases summarizes the span histograms (stream.current, stream.refresh,
+	// Phases summarizes the span histograms (stream.current,
 	// stream.recompute, rung.eval, …) with count/total/min/max and p50/p95/p99
 	// bucket estimates — the same shape core.RunReport uses.
 	Phases map[string]core.PhaseStat `json:"phases,omitempty"`
@@ -672,7 +628,6 @@ func (s *Repartitioner) Report() Report {
 		Accepted:            s.stats.Accepted,
 		Dropped:             s.stats.Dropped,
 		Recomputes:          s.stats.Recomputes,
-		Refreshes:           s.stats.Refreshes,
 		RecomputeFailures:   s.stats.RecomputeFailures,
 		DegradedServes:      s.stats.DegradedServes,
 		BreakerState:        s.brk.State().String(),

@@ -2,10 +2,8 @@ package stream
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"time"
 
 	"spatialrepart/internal/breaker"
-	"spatialrepart/internal/core"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
@@ -98,90 +95,9 @@ func TestCurrentRespectsThreshold(t *testing.T) {
 	}
 }
 
-func TestRefreshKeepsPartitionUnderSmallDrift(t *testing.T) {
-	s, err := New(testBounds(), 6, 6, testAttrs(), Options{Threshold: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	feed := func(n int) {
-		for i := 0; i < n; i++ {
-			lat, lon := rng.Float64()*10, rng.Float64()*10
-			if err := s.Add(grid.Record{Lat: lat, Lon: lon, Values: []float64{1, 50}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(400) // every cell populated with the same value
-	if _, err := s.Current(); err != nil {
-		t.Fatal(err)
-	}
-	feed(50) // mild drift: same distribution
-	if _, err := s.Current(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Recomputes != 1 {
-		t.Errorf("recomputes = %d, want exactly 1 (initial)", st.Recomputes)
-	}
-	if st.Refreshes < 1 {
-		t.Errorf("refreshes = %d, want ≥ 1 (drift was representable)", st.Refreshes)
-	}
-}
-
-// TestRefreshMatchesRecomputeIFL: the refresh and the full recompute measure
-// a partition with the same IFL reduction, so with θ set to exactly the IFL
-// a recompute served, a refresh of the unchanged aggregates must keep the
-// partition and serve the same bits. A read of an unchanged stream serves the
-// installed view without a check, so the refresh path runs on the snapshot
-// directly. The served partition spans more than two of core's 1,024-group
-// IFL chunks, so a refresh that summed groups or combined chunk partials
-// differently from the recompute's memoized sums would flip the verdict or
-// the served value.
-func TestRefreshMatchesRecomputeIFL(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s, err := New(testBounds(), 96, 96, testAttrs(), Options{
-			Threshold: 0.1, Schedule: core.ScheduleGeometric, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 80000; i++ {
-			lat, lon := rng.Float64()*10, rng.Float64()*10
-			if err := s.Add(grid.Record{Lat: lat, Lon: lon, Values: []float64{1, 10 + lat + rng.Float64()}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		v, err := s.Current()
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := s.Stats()
-		if before.Recomputes != 1 || v.IFL == 0 {
-			t.Fatalf("workers %d: first serve not a lossy recompute: IFL %v, %+v", workers, v.IFL, before)
-		}
-		if v.NumGroups() <= 2*1024 {
-			t.Fatalf("workers %d: served %d groups, want more than two IFL chunks", workers, v.NumGroups())
-		}
-
-		s.opts.Threshold = v.IFL
-		rp, recompute, err := s.attempt(context.Background(), s.Grid(), v.Repartitioned)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recompute || rp.Partition != v.Partition {
-			t.Errorf("workers %d: θ = served IFL did not keep the partition (recompute %t)", workers, recompute)
-		}
-		if math.Float64bits(rp.IFL) != math.Float64bits(v.IFL) {
-			t.Errorf("workers %d: refresh IFL %v, recompute IFL %v: want identical bits", workers, rp.IFL, v.IFL)
-		}
-	}
-}
-
 // TestUnchangedStreamServesInstalledView: a staleness check needs at least
 // one record since the served view's snapshot. Reads of an unchanged stream
-// serve the installed view without snapshotting or refreshing; one Add makes
+// serve the installed view without snapshotting or recomputing; one Add makes
 // the next read check exactly once; MinRecordsBetweenChecks still throttles;
 // and a failed recompute leaves its records counted, so it serves Degraded
 // and the breaker gates the retry although no record arrives.
@@ -199,7 +115,7 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 			}
 		}
 	}
-	add(600) // every cell populated, so later checks refresh
+	add(600)
 	first, err := s.Current()
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +133,7 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 		}
 	}
 	if st := s.Stats(); computes != 0 || st.Generation != before.Generation ||
-		st.Refreshes != before.Refreshes || st.Recomputes != before.Recomputes {
+		st.Recomputes != before.Recomputes {
 		t.Fatalf("50 unchanged reads: %d computes, stats %+v, before %+v", computes, st, before)
 	}
 
@@ -229,7 +145,7 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if computes != 1 || st.Generation != before.Generation+1 || st.Refreshes+st.Recomputes != before.Refreshes+before.Recomputes+1 {
+	if computes != 1 || st.Generation != before.Generation+1 || st.Recomputes != before.Recomputes+1 {
 		t.Fatalf("one Add: %d computes, stats %+v, before %+v; want exactly one check", computes, st, before)
 	}
 
@@ -297,8 +213,8 @@ func TestRecomputeOnNullStructureChange(t *testing.T) {
 	if _, err := s.Current(); err != nil {
 		t.Fatal(err)
 	}
-	// A record lands in a previously-null cell: the old partition's null
-	// group no longer matches, forcing a recompute.
+	// A record lands in a previously-null cell: the next read recomputes,
+	// and the new view holds the cell in a valid group.
 	if err := s.Add(grid.Record{Lat: 9, Lon: 9, Values: []float64{1, 5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +323,7 @@ func TestStreamCategoricalAttribute(t *testing.T) {
 }
 
 // TestAddNotBlockedDuringRecompute is the regression test for the lock-split
-// Current: ingestion must proceed while a refresh/recompute is in flight.
+// Current: ingestion must proceed while a recompute is in flight.
 // The beforeCompute hook fires on the Current goroutine after the aggregates
 // are snapshotted and all ingestion-path locks are released; an Add issued
 // there must complete immediately. (Under the old implementation — s.mu held
@@ -481,8 +397,8 @@ func TestConcurrentCurrentSingleRecompute(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Recomputes+st.Refreshes != 1 {
-		t.Errorf("recomputes+refreshes = %d, want 1 (no duplicated work)", st.Recomputes+st.Refreshes)
+	if st := s.Stats(); st.Recomputes != 1 {
+		t.Errorf("recomputes = %d, want 1 (no duplicated work)", st.Recomputes)
 	}
 }
 
@@ -546,9 +462,8 @@ func TestRecomputeFailureRecorded(t *testing.T) {
 	}
 }
 
-// TestStreamObsAndReport drives an instrumented stream through ingest,
-// recompute, and refresh, then checks the report and gauges line up with
-// Stats.
+// TestStreamObsAndReport drives an instrumented stream through ingest and
+// two recomputes, then checks the report and gauges line up with Stats.
 func TestStreamObsAndReport(t *testing.T) {
 	o := obs.New()
 	s, err := New(testBounds(), 8, 8, testAttrs(), Options{Threshold: 0.15, Obs: o})
@@ -590,13 +505,13 @@ func TestStreamObsAndReport(t *testing.T) {
 	if st.Recomputes > 0 && reg.Gauge("stream.last_recompute_ns").Value() <= 0 {
 		t.Error("recompute latency gauge not set")
 	}
-	if g := reg.Gauge("stream.generation").Value(); g != float64(st.Recomputes+st.Refreshes) {
-		t.Errorf("generation gauge = %v, want %d", g, st.Recomputes+st.Refreshes)
+	if g := reg.Gauge("stream.generation").Value(); g != float64(st.Recomputes) {
+		t.Errorf("generation gauge = %v, want %d", g, st.Recomputes)
 	}
 
 	rep := s.Report()
 	if rep.Accepted != st.Accepted || rep.Dropped != st.Dropped ||
-		rep.Recomputes != st.Recomputes || rep.Refreshes != st.Refreshes {
+		rep.Recomputes != st.Recomputes {
 		t.Errorf("report counters %+v disagree with stats %+v", rep, st)
 	}
 	if rep.ServedGroups == 0 {
