@@ -20,10 +20,15 @@ import (
 //     bug class of grid's modalCategory, which once had a second copy in
 //     the stream);
 //  3. writing output during iteration (fmt.Print*/Fprint*, Write*
-//     methods, channel sends): the emission order is nondeterministic.
+//     methods, channel sends): the emission order is nondeterministic;
+//  4. accumulating into a float declared outside the loop with +=, -=,
+//     *= or /=: floating-point arithmetic is not associative, so the
+//     result's bits depend on the order (the bug class of
+//     metrics.WeightedF1, whose Table III scores once changed between
+//     runs).
 //
-// Copying into another map, summing, or counting during iteration is
-// order-independent and not flagged.
+// Copying into another map, or counting and summing integers during
+// iteration, is order-independent and not flagged.
 var analyzerMapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "map iteration whose body leaks iteration order into slices, selections, or output",
@@ -58,6 +63,7 @@ func checkMapRangeBody(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			checkMapRangeAppend(pass, file, rng, n)
+			checkMapRangeFloatAccum(pass, rng, n)
 		case *ast.IfStmt:
 			checkMapRangeSelection(pass, rng, n, keyObj, valObj)
 		case *ast.CallExpr:
@@ -93,6 +99,34 @@ func checkMapRangeAppend(pass *Pass, file *ast.File, rng *ast.RangeStmt, as *ast
 		pass.Reportf(as.Pos(), "append to %s during map iteration depends on iteration order (sort it after the loop or iterate sorted keys)",
 			types.ExprString(call.Args[0]))
 	}
+}
+
+// checkMapRangeFloatAccum flags `x op= e` for op in + - * / when x is a
+// float that outlives the loop: each iteration rounds, so the sum's bits
+// depend on the order the map yields its entries.
+func checkMapRangeFloatAccum(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt) {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return
+	}
+	lhs := as.Lhs[0]
+	tv, ok := pass.Info.Types[lhs]
+	if !ok {
+		return
+	}
+	if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	root := rootIdent(lhs)
+	if root == nil {
+		return
+	}
+	if obj := pass.Info.Uses[root]; obj == nil || !declaredOutside(obj, rng) {
+		return
+	}
+	pass.Reportf(as.Pos(), "floating-point %s into %s during map iteration depends on iteration order (iterate sorted keys)",
+		as.Tok, types.ExprString(lhs))
 }
 
 // checkMapRangeSelection flags if-statements that assign the loop

@@ -77,3 +77,29 @@ func copyAndCount(m map[string]int) (map[string]int, int) {
 	}
 	return dst, total
 }
+
+func sumFloats(m map[string]float64) float64 {
+	var total float64
+	for _, v := range m {
+		total += v // want "floating-point += into total during map iteration"
+	}
+	return total
+}
+
+func scaleFloats(m map[string]float64, out []float64) {
+	for _, v := range m {
+		out[0] *= v // want "floating-point *= into out[0] during map iteration"
+	}
+}
+
+func sumFloatsPerEntry(m map[string][]float64) map[string]float64 {
+	sums := make(map[string]float64, len(m))
+	for k, vs := range m {
+		var s float64
+		for _, v := range vs {
+			s += v
+		}
+		sums[k] = s
+	}
+	return sums
+}

@@ -102,12 +102,19 @@ func WeightedF1(pred, truth []int) (float64, error) {
 	if len(pred) == 0 {
 		return 0, fmt.Errorf("metrics: empty input")
 	}
-	classes := map[int]bool{}
+	// Floating-point addition is not associative, so the per-class terms
+	// are added in ascending class order: map order would change the bits.
+	seen := map[int]bool{}
+	var classes []int
 	for _, t := range truth {
-		classes[t] = true
+		if !seen[t] {
+			seen[t] = true
+			classes = append(classes, t)
+		}
 	}
+	sort.Ints(classes)
 	var weighted float64
-	for cls := range classes {
+	for _, cls := range classes {
 		var tp, fp, fn, support float64
 		for i, t := range truth {
 			p := pred[i]
