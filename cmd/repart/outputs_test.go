@@ -51,7 +51,11 @@ func TestStreamOutputsMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := grid.ReadRecordsCSV(f, len(attrs))
+	var recs []grid.Record
+	err = grid.ScanRecordsCSV(f, len(attrs), func(rec grid.Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

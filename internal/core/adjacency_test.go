@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"spatialrepart/internal/grid"
 )
 
 // bruteForceGroupAdjacency derives group adjacency straight from cell-level
@@ -118,8 +120,11 @@ func TestAdjacencyFig3Shape(t *testing.T) {
 	}
 }
 
+// TestCellAdjacency: on the identity partition Algorithm 3 yields the
+// 4-neighbor (rook) adjacency of the raw grid's cells, the structure the
+// "original dataset" experiments feed to spatial ML models.
 func TestCellAdjacency(t *testing.T) {
-	adj := CellAdjacency(2, 3)
+	adj := Identity(grid.New(2, 3, uniAttrs())).AdjacencyList()
 	if len(adj) != 6 {
 		t.Fatalf("len = %d, want 6", len(adj))
 	}

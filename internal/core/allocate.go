@@ -55,9 +55,9 @@ func allocate(orig *grid.Grid, part *Partition, meanOnly bool) [][]float64 {
 // allocateGroup writes the Algorithm 2 feature vector of the non-null group
 // cg into fv (length NumAttrs). One row-major sweep over each row's
 // contiguous cell vectors adds up every attribute, which leaves each Sum
-// attribute's value in fv with the bits allocateAttr's gathered sum has:
+// attribute's value in fv with the bits AllocateAttr's gathered sum has:
 // same values, same order. Every other attribute then gathers its values
-// into vals, scratch space returned for reuse, and takes allocateAttr's
+// into vals, scratch space returned for reuse, and takes AllocateAttr's
 // mean-or-mode rule over them.
 func allocateGroup(orig *grid.Grid, cg *CellGroup, fv, vals []float64, meanOnly bool) []float64 {
 	p := len(fv)
@@ -89,16 +89,18 @@ func allocateGroup(orig *grid.Grid, cg *CellGroup, fv, vals []float64, meanOnly 
 			fv[k] = a
 			continue
 		}
-		fv[k] = allocateAttr(attr, vals)
+		fv[k] = AllocateAttr(attr, vals)
 	}
 	return vals
 }
 
-// allocateAttr computes one attribute's representative value for a group's
-// member values under Algorithm 2's rules: sums add, categorical attributes
-// take the mode, and averaged attributes take the better of mean and mode
-// under the Eq. 2 local loss (mean rounded for integer attributes).
-func allocateAttr(attr grid.Attribute, vals []float64) float64 {
+// AllocateAttr is the one Algorithm 2 rule: it computes one attribute's
+// representative value for a group's member values. Sums add, categorical
+// attributes take the mode, and averaged attributes take the better of mean
+// and mode under the Eq. 2 local loss, ties going to the mean (mean rounded
+// for integer attributes). Every partition shape allocates with it; vals is
+// scratch, which the mode sorts in place.
+func AllocateAttr(attr grid.Attribute, vals []float64) float64 {
 	if attr.Agg == grid.Sum {
 		var s float64
 		for _, v := range vals {

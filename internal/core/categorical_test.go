@@ -78,14 +78,14 @@ func TestCategoricalAllocationUsesMode(t *testing.T) {
 
 func TestIFLTermAttrCategorical(t *testing.T) {
 	cat := grid.Attribute{Categorical: true}
-	if got := IFLTermAttr(cat, 5, 5, 100); got != 0 {
+	if got := iflTermAttr(cat, 5, 5, 100); got != 0 {
 		t.Errorf("matching category term = %v, want 0", got)
 	}
-	if got := IFLTermAttr(cat, 5, 6, 100); got != 1 {
+	if got := iflTermAttr(cat, 5, 6, 100); got != 1 {
 		t.Errorf("mismatching category term = %v, want 1", got)
 	}
 	num := grid.Attribute{}
-	if got := IFLTermAttr(num, 10, 12, 100); got != 0.2 {
+	if got := iflTermAttr(num, 10, 12, 100); got != 0.2 {
 		t.Errorf("numeric term = %v, want 0.2", got)
 	}
 }

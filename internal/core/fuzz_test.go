@@ -7,41 +7,12 @@ import (
 	"spatialrepart/internal/grid"
 )
 
-// FuzzVariation drives Variation with arbitrary — including mismatched —
-// vector lengths. The guard must turn length mismatches into +Inf instead of
-// the out-of-range panic the unguarded loop hit, and equal-length inputs must
-// keep Eq. 1 semantics (symmetric, zero on identical vectors, non-negative).
-func FuzzVariation(f *testing.F) {
-	f.Add(3, 3, 1.5, -2.0)
-	f.Add(0, 0, 0.0, 0.0)
-	f.Add(4, 2, 10.0, 3.0) // len(b) < len(a): the seed's panic case
-	f.Add(1, 6, -5.0, 5.0)
-	f.Fuzz(func(t *testing.T, la, lb int, va, vb float64) {
-		if la < 0 || la > 64 || lb < 0 || lb > 64 {
-			t.Skip()
-		}
-		a, b := fillVec(la, va), fillVec(lb, vb)
-		got := Variation(a, b)
-		if la != lb {
-			if !math.IsInf(got, 1) {
-				t.Fatalf("Variation(len %d, len %d) = %v, want +Inf", la, lb, got)
-			}
-			return
-		}
-		if got != Variation(b, a) {
-			t.Fatalf("Variation not symmetric: %v vs %v", got, Variation(b, a))
-		}
-		if got < 0 {
-			t.Fatalf("Variation = %v, want ≥ 0", got)
-		}
-		if self := Variation(a, a); self != 0 && !math.IsNaN(va) {
-			t.Fatalf("Variation(a, a) = %v, want 0", self)
-		}
-	})
-}
-
-// FuzzVariationAttrs adds the attribute schema to the mismatch surface: a
-// schema shorter than the vectors indexed attrs[k] out of range in the seed.
+// FuzzVariationAttrs drives VariationAttrs with arbitrary, including
+// mismatched, vector lengths and schemas. A length mismatch, or a schema
+// shorter than the vectors (which indexed attrs[k] out of range in the
+// seed), must return +Inf instead of panicking, and comparable vectors keep
+// Eq. 1 semantics: non-negative, symmetric, and zero on identical finite
+// vectors.
 func FuzzVariationAttrs(f *testing.F) {
 	f.Add(3, 3, 3, 1.0, 2.0, false)
 	f.Add(4, 4, 2, 1.0, 1.0, true) // schema shorter than vectors
@@ -69,6 +40,9 @@ func FuzzVariationAttrs(f *testing.F) {
 		if got != VariationAttrs(attrs, b, a) {
 			t.Fatalf("VariationAttrs not symmetric")
 		}
+		if self := VariationAttrs(attrs, a, a); self != 0 && !math.IsNaN(va) && !math.IsInf(va, 0) {
+			t.Fatalf("VariationAttrs(a, a) = %v, want 0", self)
+		}
 	})
 }
 
@@ -86,13 +60,10 @@ func fillVec(n int, v float64) []float64 {
 // TestVariationMismatchedLengths pins the guard outside the fuzzer so plain
 // `go test` exercises it too.
 func TestVariationMismatchedLengths(t *testing.T) {
-	if v := Variation([]float64{1, 2}, []float64{1}); !math.IsInf(v, 1) {
-		t.Errorf("Variation mismatch = %v, want +Inf", v)
-	}
-	if v := Variation(nil, []float64{1}); !math.IsInf(v, 1) {
-		t.Errorf("Variation nil-vs-1 = %v, want +Inf", v)
-	}
 	attrs := []grid.Attribute{{Name: "a", Agg: grid.Average}}
+	if v := VariationAttrs(attrs, nil, []float64{1}); !math.IsInf(v, 1) {
+		t.Errorf("VariationAttrs nil-vs-1 = %v, want +Inf", v)
+	}
 	if v := VariationAttrs(attrs, []float64{1, 2}, []float64{1, 2}); !math.IsInf(v, 1) {
 		t.Errorf("VariationAttrs short schema = %v, want +Inf", v)
 	}

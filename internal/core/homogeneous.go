@@ -36,8 +36,10 @@ func (m MergeMode) String() string {
 // the grid is tiled with fixed-size blocks of k rows and/or k columns
 // regardless of attribute similarity (edge blocks may be smaller). Unlike
 // the ML-aware framework it mixes null and non-null cells inside a block;
-// a block counts as null only when all its cells are null, and feature
-// allocation skips null cells inside mixed blocks.
+// a block counts as null only when all its cells are null. Each block's
+// valid cells, in row-major order, are its member list: AllocateFeaturesFor
+// and IFLFor give it the baselines' Algorithm 2 and Eq. 3, so a Sum
+// feature is split over the block's valid cells only.
 func Homogeneous(g *grid.Grid, k int, mode MergeMode) (*Repartitioned, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: homogeneous merge factor must be ≥ 1, got %d", k)
@@ -58,117 +60,33 @@ func Homogeneous(g *grid.Grid, k int, mode MergeMode) (*Repartitioned, error) {
 		Cols:        g.Cols,
 		CellToGroup: make([]int, g.NumCells()),
 	}
+	var members [][]int
 	var validCells []int
 	for rb := 0; rb < g.Rows; rb += kr {
 		re := min(rb+kr-1, g.Rows-1)
 		for cb := 0; cb < g.Cols; cb += kc {
 			ce := min(cb+kc-1, g.Cols-1)
-			cg := CellGroup{RBeg: rb, REnd: re, CBeg: cb, CEnd: ce}
 			id := len(part.Groups)
-			nValid := 0
+			var valid []int
 			for r := rb; r <= re; r++ {
 				for c := cb; c <= ce; c++ {
 					part.CellToGroup[r*g.Cols+c] = id
 					if g.Valid(r, c) {
-						nValid++
+						valid = append(valid, r*g.Cols+c)
 					}
 				}
 			}
-			cg.Null = nValid == 0
-			part.Groups = append(part.Groups, cg)
-			validCells = append(validCells, nValid)
+			part.Groups = append(part.Groups, CellGroup{RBeg: rb, REnd: re, CBeg: cb, CEnd: ce, Null: len(valid) == 0})
+			members = append(members, valid)
+			validCells = append(validCells, len(valid))
 		}
 	}
-	feats := allocateHomogeneous(g, part)
+	feats := AllocateFeaturesFor(g, members)
 	return &Repartitioned{
 		Source:     g,
 		Partition:  part,
 		Features:   feats,
-		IFL:        iflValidOnly(g, part, feats, validCells),
+		IFL:        IFLFor(g, members, feats, validCells),
 		ValidCells: validCells,
 	}, nil
-}
-
-// HomogeneousBest runs the iterative §III-D procedure: starting at merge
-// factor 2 and increasing it while the information loss stays within the
-// threshold. It returns the coarsest factor accepted, or an error if even
-// factor 2 overshoots (the paper's Table V case, where IFL > 0.4 at k = 2).
-func HomogeneousBest(g *grid.Grid, threshold float64, mode MergeMode) (*Repartitioned, int, error) {
-	var best *Repartitioned
-	bestK := 0
-	maxK := max(g.Rows, g.Cols)
-	for k := 2; k <= maxK; k++ {
-		rp, err := Homogeneous(g, k, mode)
-		if err != nil {
-			return nil, 0, err
-		}
-		if rp.IFL > threshold {
-			break
-		}
-		best, bestK = rp, k
-	}
-	if best == nil {
-		return nil, 0, fmt.Errorf("core: homogeneous re-partitioning exceeds IFL threshold %v at the smallest factor", threshold)
-	}
-	return best, bestK, nil
-}
-
-// allocateHomogeneous is Algorithm 2 adapted to blocks that may mix null and
-// non-null cells: only the valid cells contribute to the block's features.
-func allocateHomogeneous(g *grid.Grid, part *Partition) [][]float64 {
-	p := g.NumAttrs()
-	feats := make([][]float64, len(part.Groups))
-	vals := make([]float64, 0, 64)
-	for gi, cg := range part.Groups {
-		if cg.Null {
-			continue
-		}
-		fv := make([]float64, p)
-		for k := 0; k < p; k++ {
-			vals = vals[:0]
-			for r := cg.RBeg; r <= cg.REnd; r++ {
-				for c := cg.CBeg; c <= cg.CEnd; c++ {
-					if g.Valid(r, c) {
-						vals = append(vals, g.At(r, c, k))
-					}
-				}
-			}
-			fv[k] = allocateAttr(g.Attrs[k], vals)
-		}
-		feats[gi] = fv
-	}
-	return feats
-}
-
-// iflValidOnly is Eq. 3 with the representative of a sum-aggregated block
-// divided by the count of VALID cells in the block (mixed blocks would
-// otherwise smear mass onto null cells that contribute nothing). The caller
-// supplies the per-group valid-cell counts it already tracked —
-// Repartitioned.ValidCells, the same counts ReconstructGrid and
-// DistributeToCells use for the §III-C mapping.
-func iflValidOnly(g *grid.Grid, part *Partition, feats [][]float64, validInGroup []int) float64 {
-	p := g.NumAttrs()
-	spans := attrSpans(g)
-	var sum float64
-	valid := 0
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			if !g.Valid(r, c) {
-				continue
-			}
-			valid++
-			gi := part.GroupOf(r, c)
-			for k := 0; k < p; k++ {
-				rep := feats[gi][k]
-				if g.Attrs[k].Agg == grid.Sum {
-					rep /= float64(validInGroup[gi])
-				}
-				sum += IFLTermAttr(g.Attrs[k], g.At(r, c, k), rep, spans[k])
-			}
-		}
-	}
-	if valid == 0 || p == 0 {
-		return 0
-	}
-	return sum / float64(valid*p)
 }

@@ -119,41 +119,6 @@ func TestHomogeneousAllNullBlock(t *testing.T) {
 	}
 }
 
-func TestHomogeneousBest(t *testing.T) {
-	// Constant grid: any merge factor has IFL 0, so HomogeneousBest runs to
-	// the coarsest factor.
-	g := grid.New(8, 8, uniAttrs())
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			g.Set(r, c, 0, 5)
-		}
-	}
-	rp, k, err := HomogeneousBest(g, 0.05, MergeBoth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 8 || rp.NumGroups() != 1 {
-		t.Errorf("k = %d groups = %d, want 8 and 1", k, rp.NumGroups())
-	}
-}
-
-func TestHomogeneousBestFailsWhenOvershooting(t *testing.T) {
-	// Wildly heterogeneous checkerboard: even factor 2 overshoots θ = 0.01.
-	g := grid.New(6, 6, uniAttrs())
-	for r := 0; r < 6; r++ {
-		for c := 0; c < 6; c++ {
-			v := 1.0
-			if (r+c)%2 == 0 {
-				v = 100
-			}
-			g.Set(r, c, 0, v)
-		}
-	}
-	if _, _, err := HomogeneousBest(g, 0.01, MergeBoth); err == nil {
-		t.Error("want error when smallest factor exceeds threshold")
-	}
-}
-
 func TestMergeModeString(t *testing.T) {
 	if MergeRows.String() != "rows" || MergeCols.String() != "cols" || MergeBoth.String() != "rows+cols" {
 		t.Error("MergeMode.String mismatch")

@@ -18,21 +18,21 @@ func Representative(attr grid.Attribute, groupValue float64, groupSize int) floa
 	return groupValue
 }
 
-// IFLTermAttr returns one cell-attribute term of Eq. 3 with categorical
+// iflTermAttr returns one cell-attribute term of Eq. 3 with categorical
 // awareness: categorical attributes contribute a 0/1 mismatch indicator
 // (exact category → no loss), numeric attributes the absolute percentage
-// error of IFLTerm.
-func IFLTermAttr(attr grid.Attribute, d, rep, span float64) float64 {
+// error of iflTerm.
+func iflTermAttr(attr grid.Attribute, d, rep, span float64) float64 {
 	if attr.Categorical {
 		if d == rep { //spatialvet:ignore floateq categorical attributes store discrete codes; exact match IS the semantic (Eq. 3)
 			return 0
 		}
 		return 1
 	}
-	return IFLTerm(d, rep, span)
+	return iflTerm(d, rep, span)
 }
 
-// IFLTerm returns one cell-attribute term of Eq. 3: the absolute percentage
+// iflTerm returns one cell-attribute term of Eq. 3: the absolute percentage
 // error |d − rep| / |d|.
 //
 // Zero-denominator guard: Eq. 3 divides by the original attribute value;
@@ -40,7 +40,7 @@ func IFLTermAttr(attr grid.Attribute, d, rep, span float64) float64 {
 // back to the absolute difference normalized by the attribute's observed
 // range span — a bounded, unit-free substitute (0 when the representation is
 // exact, and 0 for constant attributes). See DESIGN.md §3.1.
-func IFLTerm(d, rep, span float64) float64 {
+func iflTerm(d, rep, span float64) float64 {
 	diff := math.Abs(d - rep)
 	if d != 0 {
 		return diff / math.Abs(d)
@@ -67,40 +67,50 @@ func rangeSpans(ranges []grid.AttrRange) []float64 {
 // re-partitioned dataset (partition + allocated group features): the mean
 // absolute percentage error of the representative cell values against the
 // original ones, averaged over all valid cells and all attributes. It runs
-// the one chunked reduction the rung memo runs over its stored loss sums
-// (sumChunks, then meanLoss), so it returns a rung's IFL bit for bit.
+// the one reduction the rung memo runs over its stored loss sums, so it
+// returns a rung's IFL bit for bit.
 func IFL(orig *grid.Grid, part *Partition, feats [][]float64) float64 {
 	spans := attrSpans(orig)
-	n := len(part.Groups)
-	partials := make([]float64, lossChunks(n))
-	sumChunks(partials, 0, len(partials), n, func(gi int) float64 {
-		return groupLoss(orig, &part.Groups[gi], feats[gi], spans)
+	return LossOver(len(part.Groups), orig.ValidCount(), orig.NumAttrs(), func(gi int) float64 {
+		cg := &part.Groups[gi]
+		return RectLoss(0, orig, cg, feats[gi], cg.Size(), spans)
 	})
-	return meanLoss(partials, orig.ValidCount(), orig.NumAttrs())
 }
 
-// groupLoss returns group cg's share of the Eq. 3 numerator: the terms of
-// its valid cells in row-major order within the rectangle, attributes
-// innermost, against its feature vector fv. It depends only on the rectangle
-// and the grid, which is what lets the ladder search memoize it. cg is a
-// pointer because the memo calls this once per new rectangle of every rung
-// and IFL once per group: passed by value, the copy once made a per-group
+// RectLoss is the one per-cell loop of Eq. 3 (DESIGN.md §3.11): it adds to
+// sum the terms of the valid cells of rectangle cg of g, in row-major order
+// with attributes innermost, against the feature vector fv, and returns the
+// new sum. A Sum attribute's feature is split evenly over split cells. Every
+// partition shape computes its group losses with it: a rectangle passes
+// sum 0 and its size, a member list calls it over the 1×1 rectangles of its
+// cells, and a cube segment calls it once per slice. The attribute loop is
+// written out here rather than in a per-cell helper, which would not
+// inline. cg is a pointer because the rung memo calls this once per new
+// rectangle of every rung: passed by value, the copy once made a per-group
 // IFL sweep ~20 % slower (DESIGN.md §3.22).
-func groupLoss(orig *grid.Grid, cg *CellGroup, fv, spans []float64) float64 {
-	size := cg.Size()
-	var sum float64
+func RectLoss(sum float64, g *grid.Grid, cg *CellGroup, fv []float64, split int, spans []float64) float64 {
 	for r := cg.RBeg; r <= cg.REnd; r++ {
 		for c := cg.CBeg; c <= cg.CEnd; c++ {
-			if !orig.Valid(r, c) {
+			if !g.Valid(r, c) {
 				continue
 			}
-			for k := range orig.Attrs {
-				rep := Representative(orig.Attrs[k], fv[k], size)
-				sum += IFLTermAttr(orig.Attrs[k], orig.At(r, c, k), rep, spans[k])
+			for k := range g.Attrs {
+				rep := Representative(g.Attrs[k], fv[k], split)
+				sum += iflTermAttr(g.Attrs[k], g.At(r, c, k), rep, spans[k])
 			}
 		}
 	}
 	return sum
+}
+
+// LossOver is the one Eq. 3 reduction: it adds the n group loss sums
+// groupSum returns in fixed chunks (sumChunks), then the chunks, and
+// divides by valid cells times attributes (meanLoss). Every partition shape
+// reduces its group losses with it.
+func LossOver(n, valid, attrs int, groupSum func(gi int) float64) float64 {
+	partials := make([]float64, lossChunks(n))
+	sumChunks(partials, 0, len(partials), n, groupSum)
+	return meanLoss(partials, valid, attrs)
 }
 
 // lossChunk is the number of consecutive groups whose loss sums make up one
@@ -112,9 +122,10 @@ const lossChunk = 1024
 // lossChunks returns the number of lossChunk-group chunks covering n groups.
 func lossChunks(n int) int { return (n + lossChunk - 1) / lossChunk }
 
-// sumChunks is the first half of the one Eq. 3 reduction (DESIGN.md §3.11):
-// for each chunk in [lo, hi) it adds the chunk's group loss sums in group
-// order into partials[ch]. Disjoint chunk ranges can run concurrently.
+// sumChunks is the first half of LossOver (DESIGN.md §3.11): for each
+// chunk in [lo, hi) it adds the chunk's group loss sums in group order into
+// partials[ch]. Disjoint chunk ranges can run concurrently, as the rung
+// memo's sharded loss pass runs them.
 func sumChunks(partials []float64, lo, hi, groups int, groupSum func(gi int) float64) {
 	for ch := lo; ch < hi; ch++ {
 		var s float64

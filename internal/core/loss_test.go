@@ -110,17 +110,17 @@ func TestIFLZeroDenominatorGuard(t *testing.T) {
 }
 
 func TestIFLTerm(t *testing.T) {
-	if got := IFLTerm(10, 12, 100); got != 0.2 {
-		t.Errorf("IFLTerm = %v, want 0.2", got)
+	if got := iflTerm(10, 12, 100); got != 0.2 {
+		t.Errorf("iflTerm = %v, want 0.2", got)
 	}
-	if got := IFLTerm(0, 5, 10); got != 0.5 {
-		t.Errorf("zero-denominator IFLTerm = %v, want 0.5", got)
+	if got := iflTerm(0, 5, 10); got != 0.5 {
+		t.Errorf("zero-denominator iflTerm = %v, want 0.5", got)
 	}
-	if got := IFLTerm(0, 5, 0); got != 0 {
-		t.Errorf("zero-span IFLTerm = %v, want 0", got)
+	if got := iflTerm(0, 5, 0); got != 0 {
+		t.Errorf("zero-span iflTerm = %v, want 0", got)
 	}
-	if got := IFLTerm(-4, -2, 10); got != 0.5 {
-		t.Errorf("negative-value IFLTerm = %v, want 0.5", got)
+	if got := iflTerm(-4, -2, 10); got != 0.5 {
+		t.Errorf("negative-value iflTerm = %v, want 0.5", got)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 // AllocateFeaturesFor applies Algorithm 2's feature allocation to arbitrary
 // (possibly non-rectangular) groups of cells, given as slices of linear cell
 // indices. The data-reduction baselines (sampling, regionalization,
-// spatially contiguous clustering) produce such groups; computing their
-// features with the same rules keeps the Table II/III comparisons fair.
-// Groups whose cells are all null yield a nil vector; null cells inside
-// mixed groups are skipped.
+// spatially contiguous clustering) produce such groups, and so do the
+// homogeneous blocks of §III-D; computing their features with the same rule
+// keeps the Table II/III/V comparisons fair. Groups whose cells are all null
+// yield a nil vector; null cells inside mixed groups are skipped.
 func AllocateFeaturesFor(orig *grid.Grid, groups [][]int) [][]float64 {
 	p := orig.NumAttrs()
 	feats := make([][]float64, len(groups))
@@ -37,48 +37,27 @@ func AllocateFeaturesFor(orig *grid.Grid, groups [][]int) [][]float64 {
 				}
 				vals = append(vals, orig.At(r, c, k))
 			}
-			fv[k] = allocateAttr(orig.Attrs[k], vals)
+			fv[k] = AllocateAttr(orig.Attrs[k], vals)
 		}
 		feats[gi] = fv
 	}
 	return feats
 }
 
-// IFLFor computes Eq. 3 information loss for an arbitrary cell→group
-// assignment (linear cell index → group id; −1 for unassigned/null cells)
-// with the given group features. Sum-aggregated group values are split over
-// the count of valid member cells.
-func IFLFor(orig *grid.Grid, assign []int, feats [][]float64) float64 {
-	p := orig.NumAttrs()
-	sizes := make([]int, len(feats))
-	for idx, gi := range assign {
-		if gi < 0 {
-			continue
-		}
-		r, c := orig.CellAt(idx)
-		if orig.Valid(r, c) {
-			sizes[gi]++
-		}
-	}
+// IFLFor computes the Eq. 3 information loss of groups given as member
+// lists that together cover every valid cell once, with the given group
+// features. Each group's loss sum adds RectLoss over its members in list
+// order, and a Sum attribute's feature is split over split[gi] cells: the
+// group's valid members when the feature aggregates them, or 1 when it is
+// one member's own value (a sample). Null members contribute nothing.
+func IFLFor(orig *grid.Grid, groups [][]int, feats [][]float64, split []int) float64 {
 	spans := attrSpans(orig)
-	var sum float64
-	valid := 0
-	for idx, gi := range assign {
-		r, c := orig.CellAt(idx)
-		if !orig.Valid(r, c) || gi < 0 || feats[gi] == nil {
-			continue
+	return LossOver(len(groups), orig.ValidCount(), orig.NumAttrs(), func(gi int) float64 {
+		var sum float64
+		for _, idx := range groups[gi] {
+			r, c := orig.CellAt(idx)
+			sum = RectLoss(sum, orig, &CellGroup{RBeg: r, REnd: r, CBeg: c, CEnd: c}, feats[gi], split[gi], spans)
 		}
-		valid++
-		for k := 0; k < p; k++ {
-			rep := feats[gi][k]
-			if orig.Attrs[k].Agg == grid.Sum && sizes[gi] > 0 {
-				rep /= float64(sizes[gi])
-			}
-			sum += IFLTermAttr(orig.Attrs[k], orig.At(r, c, k), rep, spans[k])
-		}
-	}
-	if valid == 0 || p == 0 {
-		return 0
-	}
-	return sum / float64(valid*p)
+		return sum
+	})
 }

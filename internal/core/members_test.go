@@ -49,16 +49,12 @@ func TestIFLForAssignment(t *testing.T) {
 	g := grid.New(1, 2, []grid.Attribute{{Name: "v", Agg: grid.Average}})
 	g.Set(0, 0, 0, 10)
 	g.Set(0, 1, 0, 20)
-	assign := []int{0, 0}
-	feats := AllocateFeaturesFor(g, [][]int{{0, 1}})
-	got := IFLFor(g, assign, feats)
+	groups := [][]int{{0, 1}}
+	feats := AllocateFeaturesFor(g, groups)
+	got := IFLFor(g, groups, feats, []int{2})
 	want := (5.0/10.0 + 5.0/20.0) / 2
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("IFLFor = %v, want %v", got, want)
-	}
-	// Unassigned valid cells contribute nothing (degenerate but guarded).
-	if IFLFor(g, []int{-1, -1}, feats) != 0 {
-		t.Error("unassigned cells should contribute 0")
 	}
 }
 
@@ -66,16 +62,23 @@ func TestIFLForSumSplitsByValidMembers(t *testing.T) {
 	g := grid.New(1, 3, []grid.Attribute{{Name: "v", Agg: grid.Sum}})
 	g.Set(0, 0, 0, 10)
 	g.Set(0, 1, 0, 20)
-	// Cell 2 null, same group: rep must divide by 2 valid members, not 3.
-	assign := []int{0, 0, -1}
-	feats := AllocateFeaturesFor(g, [][]int{{0, 1, 2}})
+	// Cell 2 is a null member: it adds no term, and the split the caller
+	// passes counts the 2 valid members, not 3.
+	groups := [][]int{{0, 1, 2}}
+	feats := AllocateFeaturesFor(g, groups)
 	if feats[0][0] != 30 {
 		t.Fatalf("sum = %v", feats[0][0])
 	}
-	got := IFLFor(g, assign, feats)
+	got := IFLFor(g, groups, feats, []int{2})
 	want := (5.0/10.0 + 5.0/20.0) / 2
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("IFLFor = %v, want %v", got, want)
+	}
+	// A split of 1 represents every member by the feature itself.
+	got = IFLFor(g, groups, feats, []int{1})
+	want = (20.0/10.0 + 10.0/20.0) / 2
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("IFLFor split 1 = %v, want %v", got, want)
 	}
 }
 

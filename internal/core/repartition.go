@@ -390,7 +390,7 @@ func (m *rungMemo) allocRange(shard, lo, hi int) {
 		if !cg.Null {
 			vals = allocateGroup(m.g, cg, slot, vals, false)
 		}
-		m.loss[a] = groupLoss(m.g, cg, slot, m.spans)
+		m.loss[a] = RectLoss(0, m.g, cg, slot, cg.Size(), m.spans)
 		m.rEnd[a], m.cEnd[a] = int32(cg.REnd), int32(cg.CEnd)
 	}
 	m.scratch[shard] = vals

@@ -12,31 +12,16 @@ import (
 	"spatialrepart/internal/grid"
 )
 
-// Variation returns the attribute variation between two numeric feature
+// VariationAttrs returns the attribute variation between two feature
 // vectors (Eq. 1): the mean absolute per-attribute difference. The caller
-// normalizes attributes first so that wide-range attributes do not dominate.
-// Vectors of different lengths describe incomparable schemas and return
-// +Inf (maximally dissimilar) instead of panicking.
-func Variation(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var s float64
-	for k, av := range a {
-		s += math.Abs(av - b[k])
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	return s / float64(len(a))
-}
-
-// VariationAttrs is Variation extended with categorical awareness (the §VI
-// categorical-attributes extension): a categorical dimension contributes a
-// 0/1 mismatch indicator instead of a numeric difference, so two cells merge
-// only when their categories agree (or the mismatch budget allows it).
-// Mismatched vector lengths — or an attribute schema shorter than the
-// vectors — return +Inf, mirroring Variation's guard.
+// normalizes attributes first so that wide-range attributes do not
+// dominate. With categorical awareness (the §VI categorical-attributes
+// extension), a categorical dimension contributes a 0/1 mismatch indicator
+// instead of a numeric difference, so two cells merge only when their
+// categories agree (or the mismatch budget allows it). Vectors of different
+// lengths, or an attribute schema shorter than the vectors, describe
+// incomparable schemas and return +Inf (maximally dissimilar) instead of
+// panicking.
 func VariationAttrs(attrs []grid.Attribute, a, b []float64) float64 {
 	if len(a) != len(b) || len(attrs) < len(a) {
 		return math.Inf(1)

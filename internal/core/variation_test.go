@@ -30,12 +30,13 @@ func uniGrid(vals [][]float64) *grid.Grid {
 
 func TestVariationEq1(t *testing.T) {
 	// Eq. 1: mean absolute per-attribute difference.
-	got := Variation([]float64{1, 2, 3}, []float64{2, 0, 3})
+	attrs := []grid.Attribute{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+	got := VariationAttrs(attrs, []float64{1, 2, 3}, []float64{2, 0, 3})
 	if want := (1.0 + 2.0 + 0.0) / 3.0; got != want {
-		t.Errorf("Variation = %v, want %v", got, want)
+		t.Errorf("VariationAttrs = %v, want %v", got, want)
 	}
-	if Variation(nil, nil) != 0 {
-		t.Error("Variation of empty vectors should be 0")
+	if VariationAttrs(nil, nil, nil) != 0 {
+		t.Error("VariationAttrs of empty vectors should be 0")
 	}
 }
 

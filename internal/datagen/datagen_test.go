@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spatialrepart/internal/core"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/weights"
 )
@@ -32,7 +31,7 @@ func TestSmoothFieldRange(t *testing.T) {
 func TestSmoothFieldIsAutocorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := smoothField(rng, 24, 24, 3, 3)
-	w := weights.New(core.CellAdjacency(24, 24))
+	w := weights.RookNeighbors(24, 24)
 	mi, err := w.MoransI(f.v)
 	if err != nil {
 		t.Fatal(err)

@@ -78,15 +78,3 @@ func ScanRecordsCSV(r io.Reader, nattrs int, fn func(Record) error) error {
 		}
 	}
 }
-
-// ReadRecordsCSV is ScanRecordsCSV collecting the records into a slice.
-func ReadRecordsCSV(r io.Reader, nattrs int) ([]Record, error) {
-	var recs []Record
-	if err := ScanRecordsCSV(r, nattrs, func(rec Record) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}

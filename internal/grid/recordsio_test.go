@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -27,9 +28,19 @@ func TestBoundsValidate(t *testing.T) {
 	}
 }
 
+// readRecords collects the records ScanRecordsCSV reads.
+func readRecords(r io.Reader, nattrs int) ([]Record, error) {
+	var recs []Record
+	err := ScanRecordsCSV(r, nattrs, func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, err
+}
+
 func TestReadRecordsCSV(t *testing.T) {
 	const in = "lat,lon,count,price\n1.5,2.5,3,40\n0,9.25,1,-2.5\n"
-	recs, err := ReadRecordsCSV(strings.NewReader(in), 2)
+	recs, err := readRecords(strings.NewReader(in), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +99,11 @@ func TestScanRecordsCSVErrorDetail(t *testing.T) {
 // transparent — same records, and a quoted first header field still parses.
 func TestScanRecordsCSVStripsBOM(t *testing.T) {
 	const body = "\"lat\",lon,count,price\n1.5,2.5,3,40\n0,9.25,1,-2.5\n"
-	plain, err := ReadRecordsCSV(strings.NewReader(body), 2)
+	plain, err := readRecords(strings.NewReader(body), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bommed, err := ReadRecordsCSV(strings.NewReader("\xEF\xBB\xBF"+body), 2)
+	bommed, err := readRecords(strings.NewReader("\xEF\xBB\xBF"+body), 2)
 	if err != nil {
 		t.Fatalf("BOM input rejected: %v", err)
 	}
@@ -105,7 +116,7 @@ func TestScanRecordsCSVStripsBOM(t *testing.T) {
 		}
 	}
 	// A BOM mid-stream is data, not a marker: it must still fail parsing.
-	if _, err := ReadRecordsCSV(strings.NewReader("lat,lon,v\n\xEF\xBB\xBF1,2,3\n"), 1); err == nil {
+	if _, err := readRecords(strings.NewReader("lat,lon,v\n\xEF\xBB\xBF1,2,3\n"), 1); err == nil {
 		t.Error("mid-stream BOM unexpectedly accepted")
 	}
 }

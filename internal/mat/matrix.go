@@ -303,11 +303,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
 // Mean returns the arithmetic mean of v, or 0 for an empty slice.
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
@@ -316,20 +311,6 @@ func Mean(v []float64) float64 {
 	var s float64
 	for _, x := range v {
 		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Variance returns the population variance of v.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
 	}
 	return s / float64(len(v))
 }

@@ -237,16 +237,10 @@ func TestVectorHelpers(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-	if got := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9}); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
 	}
 }

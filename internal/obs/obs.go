@@ -45,18 +45,6 @@ func NewSeeded(seed int64) *Observer {
 	return o
 }
 
-// WithRegistry returns an observer recording into an existing registry
-// (nil r yields a nil, disabled observer). The observer gets its own flight
-// recorder: registries are shareable, span retention is per-observer.
-func WithRegistry(r *Registry) *Observer {
-	if r == nil {
-		return nil
-	}
-	o := &Observer{reg: r, fr: NewFlightRecorder(0)}
-	o.ids.state.Store(uint64(time.Now().UnixNano()))
-	return o
-}
-
 // Enabled reports whether the observer records anything.
 func (o *Observer) Enabled() bool { return o != nil }
 

@@ -58,12 +58,17 @@ func FromMembership(g *grid.Grid, assign []int) (*Reduced, error) {
 			return nil, fmt.Errorf("reduce: group %d is empty (ids must be dense)", gi)
 		}
 	}
+	// Every member is valid, so a Sum feature splits over the whole group.
+	split := make([]int, len(groups))
+	for gi, members := range groups {
+		split[gi] = len(members)
+	}
 	feats := core.AllocateFeaturesFor(g, groups)
 	return &Reduced{
 		Assign:   assign,
 		Groups:   groups,
 		Features: feats,
-		IFL:      core.IFLFor(g, assign, feats),
+		IFL:      core.IFLFor(g, groups, feats, split),
 	}, nil
 }
 
@@ -76,7 +81,7 @@ func (r *Reduced) NumGroups() int { return len(r.Groups) }
 // sampling keeps individual instances rather than aggregates, which is
 // exactly why it loses spatial structure (paper §I). The information loss
 // therefore uses the sample value directly as every member's representative
-// (no sum splitting).
+// (IFLFor with a split of 1).
 func FromSamples(g *grid.Grid, samples []int) (*Reduced, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("reduce: no samples")
@@ -135,33 +140,16 @@ func FromSamples(g *grid.Grid, samples []int) (*Reduced, error) {
 			groups[gi] = append(groups[gi], idx)
 		}
 	}
+	// A sample's own value represents every member, so nothing is split.
 	feats := make([][]float64, len(samples))
+	split := make([]int, len(samples))
 	for i, idx := range samples {
 		r, c := g.CellAt(idx)
-		fv := make([]float64, g.NumAttrs())
-		copy(fv, g.Vector(r, c))
-		feats[i] = fv
+		feats[i] = make([]float64, g.NumAttrs())
+		copy(feats[i], g.Vector(r, c))
+		split[i] = 1
 	}
-	// IFL with the sample value as the direct representative.
-	p := g.NumAttrs()
-	ranges := g.Ranges()
-	var sum float64
-	valid := 0
-	for idx, gi := range assign {
-		r, c := g.CellAt(idx)
-		if !g.Valid(r, c) || gi < 0 {
-			continue
-		}
-		valid++
-		for k := 0; k < p; k++ {
-			sum += core.IFLTermAttr(g.Attrs[k], g.At(r, c, k), feats[gi][k], ranges[k].Max-ranges[k].Min)
-		}
-	}
-	ifl := 0.0
-	if valid > 0 && p > 0 {
-		ifl = sum / float64(valid*p)
-	}
-	return &Reduced{Assign: assign, Groups: groups, Features: feats, IFL: ifl}, nil
+	return &Reduced{Assign: assign, Groups: groups, Features: feats, IFL: core.IFLFor(g, groups, feats, split)}, nil
 }
 
 // Adjacency derives group-level rook adjacency from cell adjacency.

@@ -2,6 +2,7 @@ package reduce
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"spatialrepart/internal/grid"
@@ -179,5 +180,84 @@ func TestFromMembershipSumIFL(t *testing.T) {
 	want := (5.0/10.0 + 5.0/20.0) / 2
 	if math.Abs(red.IFL-want) > 1e-12 {
 		t.Errorf("IFL = %v, want %v", red.IFL, want)
+	}
+}
+
+// refSamplesIFL is FromSamples' own Eq. 3 loop before it called
+// core.IFLFor: cell-major over the assignment, the sample's value as every
+// member's representative.
+func refSamplesIFL(g *grid.Grid, assign []int, feats [][]float64) float64 {
+	p := g.NumAttrs()
+	ranges := g.Ranges()
+	var sum float64
+	valid := 0
+	for idx, gi := range assign {
+		r, c := g.CellAt(idx)
+		if !g.Valid(r, c) || gi < 0 {
+			continue
+		}
+		valid++
+		for k := 0; k < p; k++ {
+			d, rep, span := g.At(r, c, k), feats[gi][k], ranges[k].Max-ranges[k].Min
+			switch {
+			case g.Attrs[k].Categorical:
+				if d != rep {
+					sum++
+				}
+			case d != 0:
+				sum += math.Abs(d-rep) / math.Abs(d)
+			case span > 0:
+				sum += math.Abs(d-rep) / span
+			}
+		}
+	}
+	if valid == 0 || p == 0 {
+		return 0
+	}
+	return sum / float64(valid*p)
+}
+
+// TestFromSamplesMatchesReferenceLoop: on random grids with null cells and
+// every attribute kind, the sampling baseline keeps the samples' own
+// vectors bit for bit and an IFL within 1e-12 relative of its old loop.
+func TestFromSamplesMatchesReferenceLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	attrs := []grid.Attribute{
+		{Name: "count", Agg: grid.Sum, Integer: true},
+		{Name: "price", Agg: grid.Average},
+		{Name: "rooms", Agg: grid.Average, Integer: true},
+		{Name: "use", Agg: grid.Average, Categorical: true},
+	}
+	for trial := 0; trial < 40; trial++ {
+		g := grid.New(2+rng.Intn(14), 2+rng.Intn(14), attrs)
+		var valid []int
+		for idx := 0; idx < g.NumCells(); idx++ {
+			if rng.Float64() < 0.2 {
+				continue
+			}
+			r, c := g.CellAt(idx)
+			g.SetVector(r, c, []float64{float64(rng.Intn(12)), rng.Float64() * 100, float64(rng.Intn(6)), float64(rng.Intn(3))})
+			valid = append(valid, idx)
+		}
+		if len(valid) == 0 {
+			continue
+		}
+		rng.Shuffle(len(valid), func(i, j int) { valid[i], valid[j] = valid[j], valid[i] })
+		samples := valid[:1+rng.Intn(len(valid))]
+		red, err := FromSamples(g, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, idx := range samples {
+			r, c := g.CellAt(idx)
+			for k, v := range g.Vector(r, c) {
+				if math.Float64bits(red.Features[i][k]) != math.Float64bits(v) {
+					t.Fatalf("trial %d sample %d: features %v, cell %v", trial, i, red.Features[i], g.Vector(r, c))
+				}
+			}
+		}
+		if want := refSamplesIFL(g, red.Assign, red.Features); math.Abs(red.IFL-want) > 1e-12*want {
+			t.Fatalf("trial %d: IFL %v, reference %v", trial, red.IFL, want)
+		}
 	}
 }

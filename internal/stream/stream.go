@@ -534,7 +534,6 @@ func (s *Repartitioner) viewLocked(degraded bool) View {
 func (s *Repartitioner) degradedLocked() View {
 	s.stats.DegradedServes++
 	s.opts.Obs.Count("stream.degraded_serves", 1)
-	s.opts.Obs.SetGauge("stream.stale_records", float64(s.sinceLastCheck))
 	return s.viewLocked(true)
 }
 
@@ -594,7 +593,6 @@ type Report struct {
 	BreakerState        string `json:"breaker_state"`
 	BreakerOpens        int    `json:"breaker_opens"`
 	ConsecutiveFailures int    `json:"consecutive_failures"`
-	StaleRecords        int    `json:"stale_records"`
 	Checkpoints         int    `json:"checkpoints"`
 
 	CheckpointFailures  int    `json:"checkpoint_failures"`
@@ -633,7 +631,6 @@ func (s *Repartitioner) Report() Report {
 		BreakerState:        s.brk.State().String(),
 		BreakerOpens:        s.brk.Opens(),
 		ConsecutiveFailures: s.brk.Consecutive(),
-		StaleRecords:        s.sinceLastCheck,
 		Checkpoints:         s.stats.Checkpoints,
 		CheckpointFailures:  s.stats.CheckpointFailures,
 		WALSeq:              s.walSeq,

@@ -173,7 +173,8 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 	// decides when the retry runs.
 	errBoom := errors.New("boom")
 	inj := fault.New(3)
-	c, advance := chaosStream(t, inj, Options{Threshold: 0.2})
+	o := obs.New()
+	c, advance := chaosStream(t, inj, Options{Threshold: 0.2, Obs: o})
 	inj.Set("stream.recompute", fault.Plan{Count: 1, Err: errBoom})
 	good := c.Stats().Generation
 	for i := 0; i < 3; i++ {
@@ -198,6 +199,19 @@ func TestUnchangedStreamServesInstalledView(t *testing.T) {
 	}
 	if st := c.Stats(); st.StaleRecords != 0 || st.Breaker != breaker.Closed {
 		t.Fatalf("after the retry: %+v", st)
+	}
+	// No staleness gauge may outlive the view it described.
+	stale := 0
+	for name, v := range o.Registry().Snapshot().Gauges {
+		if strings.Contains(name, "stale") || strings.Contains(name, "lag") {
+			stale++
+			if v != 0 {
+				t.Errorf("gauge %s = %v after the retry, want 0", name, v)
+			}
+		}
+	}
+	if stale == 0 {
+		t.Error("no staleness gauge published")
 	}
 }
 

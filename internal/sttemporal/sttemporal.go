@@ -129,7 +129,7 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 		t = end + 1
 	}
 
-	res.IFL = cubeIFL(c, part, res.Segments, res.Features)
+	res.IFL = iflOver(c, part, res.Segments, res.Features)
 	return res, nil
 }
 
@@ -246,8 +246,10 @@ func meanGrid(c *Cube) *grid.Grid {
 }
 
 // segmentFeatures allocates one feature vector per group from all cells of
-// the group across slices [tb, te] (Algorithm 2 semantics; sums are averaged
-// over slices so a segment's value represents one slice's worth).
+// the group across slices [tb, te]: every attribute but a sum takes
+// core.AllocateAttr over the group's valid values in (t, r, c) order, and a
+// sum averages the slices' group sums, so a segment's value represents one
+// slice's worth.
 func segmentFeatures(c *Cube, part *core.Partition, tb, te int) [][]float64 {
 	p := c.Slices[0].NumAttrs()
 	attrs := c.Slices[0].Attrs
@@ -299,7 +301,7 @@ func segmentFeatures(c *Cube, part *core.Partition, tb, te int) [][]float64 {
 				}
 			}
 			if len(vals) > 0 {
-				fv[k] = allocateAverage(attrs[k], vals)
+				fv[k] = core.AllocateAttr(attrs[k], vals)
 			}
 		}
 		if anyValid {
@@ -309,76 +311,32 @@ func segmentFeatures(c *Cube, part *core.Partition, tb, te int) [][]float64 {
 	return feats
 }
 
-// allocateAverage mirrors Algorithm 2's average/categorical rule.
-func allocateAverage(attr grid.Attribute, vals []float64) float64 {
-	if attr.Categorical {
-		return modeOf(vals)
-	}
-	var mean float64
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= float64(len(vals))
-	if attr.Integer {
-		mean = roundHalf(mean)
-	}
-	m := modeOf(vals)
-	if meanLoss(vals, mean) <= meanLoss(vals, m) {
-		return mean
-	}
-	return m
-}
-
 // segmentIFL evaluates Eq. 3 over slices [tb, te] only.
 func segmentIFL(c *Cube, part *core.Partition, tb, te int, feats [][]float64) float64 {
 	return iflOver(c, part, []Segment{{tb, te}}, [][][]float64{feats})
 }
 
-// cubeIFL evaluates Eq. 3 over the whole cube.
-func cubeIFL(c *Cube, part *core.Partition, segs []Segment, feats [][][]float64) float64 {
-	return iflOver(c, part, segs, feats)
-}
-
+// iflOver is Eq. 3 over the slices of segs: group gi of segment si adds
+// core.RectLoss over its rectangle one slice at a time, in (t, r, c) order,
+// and core.LossOver reduces the (segment, group) sums in that order. A Sum
+// feature is one slice's group value, split over the whole rectangle.
 func iflOver(c *Cube, part *core.Partition, segs []Segment, feats [][][]float64) float64 {
-	first := c.Slices[0]
-	p := first.NumAttrs()
-	attrs := first.Attrs
 	spans := cubeSpans(c)
-	groupSize := make([]int, len(part.Groups))
-	for gi, cg := range part.Groups {
-		groupSize[gi] = cg.Size()
-	}
-	var sum float64
+	groups := len(part.Groups)
 	valid := 0
-	for si, seg := range segs {
+	for _, seg := range segs {
 		for t := seg.TBeg; t <= seg.TEnd; t++ {
-			s := c.Slices[t]
-			for r := 0; r < s.Rows; r++ {
-				for col := 0; col < s.Cols; col++ {
-					if !s.Valid(r, col) {
-						continue
-					}
-					gi := part.GroupOf(r, col)
-					fv := feats[si][gi]
-					if fv == nil {
-						continue
-					}
-					valid++
-					for k := 0; k < p; k++ {
-						rep := fv[k]
-						if attrs[k].Agg == grid.Sum {
-							rep /= float64(groupSize[gi])
-						}
-						sum += core.IFLTermAttr(attrs[k], s.At(r, col, k), rep, spans[k])
-					}
-				}
-			}
+			valid += c.Slices[t].ValidCount()
 		}
 	}
-	if valid == 0 || p == 0 {
-		return 0
-	}
-	return sum / float64(valid*p)
+	return core.LossOver(len(segs)*groups, valid, c.Slices[0].NumAttrs(), func(i int) float64 {
+		seg, cg, fv := segs[i/groups], &part.Groups[i%groups], feats[i/groups][i%groups]
+		var sum float64
+		for t := seg.TBeg; t <= seg.TEnd; t++ {
+			sum = core.RectLoss(sum, c.Slices[t], cg, fv, cg.Size(), spans)
+		}
+		return sum
+	})
 }
 
 // cubeSpans returns per-attribute value spans over the whole cube.
@@ -438,37 +396,4 @@ func (r *Result) ValueAt(t, row, col, k int) (float64, bool) {
 		v /= float64(r.Partition.Groups[gi].Size())
 	}
 	return v, true
-}
-
-func modeOf(vals []float64) float64 {
-	counts := make(map[float64]int, len(vals))
-	for _, v := range vals {
-		counts[v]++
-	}
-	best, bestN := 0.0, -1
-	for v, n := range counts {
-		if n > bestN || (n == bestN && v < best) {
-			best, bestN = v, n
-		}
-	}
-	return best
-}
-
-func meanLoss(vals []float64, rep float64) float64 {
-	var s float64
-	for _, v := range vals {
-		d := v - rep
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s / float64(len(vals))
-}
-
-func roundHalf(x float64) float64 {
-	if x >= 0 {
-		return float64(int64(x + 0.5))
-	}
-	return -float64(int64(-x + 0.5))
 }

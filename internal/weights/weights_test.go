@@ -196,66 +196,3 @@ func TestSpectralRadiusUpperBound(t *testing.T) {
 		t.Errorf("bound = %v, want 0 for empty W", got)
 	}
 }
-
-func TestDistanceBandNeighbors(t *testing.T) {
-	lat := []float64{0, 0, 0, 10}
-	lon := []float64{0, 1, 2, 10}
-	w, err := DistanceBandNeighbors(lat, lon, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Neighbors[0]) != 1 || w.Neighbors[0][0] != 1 {
-		t.Errorf("point 0 neighbors = %v, want [1]", w.Neighbors[0])
-	}
-	if len(w.Neighbors[1]) != 2 {
-		t.Errorf("point 1 neighbors = %v, want two", w.Neighbors[1])
-	}
-	if len(w.Neighbors[3]) != 0 {
-		t.Errorf("distant point neighbors = %v, want none", w.Neighbors[3])
-	}
-	if _, err := DistanceBandNeighbors([]float64{0}, []float64{0, 1}, 1); err == nil {
-		t.Error("want coordinate mismatch error")
-	}
-}
-
-func TestKNearestNeighbors(t *testing.T) {
-	lat := []float64{0, 0, 0, 0}
-	lon := []float64{0, 1, 2, 10}
-	w, err := KNearestNeighbors(lat, lon, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// 0's nearest is 1; symmetrization ensures the backlink.
-	found := false
-	for _, j := range w.Neighbors[0] {
-		if j == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("0's neighbors = %v, want to contain 1", w.Neighbors[0])
-	}
-	// Even the far point gets a neighbor (its own nearest).
-	if len(w.Neighbors[3]) == 0 {
-		t.Error("kNN should give every point at least one neighbor")
-	}
-}
-
-func TestKNearestNeighborsDegenerate(t *testing.T) {
-	w, err := KNearestNeighbors([]float64{0}, []float64{0}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Neighbors[0]) != 0 {
-		t.Error("single point should have no neighbors")
-	}
-	if _, err := KNearestNeighbors([]float64{0}, []float64{0, 1}, 1); err == nil {
-		t.Error("want coordinate mismatch error")
-	}
-}
