@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spatialrepart/internal/grid"
@@ -147,23 +148,6 @@ func closeRel(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-12*math.Abs(want)
 }
 
-func sameBits(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if (a[i] == nil) != (b[i] == nil) || len(a[i]) != len(b[i]) {
-			return false
-		}
-		for k := range a[i] {
-			if math.Float64bits(a[i][k]) != math.Float64bits(b[i][k]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestHomogeneousMatchesReferenceLoops: on random grids with null blobs and
 // blocks that mix null and valid cells, every block shape keeps the
 // reference gather's feature bits and an IFL within 1e-12 relative of the
@@ -179,7 +163,7 @@ func TestHomogeneousMatchesReferenceLoops(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := refAllocateHomogeneous(g, rp.Partition); !sameBits(rp.Features, want) {
+				if want := refAllocateHomogeneous(g, rp.Partition); !reflect.DeepEqual(rp.Features, want) {
 					t.Fatalf("trial %d %v k=%d: features %v, reference %v", trial, mode, k, rp.Features, want)
 				}
 				want := refIFLValidOnly(g, rp.Partition, rp.Features, rp.ValidCells)
