@@ -22,10 +22,10 @@ import (
 //  3. writing output during iteration (fmt.Print*/Fprint*, Write*
 //     methods, channel sends): the emission order is nondeterministic;
 //  4. accumulating into a float declared outside the loop with +=, -=,
-//     *= or /=: floating-point arithmetic is not associative, so the
-//     result's bits depend on the order (the bug class of
-//     metrics.WeightedF1, whose Table III scores once changed between
-//     runs).
+//     *= or /=, other than into an element indexed by the map key:
+//     floating-point arithmetic is not associative, so the result's bits
+//     depend on the order (the bug class of metrics.WeightedF1, whose
+//     Table III scores once changed between runs).
 //
 // Copying into another map, or counting and summing integers during
 // iteration, is order-independent and not flagged.
@@ -63,7 +63,7 @@ func checkMapRangeBody(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			checkMapRangeAppend(pass, file, rng, n)
-			checkMapRangeFloatAccum(pass, rng, n)
+			checkMapRangeFloatAccum(pass, rng, n, keyObj)
 		case *ast.IfStmt:
 			checkMapRangeSelection(pass, rng, n, keyObj, valObj)
 		case *ast.CallExpr:
@@ -103,14 +103,20 @@ func checkMapRangeAppend(pass *Pass, file *ast.File, rng *ast.RangeStmt, as *ast
 
 // checkMapRangeFloatAccum flags `x op= e` for op in + - * / when x is a
 // float that outlives the loop: each iteration rounds, so the sum's bits
-// depend on the order the map yields its entries.
-func checkMapRangeFloatAccum(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt) {
+// depend on the order the map yields its entries. An element indexed by the
+// map key (`sums[k] += v`) is updated once per key, in no order, and passes.
+func checkMapRangeFloatAccum(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt, keyObj types.Object) {
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 	default:
 		return
 	}
 	lhs := as.Lhs[0]
+	if ix, ok := lhs.(*ast.IndexExpr); ok && keyObj != nil {
+		if id, ok := ix.Index.(*ast.Ident); ok && pass.Info.Uses[id] == keyObj {
+			return
+		}
+	}
 	tv, ok := pass.Info.Types[lhs]
 	if !ok {
 		return

@@ -92,6 +92,12 @@ func scaleFloats(m map[string]float64, out []float64) {
 	}
 }
 
+func addFloatsPerKey(m map[string]float64, sums map[string]float64) {
+	for k, v := range m {
+		sums[k] += v
+	}
+}
+
 func sumFloatsPerEntry(m map[string][]float64) map[string]float64 {
 	sums := make(map[string]float64, len(m))
 	for k, vs := range m {
