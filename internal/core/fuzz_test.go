@@ -7,6 +7,45 @@ import (
 	"spatialrepart/internal/grid"
 )
 
+// FuzzVariation drives VariationAttrs under an all-numeric schema that covers
+// both vectors (the plain Eq. 1 mean absolute difference) with arbitrary,
+// including mismatched, vector lengths. The guard must turn length
+// mismatches into +Inf instead of the out-of-range panic the unguarded loop
+// hit, and equal-length inputs must keep Eq. 1 semantics: symmetric,
+// non-negative, and zero on identical finite vectors.
+func FuzzVariation(f *testing.F) {
+	f.Add(3, 3, 1.5, -2.0)
+	f.Add(0, 0, 0.0, 0.0)
+	f.Add(4, 2, 10.0, 3.0) // len(b) < len(a): the seed's panic case
+	f.Add(1, 6, -5.0, 5.0)
+	f.Fuzz(func(t *testing.T, la, lb int, va, vb float64) {
+		if la < 0 || la > 64 || lb < 0 || lb > 64 {
+			t.Skip()
+		}
+		attrs := make([]grid.Attribute, max(la, lb))
+		for k := range attrs {
+			attrs[k] = grid.Attribute{Name: "f", Agg: grid.Average}
+		}
+		a, b := fillVec(la, va), fillVec(lb, vb)
+		got := VariationAttrs(attrs, a, b)
+		if la != lb {
+			if !math.IsInf(got, 1) {
+				t.Fatalf("VariationAttrs(len %d, len %d) = %v, want +Inf", la, lb, got)
+			}
+			return
+		}
+		if got != VariationAttrs(attrs, b, a) {
+			t.Fatalf("VariationAttrs not symmetric: %v vs %v", got, VariationAttrs(attrs, b, a))
+		}
+		if got < 0 {
+			t.Fatalf("VariationAttrs = %v, want ≥ 0", got)
+		}
+		if self := VariationAttrs(attrs, a, a); self != 0 && !math.IsNaN(va) && !math.IsInf(va, 0) {
+			t.Fatalf("VariationAttrs(a, a) = %v, want 0", self)
+		}
+	})
+}
+
 // FuzzVariationAttrs drives VariationAttrs with arbitrary, including
 // mismatched, vector lengths and schemas. A length mismatch, or a schema
 // shorter than the vectors (which indexed attrs[k] out of range in the
