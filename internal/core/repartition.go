@@ -211,7 +211,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rec.workers = workers
 	}
 
-	memo := newRungMemo(g, ranges, workers)
+	memo := newRungMemo(g, field, ranges, workers)
 	var best *rungBuffers // the accepted rung, nil until a rung passes
 	next := &rungBuffers{}
 	// pass evaluates one ladder rung into next and, when its loss is within
@@ -228,16 +228,16 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		// recorder holds one event per rung, not four.
 		_, spe := o.StartSpanCtx(ctx, "rung.eval")
 		sp := o.StartSpan("rung.extract")
-		next.groups = field.extractGroups(next.groups[:0], memo.visited, ladder.Rung(i))
+		next.rects = field.extractGroups(next.rects[:0], memo.top, ladder.Rung(i))
 		sp.End()
 		sp = o.StartSpan("rung.allocate")
-		hits := memo.allocate(next.groups)
+		hits := memo.allocate(next.rects)
 		sp.End()
 		sp = o.StartSpan("rung.loss")
 		loss := memo.ifl()
 		sp.End()
 		spe.End()
-		groups := len(next.groups)
+		groups := len(next.rects)
 		ok := loss <= opts.Threshold
 		o.Count("rung.evaluated", 1)
 		o.Count("extract.calls", 1)
@@ -278,13 +278,14 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	return rp, nil
 }
 
-// rungBuffers is one evaluated rung: its groups and, once it passes, its
-// loss and variation threshold. The search keeps two — the accepted rung and
-// a scratch rung — and extracts each new rung into the scratch one, so the
-// group slices are allocated only when a rung outgrows them. Features live
-// in the memo only; result gathers the accepted rung's.
+// rungBuffers is one evaluated rung: its group rectangles and, once it
+// passes, its loss and variation threshold. The search keeps two — the
+// accepted rung and a scratch rung — and extracts each new rung into the
+// scratch one, so the rectangle slices are allocated only when a rung
+// outgrows them. Features live in the memo only; result gathers the
+// accepted rung's.
 type rungBuffers struct {
-	groups          []CellGroup
+	rects           []rect
 	ifl             float64
 	minAdjVariation float64
 }
@@ -299,8 +300,9 @@ type rungBuffers struct {
 // sharding. The arrays are flat and pointer-free, allocated once per run.
 type rungMemo struct {
 	g       *grid.Grid
-	spans   []float64 // attribute range spans, for Eq. 3
-	valid   int       // valid cells of g
+	field   *VariationField // g's normalized field; builds the CellGroups
+	spans   []float64       // attribute range spans, for Eq. 3
+	valid   int             // valid cells of g
 	workers int
 
 	// rEnd and cEnd hold each slot's rectangle extents, indexed by anchor
@@ -309,12 +311,12 @@ type rungMemo struct {
 	rEnd, cEnd []int32
 	feat       []float64 // cells × attrs features
 	loss       []float64 // per-cell loss sums
-	visited    []bool    // Algorithm 1's visited cells, one per cell
+	top        []int32   // Algorithm 1's skyline, one entry per column
 
 	// The rung being evaluated and the per-pass scratch the sharded passes
 	// write: one hit count and one Algorithm 2 scratch slice per allocation
 	// shard, one partial per loss chunk.
-	groups    []CellGroup
+	rects     []rect
 	hits      []int
 	scratch   [][]float64
 	partials  []float64
@@ -322,12 +324,14 @@ type rungMemo struct {
 	lossPass  func(shard, lo, hi int)
 }
 
-// newRungMemo returns the memo of a run over g, whose attribute ranges are
-// given (Normalized returns them), so their Eq. 3 spans need no new scan.
-func newRungMemo(g *grid.Grid, ranges []grid.AttrRange, workers int) *rungMemo {
+// newRungMemo returns the memo of a run over g, whose normalized field and
+// attribute ranges are given (Normalized returns them), so their Eq. 3 spans
+// need no new scan.
+func newRungMemo(g *grid.Grid, field *VariationField, ranges []grid.AttrRange, workers int) *rungMemo {
 	cells := g.NumCells()
 	m := &rungMemo{
 		g:        g,
+		field:    field,
 		spans:    rangeSpans(ranges),
 		valid:    g.ValidCount(),
 		workers:  workers,
@@ -335,7 +339,7 @@ func newRungMemo(g *grid.Grid, ranges []grid.AttrRange, workers int) *rungMemo {
 		cEnd:     make([]int32, cells),
 		feat:     make([]float64, cells*g.NumAttrs()),
 		loss:     make([]float64, cells),
-		visited:  make([]bool, cells),
+		top:      make([]int32, g.Cols),
 		hits:     make([]int, 16*workers),
 		scratch:  make([][]float64, 16*workers),
 		partials: make([]float64, 0, lossChunks(cells)),
@@ -348,25 +352,20 @@ func newRungMemo(g *grid.Grid, ranges []grid.AttrRange, workers int) *rungMemo {
 	return m
 }
 
-// holds reports whether anchor a's slot holds group cg's rectangle.
-func (m *rungMemo) holds(a int, cg *CellGroup) bool {
-	return int(m.rEnd[a]) == cg.REnd && int(m.cEnd[a]) == cg.CEnd
-}
-
 // allocate makes the memo hold every group of a rung: for each group whose
 // rectangle its anchor's slot does not hold, it runs Algorithm 2 into the
 // slot and stores the group's loss sum while the cells are in cache. It
 // returns the number of groups the memo already held. Group sizes vary
 // widely, so the groups are cut into 16 ranges per worker and a worker that
 // finishes early takes the next range.
-func (m *rungMemo) allocate(groups []CellGroup) int {
-	m.groups = groups
+func (m *rungMemo) allocate(rects []rect) int {
+	m.rects = rects
 	clear(m.hits)
 	workers := m.workers
-	if len(groups) < 2*minParallelGroups {
+	if len(rects) < 2*minParallelGroups {
 		workers = 1
 	}
-	parallelRanges(len(groups), 16*m.workers, workers, m.allocPass)
+	parallelRanges(len(rects), 16*m.workers, workers, m.allocPass)
 	hits := 0
 	for _, h := range m.hits {
 		hits += h
@@ -374,24 +373,26 @@ func (m *rungMemo) allocate(groups []CellGroup) int {
 	return hits
 }
 
-// allocRange is allocate's shard: groups [lo, hi) of the current rung.
+// allocRange is allocate's shard: groups [lo, hi) of the current rung. A
+// group the memo does not hold is built as a CellGroup on the stack for
+// Algorithm 2 and Eq. 3.
 func (m *rungMemo) allocRange(shard, lo, hi int) {
 	p, cols := m.g.NumAttrs(), m.g.Cols
 	vals := m.scratch[shard]
 	hits := 0
-	for gi := lo; gi < hi; gi++ {
-		cg := &m.groups[gi]
-		a := cg.RBeg*cols + cg.CBeg
-		if m.holds(a, cg) {
+	for _, rc := range m.rects[lo:hi] {
+		a := int(rc.r0)*cols + int(rc.c0)
+		if m.rEnd[a] == rc.r1 && m.cEnd[a] == rc.c1 {
 			hits++
 			continue
 		}
+		cg := m.field.group(rc)
 		slot := m.feat[a*p : a*p+p]
 		if !cg.Null {
-			vals = allocateGroup(m.g, cg, slot, vals, false)
+			vals = allocateGroup(m.g, &cg, slot, vals, false)
 		}
-		m.loss[a] = RectLoss(0, m.g, cg, slot, cg.Size(), m.spans)
-		m.rEnd[a], m.cEnd[a] = int32(cg.REnd), int32(cg.CEnd)
+		m.loss[a] = RectLoss(0, m.g, &cg, slot, cg.Size(), m.spans)
+		m.rEnd[a], m.cEnd[a] = rc.r1, rc.c1
 	}
 	m.scratch[shard] = vals
 	m.hits[shard] = hits
@@ -400,50 +401,51 @@ func (m *rungMemo) allocRange(shard, lo, hi int) {
 // ifl returns the information loss of the rung allocate last filled: the
 // one chunked IFL reduction over the loss sums the memo holds.
 func (m *rungMemo) ifl() float64 {
-	m.partials = m.partials[:lossChunks(len(m.groups))]
+	m.partials = m.partials[:lossChunks(len(m.rects))]
 	parallelRanges(len(m.partials), 16*m.workers, m.workers, m.lossPass)
 	return meanLoss(m.partials, m.valid, m.g.NumAttrs())
 }
 
 // lossRange is ifl's shard: loss chunks [lo, hi) of the current rung.
 func (m *rungMemo) lossRange(_, lo, hi int) {
-	sumChunks(m.partials, lo, hi, len(m.groups), m.lossOf)
+	sumChunks(m.partials, lo, hi, len(m.rects), m.lossOf)
 }
 
 // lossOf returns the stored loss sum of group gi of the current rung.
 func (m *rungMemo) lossOf(gi int) float64 {
-	cg := &m.groups[gi]
-	return m.loss[cg.RBeg*m.g.Cols+cg.CBeg]
+	rc := &m.rects[gi]
+	return m.loss[int(rc.r0)*m.g.Cols+int(rc.c0)]
 }
 
 // result returns the accepted rung b as a Repartitioned that owns
 // exact-size buffers: no spare capacity and nothing shared with the memo,
-// whose memory is dropped when the run returns. CellToGroup is written here,
-// once per run. A group's features are copied from its anchor's slot when
-// the slot still holds its rectangle; a later rung may have rewritten the
-// slot, and then the same Algorithm 2 recomputes them, bit for bit.
+// whose memory is dropped when the run returns. The CellGroups and
+// CellToGroup are built here, once per run. A group's features are copied
+// from its anchor's slot when the slot still holds its rectangle; a later
+// rung may have rewritten the slot, and then the same Algorithm 2
+// recomputes them, bit for bit.
 func (m *rungMemo) result(b *rungBuffers) *Repartitioned {
 	g, p := m.g, m.g.NumAttrs()
-	part := &Partition{Rows: g.Rows, Cols: g.Cols, Groups: make([]CellGroup, len(b.groups))}
-	copy(part.Groups, b.groups)
-	part.indexCells()
+	part := &Partition{Rows: g.Rows, Cols: g.Cols, Groups: make([]CellGroup, len(b.rects))}
 	valid := 0
-	for _, cg := range part.Groups {
-		if !cg.Null {
+	for gi, rc := range b.rects {
+		part.Groups[gi] = m.field.group(rc)
+		if !part.Groups[gi].Null {
 			valid++
 		}
 	}
+	part.indexCells()
 	backing := make([]float64, valid*p)
 	feats := make([][]float64, len(part.Groups))
 	var vals []float64
-	for gi := range part.Groups {
+	for gi, rc := range b.rects {
 		cg := &part.Groups[gi]
 		if cg.Null {
 			continue
 		}
 		fv := backing[:p:p]
 		backing = backing[p:]
-		if a := cg.RBeg*g.Cols + cg.CBeg; m.holds(a, cg) {
+		if a := int(rc.r0)*g.Cols + int(rc.c0); m.rEnd[a] == rc.r1 && m.cEnd[a] == rc.c1 {
 			copy(fv, m.feat[a*p:])
 		} else {
 			vals = allocateGroup(g, cg, fv, vals, false)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -114,33 +115,57 @@ func TestRepartitionZeroThresholdKeepsIFLZero(t *testing.T) {
 	}
 }
 
+// TestScheduleGeometricMatchesExact holds the two schedules to the order
+// SearchLadder promises. Exact passed every rung below its first failure and
+// accepts the last of them; geometric's answer r passed and r + 1 failed, so
+// r is never below exact's rung and geometric's accepted variation is at
+// least exact's. Where they accept the same rung they return the same
+// partition. Nothing more is promised: IFL and Algorithm 1's group count
+// are not monotone in the rung, so a coarser rung may hold more groups.
 func TestScheduleGeometricMatchesExact(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomUniGrid(seed, 7, 7, 0.1)
-		for _, theta := range []float64{0.05, 0.15} {
-			exact, err1 := Repartition(g, Options{Threshold: theta, Schedule: ScheduleExact})
-			geom, err2 := Repartition(g, Options{Threshold: theta, Schedule: ScheduleGeometric})
-			if err1 != nil || err2 != nil {
-				return false
-			}
-			// Both must respect the threshold; with IFL monotone in the rung
-			// they accept the same rung and the same partition size.
-			if geom.IFL > theta || exact.IFL > theta {
-				return false
-			}
-			if geom.MinAdjVariation != exact.MinAdjVariation {
-				// Non-monotone IFL can legitimately make them differ, but the
-				// geometric result must never be worse than exact's bound.
-				if geom.NumGroups() > exact.NumGroups() {
-					return false
-				}
-			}
-		}
-		return true
+	// Seed 1541847098634201809 at θ 0.15: exact accepts variation 0.2857
+	// with 31 groups, geometric accepts 0.3061 with 32.
+	if msg := scheduleMismatch(1541847098634201809); msg != "" {
+		t.Errorf("seed 1541847098634201809: %s", msg)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	f := func(seed int64) bool {
+		msg := scheduleMismatch(seed)
+		if msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+		}
+		return msg == ""
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scheduleMismatch repartitions the 7×7 grid of seed under both schedules
+// and returns how their answers break the order SearchLadder promises, or
+// "" when they keep it.
+func scheduleMismatch(seed int64) string {
+	g := randomUniGrid(seed, 7, 7, 0.1)
+	for _, theta := range []float64{0.05, 0.15} {
+		exact, err := Repartition(g, Options{Threshold: theta, Schedule: ScheduleExact})
+		if err != nil {
+			return err.Error()
+		}
+		geom, err := Repartition(g, Options{Threshold: theta, Schedule: ScheduleGeometric})
+		if err != nil {
+			return err.Error()
+		}
+		same := math.Float64bits(geom.MinAdjVariation) == math.Float64bits(exact.MinAdjVariation)
+		switch {
+		case geom.IFL > theta || exact.IFL > theta:
+			return fmt.Sprintf("θ %v: IFL exact %v, geometric %v", theta, exact.IFL, geom.IFL)
+		case geom.MinAdjVariation < exact.MinAdjVariation:
+			return fmt.Sprintf("θ %v: geometric accepts variation %v below exact's %v", theta, geom.MinAdjVariation, exact.MinAdjVariation)
+		case same && (geom.NumGroups() != exact.NumGroups() || math.Float64bits(geom.IFL) != math.Float64bits(exact.IFL)):
+			return fmt.Sprintf("θ %v: at one rung, exact has %d groups and IFL %v, geometric %d and %v",
+				theta, exact.NumGroups(), exact.IFL, geom.NumGroups(), geom.IFL)
+		}
+	}
+	return ""
 }
 
 func TestRepartitionGeometricFewerIterations(t *testing.T) {

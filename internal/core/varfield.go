@@ -164,29 +164,49 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 // extractInto is ExtractField writing into p, whose buffers it reuses.
 // Nothing of p's previous contents survives.
 func (f *VariationField) extractInto(p *Partition, minAdjVariation float64) {
+	rects := f.extractGroups(nil, make([]int32, f.Cols), minAdjVariation)
 	p.Rows, p.Cols = f.Rows, f.Cols
-	p.Groups = f.extractGroups(p.Groups[:0], make([]bool, f.Rows*f.Cols), minAdjVariation)
+	p.Groups = slices.Grow(p.Groups[:0], len(rects))
+	for _, rc := range rects {
+		p.Groups = append(p.Groups, f.group(rc))
+	}
 	p.indexCells()
 }
 
+// rect is a group as Algorithm 1 emits it: rows [r0, r1] and columns
+// [c0, c1], inclusive. At 16 bytes against a CellGroup's 40 it keeps the
+// rung loop's group lists small; the null flag is the anchor cell's, read
+// from the field when a CellGroup is built.
+type rect struct{ r0, r1, c0, c1 int32 }
+
+// group returns rectangle rc as a CellGroup.
+func (f *VariationField) group(rc rect) CellGroup {
+	return CellGroup{RBeg: int(rc.r0), REnd: int(rc.r1), CBeg: int(rc.c0), CEnd: int(rc.c1),
+		Null: !f.valid[int(rc.r0)*f.Cols+int(rc.c0)]}
+}
+
 // extractGroups runs Algorithm 1 and appends the groups, in scan order, to
-// groups. visited (one entry per cell) is scratch: the scan clears it, marks
-// each cell as a group takes it, and leaves it all set. The ladder search
-// extracts every rung this way into recycled buffers and writes CellToGroup
-// only for the rung it accepts.
-func (f *VariationField) extractGroups(groups []CellGroup, visited []bool, minAdjVariation float64) []CellGroup {
+// groups. top (one entry per column) is scratch for the skyline of the
+// groups taken so far: top[c] is the row below the latest group covering
+// column c, or 0. The groups covering a column are disjoint in rows and
+// taken in row order, so cell (r, c) is visited exactly when r < top[c],
+// and taking a group costs its width rather than its area. The ladder
+// search extracts every rung this way into recycled buffers and builds
+// CellGroups only for the rung it accepts.
+func (f *VariationField) extractGroups(groups []rect, top []int32, minAdjVariation float64) []rect {
 	rows, cols := f.Rows, f.Cols
-	clear(visited)
+	clear(top)
 	hVar, vVar := f.H, f.V
 
 	// vRun returns the number of consecutive cells downward from the
-	// unvisited cell (r, c) — including (r, c) — such that each vertically
-	// adjacent pair has variation ≤ minAdjVariation. It checks no visited
-	// marks: a group covering a cell below (r, c) would be anchored earlier
-	// in the scan and, being a rectangle, cover (r, c) too.
-	vRun := func(r, c int) int {
+	// unvisited cell (r, c) — including (r, c), and at most limit ≤ rows − r
+	// — such that each vertically adjacent pair has variation
+	// ≤ minAdjVariation. It checks no visited marks: a group covering a cell
+	// below (r, c) would be anchored earlier in the scan and, being a
+	// rectangle, cover (r, c) too.
+	vRun := func(r, c, limit int) int {
 		n := 1
-		for r+n < rows && vVar[(r+n-1)*cols+c] <= minAdjVariation {
+		for n < limit && vVar[(r+n-1)*cols+c] <= minAdjVariation {
 			n++
 		}
 		return n
@@ -195,7 +215,7 @@ func (f *VariationField) extractGroups(groups []CellGroup, visited []bool, minAd
 	// down from a row above can stop the run.
 	hRun := func(r, c int) int {
 		n := 1
-		for c+n < cols && !visited[r*cols+c+n] &&
+		for c+n < cols && int(top[c+n]) <= r &&
 			hVar[r*cols+c+n-1] <= minAdjVariation {
 			n++
 		}
@@ -204,24 +224,23 @@ func (f *VariationField) extractGroups(groups []CellGroup, visited []bool, minAd
 
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			if visited[r*cols+c] {
+			if r < int(top[c]) {
 				continue
 			}
-			vCount := vRun(r, c)
+			vCount := vRun(r, c, rows-r)
 			hCount := hRun(r, c)
 
 			// Grow the best rectangle from (r, c): width w sweeps rightward
 			// along the horizontal run; the feasible height shrinks
 			// monotonically as columns are added because every vertical pair
 			// within each column and every horizontal pair between adjacent
-			// columns must stay within minAdjVariation.
+			// columns must stay within minAdjVariation. Each column's run
+			// is walked no further than the height still feasible.
 			bestW, bestH, bestArea := 1, vCount, vCount
 			h := vCount
 			for w := 2; w <= hCount && h > 1; w++ {
 				col := c + w - 1
-				if vr := vRun(r, col); vr < h {
-					h = vr
-				}
+				h = vRun(r, col, h)
 				for t := 1; t < h; t++ { // row r pairs already vetted by hRun
 					if hVar[(r+t)*cols+col-1] > minAdjVariation {
 						h = t
@@ -236,22 +255,18 @@ func (f *VariationField) extractGroups(groups []CellGroup, visited []bool, minAd
 				}
 			}
 
-			var cg CellGroup
+			rc := rect{r0: int32(r), c0: int32(c)}
 			switch {
 			case bestArea >= hCount && bestArea >= vCount:
-				cg = CellGroup{RBeg: r, REnd: r + bestH - 1, CBeg: c, CEnd: c + bestW - 1}
+				rc.r1, rc.c1 = int32(r+bestH-1), int32(c+bestW-1)
 			case hCount >= vCount:
-				cg = CellGroup{RBeg: r, REnd: r, CBeg: c, CEnd: c + hCount - 1}
+				rc.r1, rc.c1 = int32(r), int32(c+hCount-1)
 			default:
-				cg = CellGroup{RBeg: r, REnd: r + vCount - 1, CBeg: c, CEnd: c}
+				rc.r1, rc.c1 = int32(r+vCount-1), int32(c)
 			}
-			cg.Null = !f.valid[r*cols+c]
-
-			for rr := cg.RBeg; rr <= cg.REnd; rr++ {
-				seg := visited[rr*cols+cg.CBeg : rr*cols+cg.CEnd+1]
-				for i := range seg {
-					seg[i] = true
-				}
+			seg := top[c : rc.c1+1]
+			for i := range seg {
+				seg[i] = rc.r1 + 1
 			}
 			if len(groups) == cap(groups) {
 				// Double: append grows large slices by only 1.25×, and near
@@ -259,7 +274,8 @@ func (f *VariationField) extractGroups(groups []CellGroup, visited []bool, minAd
 				// rectangle search itself.
 				groups = slices.Grow(groups, len(groups))
 			}
-			groups = append(groups, cg)
+			groups = append(groups, rc)
+			c = int(rc.c1) // the columns it covers are visited in row r
 		}
 	}
 	return groups

