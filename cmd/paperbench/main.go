@@ -37,7 +37,7 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
 	workers := flag.Int("workers", 0, "goroutines per re-partitioning call (0 = all cores, 1 = sequential; results are identical either way)")
 	reportOut := flag.String("report", "", "write a JSON summary of every re-partitioning the experiments performed")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/traces and /debug/pprof on this address while running")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -58,7 +58,7 @@ func main() {
 		"model_size", cfg.ModelSize.Name, "thresholds", fmt.Sprint(cfg.Thresholds))
 
 	if *metricsAddr != "" {
-		_, addr, err := obs.Serve(*metricsAddr, obs.NewRegistry())
+		_, addr, err := obs.ServeObserver(*metricsAddr, obs.New())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
 			os.Exit(1)

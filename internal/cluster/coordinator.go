@@ -15,6 +15,7 @@ import (
 	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/obs"
+	"spatialrepart/internal/par"
 	"spatialrepart/internal/server"
 )
 
@@ -184,45 +185,16 @@ type ReadyBody struct {
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	type probeRes struct {
-		idx  int
-		sr   ShardReady
-		okay bool
-	}
-	ch := make(chan probeRes, len(c.backends))
-	for _, b := range c.backends {
-		go func(b *backend) {
-			sr := ShardReady{Shard: b.index}
-			b.mu.Lock()
-			sr.Breaker = b.brk.State().String()
-			b.mu.Unlock()
-			// Probes bypass the breaker and retry loop on purpose: they are
-			// how the coordinator notices a shard came BACK, and they must
-			// stay cheap and honest while the fetch path is refusing.
-			res, err := c.roundTrip(r.Context(), b, "/readyz", "")
-			if err != nil {
-				sr.Reason = "unreachable: " + err.Error()
-				ch <- probeRes{idx: b.index, sr: sr}
-				return
-			}
-			var body server.ReadyBody
-			if jerr := json.Unmarshal(res.Body, &body); jerr != nil {
-				sr.Reason = "bad readiness payload"
-				ch <- probeRes{idx: b.index, sr: sr}
-				return
-			}
-			sr.Ready = body.Ready
-			sr.Reason = body.Reason
-			sr.Generation = body.Gen
-			ch <- probeRes{idx: b.index, sr: sr, okay: body.Ready}
-		}(b)
-	}
 	out := ReadyBody{Shards: make([]ShardReady, len(c.backends))}
+	n := len(c.backends)
+	par.Ranges(n, n, n, func(_, lo, hi int) {
+		for _, b := range c.backends[lo:hi] {
+			out.Shards[b.index] = c.probe(r.Context(), b)
+		}
+	})
 	readyCount := 0
-	for range c.backends {
-		pr := <-ch
-		out.Shards[pr.idx] = pr.sr
-		if pr.okay {
+	for _, sr := range out.Shards {
+		if sr.Ready {
 			readyCount++
 		}
 	}
@@ -245,6 +217,31 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
+// probe asks backend b for its readiness. Probes bypass the breaker and
+// retry loop on purpose: they are how the coordinator notices a shard came
+// BACK, and they must stay cheap and honest while the fetch path is
+// refusing.
+func (c *Coordinator) probe(ctx context.Context, b *backend) ShardReady {
+	sr := ShardReady{Shard: b.index}
+	b.mu.Lock()
+	sr.Breaker = b.brk.State().String()
+	b.mu.Unlock()
+	res, err := c.roundTrip(ctx, b, "/readyz", "")
+	if err != nil {
+		sr.Reason = "unreachable: " + err.Error()
+		return sr
+	}
+	var body server.ReadyBody
+	if jerr := json.Unmarshal(res.Body, &body); jerr != nil {
+		sr.Reason = "bad readiness payload"
+		return sr
+	}
+	sr.Ready = body.Ready
+	sr.Reason = body.Reason
+	sr.Generation = body.Gen
+	return sr
+}
+
 // ---- scatter-gather endpoints ----------------------------------------------
 
 // scatter fetches pq concurrently from the backends listed in shards (every
@@ -258,28 +255,18 @@ func (c *Coordinator) scatter(ctx context.Context, pq string, shards []int, tags
 			shards[i] = i
 		}
 	}
-	type slot struct {
-		idx int
-		res fetchResult
-		err error
-	}
-	ch := make(chan slot, len(shards))
-	for _, i := range shards {
-		tag := ""
-		if tags != nil {
-			tag = tags[i]
-		}
-		go func(b *backend, tag string) {
-			res, err := c.fetch(ctx, b, pq, tag)
-			ch <- slot{idx: b.index, res: res, err: err}
-		}(c.backends[i], tag)
-	}
 	results := make([]fetchResult, len(c.backends))
 	errs := make([]error, len(c.backends))
-	for range shards {
-		s := <-ch
-		results[s.idx], errs[s.idx] = s.res, s.err
-	}
+	n := len(shards)
+	par.Ranges(n, n, n, func(_, lo, hi int) {
+		for _, i := range shards[lo:hi] {
+			tag := ""
+			if tags != nil {
+				tag = tags[i]
+			}
+			results[i], errs[i] = c.fetch(ctx, c.backends[i], pq, tag)
+		}
+	})
 	return results, errs
 }
 

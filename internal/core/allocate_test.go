@@ -144,7 +144,7 @@ func TestAllocateFeaturesMatchesSeedLoop(t *testing.T) {
 	values := 0
 	for gi, g := range fanOutGrids() {
 		norm, _ := g.Normalized()
-		field := BuildField(norm)
+		field := BuildField(norm, 1)
 		for _, tc := range fanOutCases {
 			_, rep, err := RepartitionWithReport(g, Options{Threshold: tc.th, Schedule: tc.sched, Workers: 1})
 			if err != nil {

@@ -33,7 +33,7 @@ func BenchmarkBuildLadder(b *testing.B) {
 func BenchmarkLadder(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		norm, _ := datagen.TaxiTripsMulti(1, n, n).Grid.Normalized()
-		field := BuildFieldParallel(norm, 0)
+		field := BuildField(norm, 0)
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				field.Ladder()
@@ -251,23 +251,18 @@ func BenchmarkRepartition128FieldParallel(b *testing.B) {
 
 func BenchmarkBuildField(b *testing.B) {
 	norm, _ := benchLargeMulti(b).Normalized()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildField(norm)
-	}
-}
-
-func BenchmarkBuildFieldParallel(b *testing.B) {
-	norm, _ := benchLargeMulti(b).Normalized()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildFieldParallel(norm, 0)
+	for _, w := range []int{1, 0} {
+		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BuildField(norm, w)
+			}
+		})
 	}
 }
 
 func BenchmarkExtractField(b *testing.B) {
 	norm, _ := benchLargeMulti(b).Normalized()
-	field := BuildField(norm)
+	field := BuildField(norm, 1)
 	ladder := field.Ladder()
 	minVar := ladder.Rung(ladder.Len() / 2)
 	b.ResetTimer()

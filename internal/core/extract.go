@@ -34,12 +34,9 @@ func (p *Partition) GroupOf(r, c int) int { return p.CellToGroup[r*p.Cols+c] }
 // NumGroups returns the number of cell-groups.
 func (p *Partition) NumGroups() int { return len(p.Groups) }
 
-// indexCells writes CellToGroup from Groups, which must tile the grid,
-// reusing CellToGroup when it already has one entry per cell.
+// indexCells writes CellToGroup from Groups, which must tile the grid.
 func (p *Partition) indexCells() {
-	if len(p.CellToGroup) != p.Rows*p.Cols {
-		p.CellToGroup = make([]int, p.Rows*p.Cols)
-	}
+	p.CellToGroup = make([]int, p.Rows*p.Cols)
 	for id, cg := range p.Groups {
 		for r := cg.RBeg; r <= cg.REnd; r++ {
 			row := p.CellToGroup[r*p.Cols+cg.CBeg : r*p.Cols+cg.CEnd+1]
@@ -78,5 +75,5 @@ func Identity(g *grid.Grid) *Partition {
 // It builds the variation field of norm and runs ExtractField over it; a
 // caller extracting several rungs of one grid should build the field once.
 func Extract(norm *grid.Grid, minAdjVariation float64) *Partition {
-	return ExtractField(BuildField(norm), minAdjVariation)
+	return ExtractField(BuildField(norm, 1), minAdjVariation)
 }

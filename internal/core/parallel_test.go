@@ -90,7 +90,7 @@ func TestRepartitionWorkersByteIdentical(t *testing.T) {
 func TestRepartitionMemoMatchesRecompute(t *testing.T) {
 	for gi, g := range fanOutGrids() {
 		norm, _ := g.Normalized()
-		field := BuildField(norm)
+		field := BuildField(norm, 1)
 		for _, tc := range fanOutCases {
 			var ref *RunReport
 			for _, w := range []int{1, 2, 4, 0} {
@@ -240,7 +240,7 @@ func TestSchedulesAgreeUnderMonotoneIFL(t *testing.T) {
 	for trial := 0; trial < 80 && checked < 25; trial++ {
 		g := randomMultiGrid(rng)
 		norm, _ := g.Normalized()
-		field := BuildField(norm)
+		field := BuildField(norm, 1)
 		ladder := field.Ladder()
 		monotone := true
 		prev := math.Inf(-1)

@@ -10,6 +10,7 @@ import (
 
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
+	"spatialrepart/internal/par"
 )
 
 // Schedule selects how many rungs of the variation ladder the driver climbs
@@ -184,7 +185,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rec.obs = o
 		rec.start = time.Now()
 	}
-	workers := resolveWorkers(opts.Workers)
+	workers := par.Workers(opts.Workers)
 	o.Count("repart.runs", 1)
 	o.SetGauge("repart.workers", float64(workers))
 
@@ -197,7 +198,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 
 	norm, ranges := g.Normalized()
 	_, sp := o.StartSpanCtx(ctx, "varfield.build")
-	field := BuildFieldParallel(norm, workers)
+	field := BuildField(norm, workers)
 	sp.End()
 	// Histogram-only, like the rung sub-phases: the flight recorder keeps
 	// the events per run it had.
@@ -352,6 +353,10 @@ func newRungMemo(g *grid.Grid, field *VariationField, ranges []grid.AttrRange, w
 	return m
 }
 
+// minParallelGroups is the group count below which the allocate pass runs
+// on one goroutine (goroutine overhead dominates).
+const minParallelGroups = 64
+
 // allocate makes the memo hold every group of a rung: for each group whose
 // rectangle its anchor's slot does not hold, it runs Algorithm 2 into the
 // slot and stores the group's loss sum while the cells are in cache. It
@@ -365,7 +370,7 @@ func (m *rungMemo) allocate(rects []rect) int {
 	if len(rects) < 2*minParallelGroups {
 		workers = 1
 	}
-	parallelRanges(len(rects), 16*m.workers, workers, m.allocPass)
+	par.Ranges(len(rects), 16*m.workers, workers, m.allocPass)
 	hits := 0
 	for _, h := range m.hits {
 		hits += h
@@ -402,7 +407,7 @@ func (m *rungMemo) allocRange(shard, lo, hi int) {
 // one chunked IFL reduction over the loss sums the memo holds.
 func (m *rungMemo) ifl() float64 {
 	m.partials = m.partials[:lossChunks(len(m.rects))]
-	parallelRanges(len(m.partials), 16*m.workers, m.workers, m.lossPass)
+	par.Ranges(len(m.partials), 16*m.workers, m.workers, m.lossPass)
 	return meanLoss(m.partials, m.valid, m.g.NumAttrs())
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"spatialrepart/internal/grid"
+	"spatialrepart/internal/par"
 )
 
 // VariationField is the dense precompute of every adjacent-pair variation of
@@ -29,22 +30,24 @@ type VariationField struct {
 }
 
 // BuildField computes the variation field of a normalized grid: one
-// cellVariation evaluation per 4-adjacent pair, never repeated again.
-func BuildField(norm *grid.Grid) *VariationField {
-	f := newField(norm)
-	f.fillRows(norm, 0, norm.Rows)
-	return f
-}
-
-func newField(norm *grid.Grid) *VariationField {
+// cellVariation evaluation per 4-adjacent pair, never repeated again. The
+// row sweep is sharded across up to `workers` goroutines (0 = GOMAXPROCS);
+// every entry is computed independently, so the field is bit-identical for
+// any worker count.
+func BuildField(norm *grid.Grid, workers int) *VariationField {
 	n := norm.Rows * norm.Cols
-	return &VariationField{
+	f := &VariationField{
 		Rows:  norm.Rows,
 		Cols:  norm.Cols,
 		H:     make([]float64, n),
 		V:     make([]float64, n),
 		valid: make([]bool, n),
 	}
+	workers = par.Workers(workers)
+	par.Ranges(norm.Rows, workers, workers, func(_, lo, hi int) {
+		f.fillRows(norm, lo, hi)
+	})
+	return f
 }
 
 // fillRows computes the field entries anchored at rows [r0, r1). Entries are
@@ -156,21 +159,13 @@ func sortKey(v float64) uint64 {
 // output to Extract(norm, minAdjVariation) for the field built from the same
 // normalized grid, with every adjacency check reduced to one array load.
 func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
-	p := &Partition{}
-	f.extractInto(p, minAdjVariation)
-	return p
-}
-
-// extractInto is ExtractField writing into p, whose buffers it reuses.
-// Nothing of p's previous contents survives.
-func (f *VariationField) extractInto(p *Partition, minAdjVariation float64) {
 	rects := f.extractGroups(nil, make([]int32, f.Cols), minAdjVariation)
-	p.Rows, p.Cols = f.Rows, f.Cols
-	p.Groups = slices.Grow(p.Groups[:0], len(rects))
-	for _, rc := range rects {
-		p.Groups = append(p.Groups, f.group(rc))
+	p := &Partition{Rows: f.Rows, Cols: f.Cols, Groups: make([]CellGroup, len(rects))}
+	for i, rc := range rects {
+		p.Groups[i] = f.group(rc)
 	}
 	p.indexCells()
+	return p
 }
 
 // rect is a group as Algorithm 1 emits it: rows [r0, r1] and columns

@@ -62,7 +62,7 @@ func TestFieldMatchesCellVariation(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := randomMultiGrid(rng)
 		norm, _ := g.Normalized()
-		f := BuildField(norm)
+		f := BuildField(norm, 1)
 		for r := 0; r < norm.Rows; r++ {
 			for c := 0; c < norm.Cols; c++ {
 				idx := r*norm.Cols + c
@@ -90,14 +90,11 @@ func TestFieldMatchesCellVariation(t *testing.T) {
 
 // TestExtractFieldMatchesExtract: Algorithm 1 over the precomputed field
 // must produce exactly the partition the direct extractor produces, at every
-// ladder rung — both into a fresh partition and into one recycled partition
-// that carries the whole ladder, climbing and then descending, so stale
-// Groups or CellToGroup entries from an earlier rung show up as a mismatch.
-// Beside random grids it covers the shapes a column skyline or a vertical
-// run cut short at the feasible height would get wrong first: constant
-// columns whose runs reach far below the rectangle the scan takes, row and
-// column stripes, null blocks under valid cells, and single rows and
-// columns.
+// ladder rung. Beside random grids it covers the shapes a column skyline or
+// a vertical run cut short at the feasible height would get wrong first:
+// constant columns whose runs reach far below the rectangle the scan takes,
+// row and column stripes, null blocks under valid cells, and single rows
+// and columns.
 func TestExtractFieldMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	noise := func(int, int) float64 { return float64(rng.Intn(6)) }
@@ -176,46 +173,41 @@ func patternGrid(rows, cols int, val func(r, c int) float64) *grid.Grid {
 	return uniGrid(vals)
 }
 
-// fieldMismatch compares ExtractField and extractInto with extractDirect
-// on g at every rung of its ladder, below the first and above the last,
-// and returns the first threshold where they differ, or "".
+// fieldMismatch compares ExtractField with extractDirect on g at every rung
+// of its ladder, below the first and above the last, and returns the first
+// threshold where they differ, or "".
 func fieldMismatch(g *grid.Grid) string {
 	norm, _ := g.Normalized()
-	field := BuildField(norm)
+	field := BuildField(norm, 1)
 	ladder := field.Ladder()
 	vs := []float64{-1}
 	for i := 0; i < ladder.Len(); i++ {
 		vs = append(vs, ladder.Rung(i))
 	}
 	vs = append(vs, math.MaxFloat64)
-	for i := len(vs) - 2; i >= 0; i-- {
-		vs = append(vs, vs[i])
-	}
-	var recycled Partition
 	for _, v := range vs {
 		want := extractDirect(norm, v)
 		if got := ExtractField(field, v); !reflect.DeepEqual(want, got) {
 			return fmt.Sprintf("variation %v: ExtractField %v, extractDirect %v", v, got.Groups, want.Groups)
-		}
-		field.extractInto(&recycled, v)
-		if !reflect.DeepEqual(*want, recycled) {
-			return fmt.Sprintf("variation %v: recycled extractInto %v, extractDirect %v", v, recycled.Groups, want.Groups)
 		}
 	}
 	return ""
 }
 
 // TestBuildFieldParallelBitIdentical: the row-sharded field build must match
-// the sequential build exactly, for any worker count.
+// one sweep over all rows exactly, for any worker count.
 func TestBuildFieldParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		g := randomMultiGrid(rng)
 		norm, _ := g.Normalized()
-		want := BuildField(norm)
+		n := norm.Rows * norm.Cols
+		want := &VariationField{Rows: norm.Rows, Cols: norm.Cols,
+			H: make([]float64, n), V: make([]float64, n), valid: make([]bool, n)}
+		want.fillRows(norm, 0, norm.Rows)
 		for _, w := range []int{1, 2, 3, 8} {
-			if got := BuildFieldParallel(norm, w); !reflect.DeepEqual(want, got) {
-				t.Fatalf("BuildFieldParallel(workers=%d) differs from BuildField", w)
+			if got := BuildField(norm, w); !reflect.DeepEqual(want, got) {
+				t.Fatalf("BuildField(workers=%d) differs from one sweep over all rows", w)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ type VariationLadder struct {
 // same sequence with far more allocation); callers that also need per-pair
 // lookups should call BuildField once and use VariationField.Ladder.
 func BuildLadder(norm *grid.Grid) *VariationLadder {
-	return BuildField(norm).Ladder()
+	return BuildField(norm, 1).Ladder()
 }
 
 // Len returns the number of distinct rungs.

@@ -7,9 +7,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"spatialrepart/internal/par"
 	"spatialrepart/internal/tree"
 )
 
@@ -60,48 +59,30 @@ func FitForest(x [][]float64, y []float64, opts Options) (*Forest, error) {
 	if maxFeatures == 0 {
 		maxFeatures = int(math.Ceil(float64(len(x[0])) / 3))
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.NumTrees {
-		workers = opts.NumTrees
-	}
 	f := &Forest{trees: make([]*tree.Tree, opts.NumTrees)}
 	errs := make([]error, opts.NumTrees)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				// Per-tree RNG: results are invariant to worker count and
-				// scheduling order.
-				rng := rand.New(rand.NewSource(opts.Seed + int64(t)*1_000_003))
-				idx := make([]int, n)
-				for i := range idx {
-					idx[i] = rng.Intn(n)
-				}
-				tr, err := tree.Fit(x, y, idx, tree.Options{
-					MaxDepth:       opts.MaxDepth,
-					MinSamplesLeaf: opts.MinSamplesLeaf,
-					MaxFeatures:    maxFeatures,
-					Rng:            rng,
-				})
-				if err != nil {
-					errs[t] = fmt.Errorf("forest: tree %d: %w", t, err)
-					continue
-				}
-				f.trees[t] = tr
+	par.Ranges(opts.NumTrees, opts.NumTrees, par.Workers(opts.Workers), func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			// Per-tree RNG: results are invariant to worker count and
+			// scheduling order.
+			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*1_000_003))
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = rng.Intn(n)
 			}
-		}()
-	}
-	for t := 0; t < opts.NumTrees; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
+			tr, err := tree.Fit(x, y, idx, tree.Options{
+				MaxDepth:       opts.MaxDepth,
+				MinSamplesLeaf: opts.MinSamplesLeaf,
+				MaxFeatures:    maxFeatures,
+				Rng:            rng,
+			})
+			if err != nil {
+				errs[t] = fmt.Errorf("forest: tree %d: %w", t, err)
+				continue
+			}
+			f.trees[t] = tr
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

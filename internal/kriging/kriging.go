@@ -12,11 +12,10 @@ package kriging
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"spatialrepart/internal/mat"
+	"spatialrepart/internal/par"
 )
 
 // Options configures FitKriging. Zero values take the paper's Table I
@@ -347,35 +346,19 @@ func (k *Kriging) predictOne(lat, lon float64, cands []cand) float64 {
 
 // Predict interpolates the variable at each query location by solving the
 // ordinary kriging system over the nearest NumNeighbors observations.
-// Queries are independent and run on all available cores.
+// Queries are independent and run on all available cores, in 16 ranges per
+// core so that a core that finishes early takes the next range.
 func (k *Kriging) Predict(lat, lon []float64) ([]float64, error) {
 	if len(lat) != len(lon) {
 		return nil, fmt.Errorf("kriging: query length mismatch %d vs %d", len(lat), len(lon))
 	}
 	out := make([]float64, len(lat))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(lat) {
-		workers = len(lat)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cands := make([]cand, len(k.y))
-			for q := range next {
-				out[q] = k.predictOne(lat[q], lon[q], cands)
-			}
-		}()
-	}
-	for q := range lat {
-		next <- q
-	}
-	close(next)
-	wg.Wait()
+	workers := par.Workers(0)
+	par.Ranges(len(lat), 16*workers, workers, func(_, lo, hi int) {
+		cands := make([]cand, len(k.y))
+		for q := lo; q < hi; q++ {
+			out[q] = k.predictOne(lat[q], lon[q], cands)
+		}
+	})
 	return out, nil
 }

@@ -5,29 +5,25 @@ import (
 	"testing"
 )
 
-// TestPredictParallelMatchesSerial: parallel prediction must be bit-identical
-// to a single-worker run (queries are pure functions of the fitted model).
+// TestPredictParallelMatchesSerial: Predict shards its queries, so it must
+// return exactly what a loop over predictOne returns, bit for bit, on more
+// queries than it has ranges (queries are pure functions of the fitted
+// model).
 func TestPredictParallelMatchesSerial(t *testing.T) {
 	lat, lon, y := synthSurface(11, 300)
 	k, err := FitKriging(lat, lon, y, Options{MaxRange: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qLat, qLon, _ := synthSurface(12, 150)
-
-	old := runtime.GOMAXPROCS(1)
-	serial, err := k.Predict(qLat, qLon)
-	runtime.GOMAXPROCS(old)
+	qLat, qLon, _ := synthSurface(12, 16*runtime.GOMAXPROCS(0)*2+7)
+	got, err := k.Predict(qLat, qLon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := k.Predict(qLat, qLon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("query %d differs: %v vs %v", i, serial[i], parallel[i])
+	cands := make([]cand, len(k.y))
+	for q := range qLat {
+		if want := k.predictOne(qLat[q], qLon[q], cands); got[q] != want {
+			t.Fatalf("query %d differs: Predict %v, predictOne %v", q, got[q], want)
 		}
 	}
 }

@@ -13,50 +13,6 @@ import (
 	"time"
 )
 
-// MetricsHandler serves the registry's snapshot as JSON.
-func MetricsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot()) //spatialvet:ignore errdrop best-effort HTTP response write; a disconnected client is unactionable here
-	})
-}
-
-// TracesHandler serves the flight recorder's snapshot as Chrome trace-event
-// JSON, loadable directly in Perfetto or chrome://tracing. A nil recorder
-// serves an empty, still well-formed trace.
-func TracesHandler(fr *FlightRecorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = fr.WriteTrace(w) //spatialvet:ignore errdrop best-effort HTTP response write; a disconnected client is unactionable here
-	})
-}
-
-// NewMux returns an HTTP mux exposing the registry snapshot at /metrics,
-// the process expvars (including registries published with PublishExpvar)
-// at /debug/vars, and the net/http/pprof profiles under /debug/pprof/.
-func NewMux(r *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", MetricsHandler(r))
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// ObserverMux is NewMux over the observer's registry plus the observer's
-// flight recorder at /debug/traces — the full diagnostics surface of one
-// observer.
-func ObserverMux(o *Observer) *http.ServeMux {
-	mux := NewMux(o.Registry())
-	mux.Handle("/debug/traces", TracesHandler(o.Flight()))
-	return mux
-}
-
 var publishMu sync.Mutex
 
 // PublishExpvar registers the registry under the given expvar name so its
@@ -72,7 +28,7 @@ func PublishExpvar(name string, r *Registry) {
 }
 
 // HardenedServer is the repository's one hardened http.Server constructor —
-// obs.Serve and internal/server both build on it so every listening socket
+// ServeObserver and internal/server both build on it so every listening socket
 // carries the same protection against stalled or malicious clients: header,
 // read, write, and idle timeouts plus a header size cap. The WriteTimeout is
 // generous (3 minutes) because the pprof profile/trace endpoints
@@ -90,34 +46,42 @@ func HardenedServer(h http.Handler) *http.Server {
 	}
 }
 
-// Serve starts the metrics/pprof endpoint on addr (e.g. "localhost:6060" or
-// ":0") in a background goroutine and returns the server plus the bound
-// address. The registry is also published to expvar as "spatialrepart"
-// (first Serve wins), so /debug/vars carries the same snapshot. The caller
+// ServeObserver starts the diagnostics endpoint of observer o on addr (e.g.
+// "localhost:6060" or ":0") in a background goroutine and returns the server
+// plus the bound address. It serves the registry's snapshot as JSON at
+// /metrics, the flight recorder's snapshot as Chrome trace-event JSON
+// (loadable in Perfetto or chrome://tracing) at /debug/traces, the process
+// expvars at /debug/vars, and the net/http/pprof profiles under
+// /debug/pprof/. The registry is also published to expvar as "spatialrepart"
+// (first call wins), so /debug/vars carries the same snapshot. The caller
 // owns shutdown; short-lived CLIs simply let the process exit take it down.
 // The server is a HardenedServer, so stalled clients cannot pin connections
 // (and their goroutines) forever.
-func Serve(addr string, r *Registry) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	PublishExpvar("spatialrepart", r)
-	srv := HardenedServer(NewMux(r))
-	//spatialvet:ignore goroleak Serve blocks until the listener closes; the caller shuts the server down
-	go func() { _ = srv.Serve(ln) }() //spatialvet:ignore errdrop Serve returns ErrServerClosed on shutdown; the caller owns the server lifecycle
-	return srv, ln.Addr().String(), nil
-}
-
-// ServeObserver is Serve for a full observer: the same metrics/expvar/pprof
-// surface plus the observer's flight recorder at /debug/traces.
 func ServeObserver(addr string, o *Observer) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	PublishExpvar("spatialrepart", o.Registry())
-	srv := HardenedServer(ObserverMux(o))
+	r, fr := o.Registry(), o.Flight()
+	PublishExpvar("spatialrepart", r)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(r.Snapshot()) //spatialvet:ignore errdrop best-effort HTTP response write; a disconnected client is unactionable here
+	})
+	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = fr.WriteTrace(w) //spatialvet:ignore errdrop best-effort HTTP response write; a disconnected client is unactionable here
+	})
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := HardenedServer(mux)
 	//spatialvet:ignore goroleak Serve blocks until the listener closes; the caller shuts the server down
 	go func() { _ = srv.Serve(ln) }() //spatialvet:ignore errdrop Serve returns ErrServerClosed on shutdown; the caller owns the server lifecycle
 	return srv, ln.Addr().String(), nil

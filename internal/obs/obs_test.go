@@ -174,8 +174,9 @@ func TestObserverSpansAndSnapshotJSON(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	o := New()
 	o.Count("hits", 7)
+	o.Flight().Record(SpanEvent{Name: "served.span", DurNS: 1000})
 	PublishExpvar("obs_test_registry", o.Registry())
-	srv, addr, err := Serve("127.0.0.1:0", o.Registry())
+	srv, addr, err := ServeObserver("127.0.0.1:0", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +212,18 @@ func TestServeEndpoints(t *testing.T) {
 		t.Error("/debug/vars does not include the published registry")
 	}
 	if !strings.Contains(vars, `"spatialrepart"`) || !strings.Contains(vars, `"hits"`) {
-		t.Error("/debug/vars missing the registry Serve auto-publishes")
+		t.Error("/debug/vars missing the registry ServeObserver auto-publishes")
 	}
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Error("/debug/pprof/ index missing profiles")
+	}
+	traces := get("/debug/traces")
+	var trace traceFileJSON
+	if err := json.Unmarshal([]byte(traces), &trace); err != nil {
+		t.Fatalf("/debug/traces is not JSON: %v\n%s", err, traces)
+	}
+	if !strings.Contains(traces, `"served.span"`) {
+		t.Errorf("/debug/traces missing the recorded span:\n%s", traces)
 	}
 
 	// Publishing the same name again must not panic.

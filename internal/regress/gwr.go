@@ -3,11 +3,10 @@ package regress
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"spatialrepart/internal/mat"
+	"spatialrepart/internal/par"
 )
 
 // GWR is a geographically weighted regression: a separate weighted least
@@ -246,7 +245,9 @@ func (g *GWR) localFit(xq []float64, clat, clon float64, k int, wantLeverage boo
 }
 
 // Predict evaluates the local regression at each query location. Local fits
-// are independent, so queries run on all available cores.
+// are independent, so queries run on all available cores, in 16 ranges per
+// core so that a core that finishes early takes the next range. A failed
+// query returns the error of the first failing query in index order.
 func (g *GWR) Predict(x [][]float64, lat, lon []float64) ([]float64, error) {
 	if len(x) != len(lat) || len(lat) != len(lon) {
 		return nil, fmt.Errorf("regress: GWR predict length mismatch")
@@ -258,30 +259,12 @@ func (g *GWR) Predict(x [][]float64, lat, lon []float64) ([]float64, error) {
 	}
 	out := make([]float64, len(x))
 	errs := make([]error, len(x))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(x) {
-		workers = len(x)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pred, _, err := g.localFit(x[i], lat[i], lon[i], g.K, false, -1)
-				out[i], errs[i] = pred, err
-			}
-		}()
-	}
-	for i := range x {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	workers := par.Workers(0)
+	par.Ranges(len(x), 16*workers, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i], _, errs[i] = g.localFit(x[i], lat[i], lon[i], g.K, false, -1)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -147,7 +147,7 @@ func spatialPhase(c *Cube, lb lossBasis, budget float64) (*core.Partition, float
 		return nil, 0, err
 	}
 	norm, _ := mean.Normalized()
-	field := core.BuildField(norm)
+	field := core.BuildField(norm, 1)
 	ladder := field.Ladder()
 
 	worstSliceIFL := func(part *core.Partition) float64 {
