@@ -134,8 +134,8 @@ func RepartitionCtx(ctx context.Context, g *grid.Grid, opts Options) (*Repartiti
 	return repartition(g, opts, nil)
 }
 
-// Repartition runs the full framework of §III-A: it normalizes the input,
-// pre-computes the adjacent-pair variation field (and from it the
+// Repartition runs the full framework of §III-A: it pre-computes the
+// adjacent-pair variation field of the normalized input (and from it the
 // min-adjacent-variation ladder) once, and then iterates extract → allocate
 // → information-loss, climbing the ladder until the next step would push IFL
 // beyond the threshold. The returned dataset is the coarsest one whose
@@ -147,8 +147,8 @@ func RepartitionCtx(ctx context.Context, g *grid.Grid, opts Options) (*Repartiti
 // sharded across goroutines, and since no value depends on the sharding the
 // result — Iterations included — is byte-identical to the Workers = 1 path.
 // Within a run, a group whose rectangle is the last one evaluated at its
-// top-left cell reuses that rectangle's features and loss sum instead of
-// recomputing them (DESIGN.md §3.22).
+// top-left cell reuses that rectangle's loss sum instead of recomputing it
+// (DESIGN.md §3.22).
 func Repartition(g *grid.Grid, opts Options) (*Repartitioned, error) {
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
@@ -196,9 +196,8 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	ctx, spRun := o.StartSpanCtx(ctx, "repart.run", "schedule", scheduleName(opts.Schedule))
 	defer spRun.End()
 
-	norm, ranges := g.Normalized()
 	_, sp := o.StartSpanCtx(ctx, "varfield.build")
-	field := BuildField(norm, workers)
+	field := BuildField(g, workers)
 	sp.End()
 	// Histogram-only, like the rung sub-phases: the flight recorder keeps
 	// the events per run it had.
@@ -212,7 +211,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		rec.workers = workers
 	}
 
-	memo := newRungMemo(g, field, ranges, workers)
+	memo := newRungMemo(g, field, workers)
 	var best *rungBuffers // the accepted rung, nil until a rung passes
 	next := &rungBuffers{}
 	// pass evaluates one ladder rung into next and, when its loss is within
@@ -250,7 +249,9 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 			next.ifl, next.minAdjVariation = loss, ladder.Rung(i)
 			best, next = next, best
 			if next == nil {
-				next = &rungBuffers{}
+				// Later probes are coarser than the accepted rung, so
+				// their groups normally fit in its list's capacity.
+				next = &rungBuffers{rects: make([]rect, 0, cap(best.rects))}
 			}
 		}
 		return ok, loss, nil
@@ -283,8 +284,8 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 // passes, its loss and variation threshold. The search keeps two — the
 // accepted rung and a scratch rung — and extracts each new rung into the
 // scratch one, so the rectangle slices are allocated only when a rung
-// outgrows them. Features live in the memo only; result gathers the
-// accepted rung's.
+// outgrows them. No rung keeps features; result computes the accepted
+// rung's.
 type rungBuffers struct {
 	rects           []rect
 	ifl             float64
@@ -292,56 +293,55 @@ type rungBuffers struct {
 }
 
 // rungMemo evaluates the rungs of one run (DESIGN.md §3.22). For every
-// anchor (top-left) cell it keeps the last rectangle evaluated there with
-// that rectangle's Algorithm 2 features and Eq. 3 loss sum. Both depend only
+// anchor (top-left) cell it keeps the extents of the last rectangle
+// evaluated there and that rectangle's Eq. 3 loss sum. The sum depends only
 // on the rectangle, so a group whose extents match its anchor's slot costs
-// nothing to allocate, and only new rectangles read their cells. Within
+// nothing to evaluate, and only new rectangles read their cells. Within
 // one partition each anchor belongs to one group, so the sharded passes
 // never write the same slot and the hit count does not depend on the
-// sharding. The arrays are flat and pointer-free, allocated once per run.
+// sharding. The arrays are flat and pointer-free, allocated once per run,
+// and none of them grows with the attributes: features are computed only
+// into per-shard scratch, and for the accepted rung by result.
 type rungMemo struct {
 	g       *grid.Grid
-	field   *VariationField // g's normalized field; builds the CellGroups
-	spans   []float64       // attribute range spans, for Eq. 3
+	field   *VariationField // g's field; builds the CellGroups, gives the Eq. 3 spans
 	valid   int             // valid cells of g
 	workers int
 
 	// rEnd and cEnd hold each slot's rectangle extents, indexed by anchor
-	// cell; rEnd is -1 while a slot is empty. A slot's extents, features
-	// and loss sum always describe the same rectangle.
+	// cell; rEnd is -1 while a slot is empty. A slot's extents and loss sum
+	// always describe the same rectangle.
 	rEnd, cEnd []int32
-	feat       []float64 // cells × attrs features
 	loss       []float64 // per-cell loss sums
 	top        []int32   // Algorithm 1's skyline, one entry per column
 
 	// The rung being evaluated and the per-pass scratch the sharded passes
-	// write: one hit count and one Algorithm 2 scratch slice per allocation
-	// shard, one partial per loss chunk.
+	// write: per allocation shard one hit count, one Algorithm 2 feature
+	// vector (in fv, fvStride apart) and one gather scratch slice; one
+	// partial per loss chunk.
 	rects     []rect
 	hits      []int
+	fv        []float64
 	scratch   [][]float64
 	partials  []float64
 	allocPass func(shard, lo, hi int)
 	lossPass  func(shard, lo, hi int)
 }
 
-// newRungMemo returns the memo of a run over g, whose normalized field and
-// attribute ranges are given (Normalized returns them), so their Eq. 3 spans
-// need no new scan.
-func newRungMemo(g *grid.Grid, field *VariationField, ranges []grid.AttrRange, workers int) *rungMemo {
+// newRungMemo returns the memo of a run over g, whose field is given.
+func newRungMemo(g *grid.Grid, field *VariationField, workers int) *rungMemo {
 	cells := g.NumCells()
 	m := &rungMemo{
 		g:        g,
 		field:    field,
-		spans:    rangeSpans(ranges),
 		valid:    g.ValidCount(),
 		workers:  workers,
 		rEnd:     make([]int32, cells),
 		cEnd:     make([]int32, cells),
-		feat:     make([]float64, cells*g.NumAttrs()),
 		loss:     make([]float64, cells),
 		top:      make([]int32, g.Cols),
 		hits:     make([]int, 16*workers),
+		fv:       make([]float64, 16*workers*fvStride(g.NumAttrs())),
 		scratch:  make([][]float64, 16*workers),
 		partials: make([]float64, 0, lossChunks(cells)),
 	}
@@ -357,12 +357,17 @@ func newRungMemo(g *grid.Grid, field *VariationField, ranges []grid.AttrRange, w
 // on one goroutine (goroutine overhead dominates).
 const minParallelGroups = 64
 
+// fvStride is the spacing of the shards' feature vectors in rungMemo.fv: p
+// values rounded up to whole 64-byte cache lines, so shards that run at
+// once do not write to the same line.
+func fvStride(p int) int { return (p + 7) &^ 7 }
+
 // allocate makes the memo hold every group of a rung: for each group whose
-// rectangle its anchor's slot does not hold, it runs Algorithm 2 into the
-// slot and stores the group's loss sum while the cells are in cache. It
-// returns the number of groups the memo already held. Group sizes vary
-// widely, so the groups are cut into 16 ranges per worker and a worker that
-// finishes early takes the next range.
+// rectangle its anchor's slot does not hold, it runs Algorithm 2 and stores
+// the group's loss sum while the cells are in cache. It returns the number
+// of groups the memo already held. Group sizes vary widely, so the groups
+// are cut into 16 ranges per worker and a worker that finishes early takes
+// the next range.
 func (m *rungMemo) allocate(rects []rect) int {
 	m.rects = rects
 	clear(m.hits)
@@ -379,10 +384,12 @@ func (m *rungMemo) allocate(rects []rect) int {
 }
 
 // allocRange is allocate's shard: groups [lo, hi) of the current rung. A
-// group the memo does not hold is built as a CellGroup on the stack for
-// Algorithm 2 and Eq. 3.
+// group the memo does not hold is built as a CellGroup on the stack, and
+// its Algorithm 2 vector goes into the shard's feature scratch for Eq. 3.
+// A null group has no valid cell, so its loss sum reads no feature.
 func (m *rungMemo) allocRange(shard, lo, hi int) {
 	p, cols := m.g.NumAttrs(), m.g.Cols
+	fv := m.fv[shard*fvStride(p):][:p]
 	vals := m.scratch[shard]
 	hits := 0
 	for _, rc := range m.rects[lo:hi] {
@@ -392,11 +399,10 @@ func (m *rungMemo) allocRange(shard, lo, hi int) {
 			continue
 		}
 		cg := m.field.group(rc)
-		slot := m.feat[a*p : a*p+p]
 		if !cg.Null {
-			vals = allocateGroup(m.g, &cg, slot, vals, false)
+			vals = allocateGroup(m.g, &cg, fv, vals, false)
 		}
-		m.loss[a] = RectLoss(0, m.g, &cg, slot, cg.Size(), m.spans)
+		m.loss[a] = RectLoss(0, m.g, &cg, fv, cg.Size(), m.field.spans)
 		m.rEnd[a], m.cEnd[a] = rc.r1, rc.c1
 	}
 	m.scratch[shard] = vals
@@ -424,43 +430,21 @@ func (m *rungMemo) lossOf(gi int) float64 {
 
 // result returns the accepted rung b as a Repartitioned that owns
 // exact-size buffers: no spare capacity and nothing shared with the memo,
-// whose memory is dropped when the run returns. The CellGroups and
-// CellToGroup are built here, once per run. A group's features are copied
-// from its anchor's slot when the slot still holds its rectangle; a later
-// rung may have rewritten the slot, and then the same Algorithm 2
-// recomputes them, bit for bit.
+// whose memory is dropped when the run returns. The CellGroups,
+// CellToGroup and features are built here, once per run; AllocateFeatures
+// runs the Algorithm 2 the allocate pass ran, so the features have the
+// bits the pass computed for the rung.
 func (m *rungMemo) result(b *rungBuffers) *Repartitioned {
-	g, p := m.g, m.g.NumAttrs()
+	g := m.g
 	part := &Partition{Rows: g.Rows, Cols: g.Cols, Groups: make([]CellGroup, len(b.rects))}
-	valid := 0
 	for gi, rc := range b.rects {
 		part.Groups[gi] = m.field.group(rc)
-		if !part.Groups[gi].Null {
-			valid++
-		}
 	}
 	part.indexCells()
-	backing := make([]float64, valid*p)
-	feats := make([][]float64, len(part.Groups))
-	var vals []float64
-	for gi, rc := range b.rects {
-		cg := &part.Groups[gi]
-		if cg.Null {
-			continue
-		}
-		fv := backing[:p:p]
-		backing = backing[p:]
-		if a := int(rc.r0)*g.Cols + int(rc.c0); m.rEnd[a] == rc.r1 && m.cEnd[a] == rc.c1 {
-			copy(fv, m.feat[a*p:])
-		} else {
-			vals = allocateGroup(g, cg, fv, vals, false)
-		}
-		feats[gi] = fv
-	}
 	return &Repartitioned{
 		Source:          g,
 		Partition:       part,
-		Features:        feats,
+		Features:        AllocateFeatures(g, part),
 		IFL:             b.ifl,
 		MinAdjVariation: b.minAdjVariation,
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -255,12 +257,37 @@ func TestRepartitionMultivariate(t *testing.T) {
 	}
 }
 
+// TestRepartitionZeroSizeGrids: grid.New and grid.ReadCSV accept a grid
+// with no rows or no columns. It has no adjacent pair, so its ladder is
+// empty and Repartition returns the identity partition, which has no group.
+func TestRepartitionZeroSizeGrids(t *testing.T) {
+	attrs := []grid.Attribute{{Name: "a", Agg: grid.Sum}, {Name: "b", Agg: grid.Average}}
+	for _, dims := range [][2]int{{0, 5}, {5, 0}, {0, 0}} {
+		for _, w := range []int{1, 4} {
+			g := grid.New(dims[0], dims[1], attrs)
+			rp, err := Repartition(g, Options{Threshold: 0.1, Schedule: ScheduleGeometric, Workers: w})
+			if err != nil {
+				t.Fatalf("%d×%d, workers %d: %v", dims[0], dims[1], w, err)
+			}
+			if len(rp.Partition.Groups) != 0 || rp.IFL != 0 || rp.MinAdjVariation != -1 || rp.Iterations != 0 {
+				t.Errorf("%d×%d, workers %d: %d groups, IFL %v, variation %v, %d iterations; want the empty identity result",
+					dims[0], dims[1], w, len(rp.Partition.Groups), rp.IFL, rp.MinAdjVariation, rp.Iterations)
+			}
+		}
+	}
+}
+
 // TestRepartitionBatchGridPinned pins the deterministic proxies of the
 // benchmark's batch run (taxi-multi 1024², seed 42, θ 0.1, geometric): the
 // number of rung evaluations, the accepted rung and its group count, the
 // memo's hits and groups evaluated, and the accepted IFL's bits. A change
 // to the rung loop that claims the same search and the same hits must leave
-// every one of them as it is.
+// every one of them as it is. It also bounds the bytes one Workers 1 run
+// allocates, counted with the collector off so that no cycle's own
+// allocations land in the count: 207.8 MB while the run kept a normalized
+// copy of the grid and a feature slot per cell and attribute, 132.7 MB
+// without them. The race detector's instrumentation makes slices.Grow
+// allocate its operand as well (139.7 MB), so race builds skip the bound.
 func TestRepartitionBatchGridPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and repartitions a 1024² grid")
@@ -283,5 +310,26 @@ func TestRepartitionBatchGridPinned(t *testing.T) {
 	}
 	if bits := math.Float64bits(rp.IFL); bits != 0x3fb999990f507c1e {
 		t.Errorf("IFL %v has bits %#x, want 0x3fb999990f507c1e", rp.IFL, bits)
+	}
+
+	if raceEnabled {
+		return
+	}
+	const maxAlloc = 140_000_000
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seq, err := Repartition(g, Options{Threshold: 0.1, Schedule: ScheduleGeometric, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one Workers 1 run allocated %.1f MB", float64(alloc)/1e6)
+	if alloc > maxAlloc {
+		t.Errorf("one Workers 1 run allocated %d bytes, want at most %d", alloc, maxAlloc)
+	}
+	if len(seq.Partition.Groups) != len(rp.Partition.Groups) || seq.IFL != rp.IFL {
+		t.Errorf("Workers 1: %d groups at IFL %v, want %d at %v", len(seq.Partition.Groups), seq.IFL, len(rp.Partition.Groups), rp.IFL)
 	}
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // VariationField is the dense precompute of every adjacent-pair variation of
-// a normalized grid (DESIGN.md §3.10). The re-partitioning driver evaluates
-// O(rungs) partitions, and every adjacency check inside Algorithm 1 needs the
-// variation between the same cell pairs; computing them once turns each check
-// from an O(#attrs) vector distance into a single array load.
+// a grid's normalized attributes (DESIGN.md §3.10). The re-partitioning
+// driver evaluates O(rungs) partitions, and every adjacency check inside
+// Algorithm 1 needs the variation between the same cell pairs; computing
+// them once turns each check from an O(#attrs) vector distance into a
+// single array load.
 //
 // The paper's null-cell rule is baked into the stored values: a null-null
 // pair stores 0 (always mergeable), a null-valid pair stores +Inf (never
@@ -26,50 +27,73 @@ type VariationField struct {
 	// Entries in the last row are +Inf (no neighbor below).
 	V []float64
 
-	valid []bool // copied from the normalized grid; drives CellGroup.Null
+	valid []bool    // copied from the grid; drives CellGroup.Null
+	spans []float64 // each attribute's range span: the rung memo's Eq. 3 spans
 }
 
-// BuildField computes the variation field of a normalized grid: one
-// cellVariation evaluation per 4-adjacent pair, never repeated again. The
-// row sweep is sharded across up to `workers` goroutines (0 = GOMAXPROCS);
-// every entry is computed independently, so the field is bit-identical for
-// any worker count.
-func BuildField(norm *grid.Grid, workers int) *VariationField {
-	n := norm.Rows * norm.Cols
+// BuildField computes the variation field of grid g: one Eq. 1 evaluation
+// per 4-adjacent pair of normalized cells, never repeated again. It
+// normalizes as it reads, with the rule Normalized applies
+// (grid.NormalizeRow) over ranges it computes once, so it makes no
+// normalized copy of g and stores the same bits as cellVariation over
+// g.Normalized(). A grid that is normalized already yields the same field:
+// normalizing puts each attribute's minimum at exactly 0 and its maximum at
+// exactly 1, so normalizing it again changes no value. The row sweep is
+// sharded across up to `workers` goroutines (0 = GOMAXPROCS); every entry
+// is computed independently, so the field is bit-identical for any worker
+// count.
+func BuildField(g *grid.Grid, workers int) *VariationField {
+	n := g.Rows * g.Cols
+	ranges := g.Ranges()
 	f := &VariationField{
-		Rows:  norm.Rows,
-		Cols:  norm.Cols,
+		Rows:  g.Rows,
+		Cols:  g.Cols,
 		H:     make([]float64, n),
 		V:     make([]float64, n),
 		valid: make([]bool, n),
+		spans: rangeSpans(ranges),
 	}
 	workers = par.Workers(workers)
-	par.Ranges(norm.Rows, workers, workers, func(_, lo, hi int) {
-		f.fillRows(norm, lo, hi)
+	par.Ranges(g.Rows, workers, workers, func(_, lo, hi int) {
+		f.fillRows(g, ranges, lo, hi)
 	})
 	return f
 }
 
-// fillRows computes the field entries anchored at rows [r0, r1). Entries are
-// independent of one another, so disjoint row bands can be filled
-// concurrently with bit-identical results.
-func (f *VariationField) fillRows(norm *grid.Grid, r0, r1 int) {
+// fillRows computes the field entries anchored at rows [r0, r1) of g. It
+// normalizes the row it fills and the row below into two row buffers
+// (grid.NormalizeRow), which swap as it moves down. Entries are independent
+// of one another, so disjoint row bands can be filled concurrently with
+// bit-identical results.
+func (f *VariationField) fillRows(g *grid.Grid, ranges []grid.AttrRange, r0, r1 int) {
+	if r0 >= r1 {
+		return
+	}
 	inf := math.Inf(1)
+	p := g.NumAttrs()
+	cur, below := make([]float64, f.Cols*p), make([]float64, f.Cols*p)
+	g.NormalizeRow(r0, ranges, cur)
 	for r := r0; r < r1; r++ {
+		if r+1 < f.Rows {
+			g.NormalizeRow(r+1, ranges, below)
+		}
 		for c := 0; c < f.Cols; c++ {
 			idx := r*f.Cols + c
-			f.valid[idx] = norm.Valid(r, c)
+			v := g.Valid(r, c)
+			f.valid[idx] = v
+			a := cur[c*p : c*p+p]
 			if c+1 < f.Cols {
-				f.H[idx] = cellVariation(norm, r, c, r, c+1)
+				f.H[idx] = pairVariation(g.Attrs, v, g.Valid(r, c+1), a, cur[c*p+p:c*p+2*p])
 			} else {
 				f.H[idx] = inf
 			}
 			if r+1 < f.Rows {
-				f.V[idx] = cellVariation(norm, r, c, r+1, c)
+				f.V[idx] = pairVariation(g.Attrs, v, g.Valid(r+1, c), a, below[c*p:c*p+p])
 			} else {
 				f.V[idx] = inf
 			}
 		}
+		cur, below = below, cur
 	}
 }
 

@@ -200,17 +200,169 @@ func TestBuildFieldParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		g := randomMultiGrid(rng)
-		norm, _ := g.Normalized()
-		n := norm.Rows * norm.Cols
-		want := &VariationField{Rows: norm.Rows, Cols: norm.Cols,
-			H: make([]float64, n), V: make([]float64, n), valid: make([]bool, n)}
-		want.fillRows(norm, 0, norm.Rows)
+		n := g.Rows * g.Cols
+		ranges := g.Ranges()
+		want := &VariationField{Rows: g.Rows, Cols: g.Cols,
+			H: make([]float64, n), V: make([]float64, n), valid: make([]bool, n), spans: rangeSpans(ranges)}
+		want.fillRows(g, ranges, 0, g.Rows)
 		for _, w := range []int{1, 2, 3, 8} {
-			if got := BuildField(norm, w); !reflect.DeepEqual(want, got) {
+			if got := BuildField(g, w); !reflect.DeepEqual(want, got) {
 				t.Fatalf("BuildField(workers=%d) differs from one sweep over all rows", w)
 			}
 		}
 	}
+}
+
+// TestBuildFieldMatchesNormalizedReference: BuildField normalizes each row
+// as it reads it, and must store the bits the normalized copy gave —
+// Normalized() followed by one cellVariation per pair (referenceField) — in
+// H, V and the validity, at Workers 1, 2, 4 and 0. A grid that is
+// normalized already must give the same field. The grids cover every
+// Algorithm 2 branch (the fan-out grids: Sum, Average and integer,
+// categorical), a constant attribute (with a NaN, which its zero span maps
+// to 0), null–null and null–valid pairs, valid cells holding NaN,
+// categorical codes that normalizing would merge, single rows and columns,
+// and grids with no rows or no columns.
+func TestBuildFieldMatchesNormalizedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	noise := func(int, int) float64 { return float64(rng.Intn(9)) }
+	nulls := func(r, c int) float64 { // 3×2 null blocks: null–null and null–valid pairs
+		if (r/3+c/2)%3 == 0 {
+			return math.NaN() // null in patternGrid
+		}
+		return noise(r, c)
+	}
+	type namedGrid struct {
+		name string
+		g    *grid.Grid
+	}
+	cases := []namedGrid{
+		{"constant-attribute", constantAttrGrid(rng, 13, 11)},
+		{"nulls", patternGrid(12, 10, nulls)},
+		{"nan-cell", nanCellGrid(rng, 9, 8)},
+		{"wide-codes", wideCodeGrid(rng, 10, 9)},
+		{"1x37", patternGrid(1, 37, nulls)},
+		{"37x1", patternGrid(37, 1, nulls)},
+		{"1x1", patternGrid(1, 1, noise)},
+		{"0x5", grid.New(0, 5, randomMultiGrid(rng).Attrs)},
+		{"5x0", grid.New(5, 0, randomMultiGrid(rng).Attrs)},
+	}
+	for i, g := range fanOutGrids() {
+		cases = append(cases, namedGrid{fmt.Sprintf("fan-out-%d", i), g})
+	}
+	for i := range 10 {
+		cases = append(cases, namedGrid{fmt.Sprintf("random-%d", i), randomMultiGrid(rng)})
+	}
+	for _, tc := range cases {
+		want := referenceField(tc.g)
+		norm, _ := tc.g.Normalized()
+		for _, w := range []int{1, 2, 4, 0} {
+			if msg := fieldBitsDiffer(want, BuildField(tc.g, w)); msg != "" {
+				t.Errorf("%s, workers %d: %s", tc.name, w, msg)
+			}
+			if msg := fieldBitsDiffer(want, BuildField(norm, w)); msg != "" {
+				t.Errorf("%s normalized, workers %d: %s", tc.name, w, msg)
+			}
+		}
+	}
+}
+
+// referenceField is the field as it was built from a normalized copy: the
+// grid's Normalized() and one cellVariation per 4-adjacent pair, +Inf past
+// the last column and row.
+func referenceField(g *grid.Grid) *VariationField {
+	norm, _ := g.Normalized()
+	n := g.Rows * g.Cols
+	f := &VariationField{Rows: g.Rows, Cols: g.Cols,
+		H: make([]float64, n), V: make([]float64, n), valid: make([]bool, n)}
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			idx := r*g.Cols + c
+			f.valid[idx] = norm.Valid(r, c)
+			f.H[idx], f.V[idx] = math.Inf(1), math.Inf(1)
+			if c+1 < g.Cols {
+				f.H[idx] = cellVariation(norm, r, c, r, c+1)
+			}
+			if r+1 < g.Rows {
+				f.V[idx] = cellVariation(norm, r, c, r+1, c)
+			}
+		}
+	}
+	return f
+}
+
+// fieldBitsDiffer returns the first place where got's dimensions, H and V
+// bits or validity differ from want's, or "".
+func fieldBitsDiffer(want, got *VariationField) string {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return fmt.Sprintf("%d×%d field, want %d×%d", got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.H {
+		if math.Float64bits(got.H[i]) != math.Float64bits(want.H[i]) {
+			return fmt.Sprintf("H[%d] = %v (%#x), want %v (%#x)", i, got.H[i], math.Float64bits(got.H[i]), want.H[i], math.Float64bits(want.H[i]))
+		}
+		if math.Float64bits(got.V[i]) != math.Float64bits(want.V[i]) {
+			return fmt.Sprintf("V[%d] = %v (%#x), want %v (%#x)", i, got.V[i], math.Float64bits(got.V[i]), want.V[i], math.Float64bits(want.V[i]))
+		}
+		if got.valid[i] != want.valid[i] {
+			return fmt.Sprintf("valid[%d] = %v, want %v", i, got.valid[i], want.valid[i])
+		}
+	}
+	return ""
+}
+
+// constantAttrGrid is a rows×cols grid of three numeric attributes, the
+// middle one the same value in every valid cell but one, which holds NaN,
+// with some null cells.
+func constantAttrGrid(rng *rand.Rand, rows, cols int) *grid.Grid {
+	g := grid.New(rows, cols, []grid.Attribute{
+		{Name: "a", Agg: grid.Sum}, {Name: "const", Agg: grid.Average}, {Name: "b", Agg: grid.Average}})
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Intn(6) > 0 {
+				g.SetVector(r, c, []float64{float64(rng.Intn(30)), 4.25, rng.Float64()})
+			}
+		}
+	}
+	g.SetVector(rows/2, cols/2, []float64{3, math.NaN(), 0.5})
+	return g
+}
+
+// wideCodeGrid is a rows×cols grid of a numeric attribute beside a
+// categorical one whose codes are −2⁶², 0 and 1. Their span rounds to 2⁶²,
+// so normalizing the codes would map 0 and 1 to the same value; they must
+// be copied as they are.
+func wideCodeGrid(rng *rand.Rand, rows, cols int) *grid.Grid {
+	g := grid.New(rows, cols, []grid.Attribute{
+		{Name: "a", Agg: grid.Average}, {Name: "cat", Agg: grid.Average, Categorical: true}})
+	codes := []float64{-math.Ldexp(1, 62), 0, 1}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			g.SetVector(r, c, []float64{rng.Float64(), codes[rng.Intn(len(codes))]})
+		}
+	}
+	return g
+}
+
+// nanCellGrid is a rows×cols grid of two numeric attributes and a
+// categorical one in which a few valid cells hold NaN in an attribute,
+// beside null cells.
+func nanCellGrid(rng *rand.Rand, rows, cols int) *grid.Grid {
+	g := grid.New(rows, cols, []grid.Attribute{
+		{Name: "a", Agg: grid.Average}, {Name: "b", Agg: grid.Sum}, {Name: "cat", Agg: grid.Average, Categorical: true}})
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Intn(7) == 0 {
+				continue
+			}
+			fv := []float64{rng.Float64() * 10, float64(rng.Intn(20)), float64(rng.Intn(3))}
+			if rng.Intn(6) == 0 {
+				fv[rng.Intn(3)] = math.NaN()
+			}
+			g.SetVector(r, c, fv)
+		}
+	}
+	return g
 }
 
 // TestLadderFromFieldMatchesHeapReference rebuilds the ladder the way the

@@ -43,18 +43,24 @@ func VariationAttrs(attrs []grid.Attribute, a, b []float64) float64 {
 }
 
 // cellVariation returns the variation between cells (r1,c1) and (r2,c2) of a
-// normalized grid, with the paper's null-cell rule: two null cells may always
-// merge (variation 0), while a null cell never merges with a non-null cell
-// (variation +Inf).
+// normalized grid, with the paper's null-cell rule (pairVariation).
 func cellVariation(g *grid.Grid, r1, c1, r2, c2 int) float64 {
-	v1, v2 := g.Valid(r1, c1), g.Valid(r2, c2)
+	return pairVariation(g.Attrs, g.Valid(r1, c1), g.Valid(r2, c2), g.Vector(r1, c1), g.Vector(r2, c2))
+}
+
+// pairVariation returns the variation between two cells whose validity is
+// v1 and v2 and whose normalized feature vectors are a and b, with the
+// paper's null-cell rule: two null cells may always merge (variation 0),
+// while a null cell never merges with a non-null cell (variation +Inf).
+// Only a valid pair's vectors are read.
+func pairVariation(attrs []grid.Attribute, v1, v2 bool, a, b []float64) float64 {
 	switch {
 	case !v1 && !v2:
 		return 0
 	case v1 != v2:
 		return math.Inf(1)
 	}
-	return VariationAttrs(g.Attrs, g.Vector(r1, c1), g.Vector(r2, c2))
+	return VariationAttrs(attrs, a, b)
 }
 
 // VariationLadder is the sequence of distinct min-adjacent-variation values,

@@ -78,7 +78,7 @@ func ExtractorAblation(cfg Config) ([]ExtractorAblationRow, error) {
 	var rows []ExtractorAblationRow
 	for _, d := range cfg.AllDatasets(cfg.ModelSize) {
 		norm, _ := d.Grid.Normalized()
-		field := core.BuildField(norm, cfg.Workers)
+		field := core.BuildField(d.Grid, cfg.Workers)
 		ladder := field.Ladder()
 		for _, theta := range cfg.Thresholds {
 			row := ExtractorAblationRow{Dataset: d.Name, Threshold: theta}

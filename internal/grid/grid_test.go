@@ -170,6 +170,12 @@ func TestNormalizedPreservesNulls(t *testing.T) {
 	if !n.Valid(0, 0) || !n.Valid(1, 1) {
 		t.Error("normalization must preserve valid cells")
 	}
+	// A grid without attributes keeps its validity too: no value is written.
+	bare := New(1, 2, nil)
+	bare.SetVector(0, 1, nil)
+	if n, _ := bare.Normalized(); n.Valid(0, 0) || !n.Valid(0, 1) {
+		t.Error("normalizing a grid without attributes must preserve its validity")
+	}
 }
 
 func TestNormalizedRangeProperty(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -171,9 +172,43 @@ func TestObserverSpansAndSnapshotJSON(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONRoundTrip: a snapshot encoded as /metrics and a shard's
+// /stats encode it decodes back into an equal Snapshot, the overflow
+// bucket's "+Inf" bound included, and a bound that is no number is an
+// error.
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(3)
+	r.Gauge("g").Set(0.25)
+	h := r.Histogram("h", []float64{0.1, 1, 2.5})
+	for _, v := range []float64{0.05, 0.7, 2.5, 1e9} {
+		h.Observe(v)
+	}
+	want := r.Snapshot()
+	if b := want.Histograms["h"].Buckets; len(b) != 4 || !math.IsInf(b[3].UpperBound, 1) {
+		t.Fatalf("buckets %v, want four ending in the overflow bucket", b)
+	}
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("snapshot JSON does not decode into a Snapshot: %v\n%s", err, raw)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, want %+v", got, want)
+	}
+	var b BucketCount
+	if err := json.Unmarshal([]byte(`{"le":"high","count":1}`), &b); err == nil {
+		t.Errorf("bound \"high\" decoded to %+v, want an error", b)
+	}
+}
+
 func TestServeEndpoints(t *testing.T) {
 	o := New()
 	o.Count("hits", 7)
+	o.Observe("latency", math.MaxFloat64) // past every bound: the overflow bucket
 	o.Flight().Record(SpanEvent{Name: "served.span", DurNS: 1000})
 	PublishExpvar("obs_test_registry", o.Registry())
 	srv, addr, err := ServeObserver("127.0.0.1:0", o)
@@ -206,6 +241,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if snap.Counters["hits"] != 7 {
 		t.Errorf("/metrics counters = %v, want hits=7", snap.Counters)
+	}
+	if b := snap.Histograms["latency"].Buckets; len(b) != 1 || !math.IsInf(b[0].UpperBound, 1) || b[0].Count != 1 {
+		t.Errorf("/metrics latency buckets = %v, want one observation in the overflow bucket", b)
 	}
 	vars := get("/debug/vars")
 	if !strings.Contains(vars, "obs_test_registry") {

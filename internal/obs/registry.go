@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -318,6 +319,25 @@ func (b BucketCount) MarshalJSON() ([]byte, error) {
 		Le    string `json:"le"`
 		Count int64  `json:"count"`
 	}{le, b.Count})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes: the upper bound from its
+// string form, "+Inf" included, so the snapshots /metrics and a shard's
+// /stats serve decode into a Snapshot.
+func (b *BucketCount) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		Le    string `json:"le"`
+		Count int64  `json:"count"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	ub, err := strconv.ParseFloat(raw.Le, 64)
+	if err != nil {
+		return fmt.Errorf("obs: bucket bound %q: %w", raw.Le, err)
+	}
+	b.UpperBound, b.Count = ub, raw.Count
+	return nil
 }
 
 // snapshot summarizes the histogram; empty buckets are elided.

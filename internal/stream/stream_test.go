@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -538,12 +539,12 @@ func TestStreamObsAndReport(t *testing.T) {
 	if err := s.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var round map[string]any
+	var round Report
 	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatalf("WriteReport output is not JSON: %v", err)
+		t.Fatalf("WriteReport output does not decode into a Report: %v", err)
 	}
-	if _, ok := round["metrics"]; !ok {
-		t.Error("report JSON missing metrics")
+	if len(rep.Metrics.Histograms) == 0 || !reflect.DeepEqual(round.Metrics, rep.Metrics) {
+		t.Errorf("report JSON metrics %+v, want %+v with its span histograms", round.Metrics, rep.Metrics)
 	}
 }
 

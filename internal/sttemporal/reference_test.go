@@ -175,14 +175,18 @@ func TestCubeMatchesReferenceLoops(t *testing.T) {
 				t.Fatalf("cube %d: IFL %v, reference loop %v", cubes, got, want)
 			}
 			attrs := c.Slices[0].Attrs
+			buf := newFeatureSet(len(res.Partition.Groups), len(attrs)) // reused, as the spatial phase reuses its set
 			for tb := 0; tb < slices; tb++ {
 				for te := tb; te < slices; te++ {
-					feats := segmentFeatures(c, res.Partition, tb, te)
+					feats := segmentFeatures(c, res.Partition, tb, te, buf)
 					segs, fs := []Segment{{tb, te}}, [][][]float64{feats}
 					if got, want := iflOver(c, newLossBasis(c), res.Partition, segs, fs), refIFLOver(c, res.Partition, segs, fs); math.Abs(got-want) > 1e-12*want {
 						t.Fatalf("cube %d [%d,%d]: IFL %v, reference loop %v", cubes, tb, te, got, want)
 					}
 					for gi, cg := range res.Partition.Groups {
+						if valid := len(gather(c, cg, tb, te, 0)) > 0; valid != (feats[gi] != nil) {
+							t.Fatalf("cube %d [%d,%d] group %d: valid cells %v, feature vector %v", cubes, tb, te, gi, valid, feats[gi])
+						}
 						for k, attr := range attrs {
 							if feats[gi] == nil || attr.Agg == grid.Sum {
 								continue

@@ -111,14 +111,17 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 	res := &Result{Cube: c, Partition: part, SpatialIFL: spatialIFL}
 
 	// Temporal phase: grow segments greedily while the cube-wide IFL of the
-	// representation so far stays within the full threshold.
+	// representation so far stays within the full threshold. Each segment
+	// and each candidate gets a new feature set, since the result keeps the
+	// accepted ones.
+	groups, p := len(part.Groups), c.Slices[0].NumAttrs()
 	t := 0
 	for t < c.T() {
 		end := t
-		feats := segmentFeatures(c, part, t, end)
+		feats := segmentFeatures(c, part, t, end, newFeatureSet(groups, p))
 		// Try to extend the segment one slice at a time.
 		for end+1 < c.T() {
-			candidate := segmentFeatures(c, part, t, end+1)
+			candidate := segmentFeatures(c, part, t, end+1, newFeatureSet(groups, p))
 			if segmentIFL(c, lb, part, t, end+1, candidate) > opts.Threshold {
 				break
 			}
@@ -140,20 +143,22 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 // (merging cells that are similar on average); acceptance is checked against
 // every individual slice, so the bound holds for the real data rather than
 // its average. The ladder is searched by core.SearchLadder under
-// core.ScheduleGeometric, steered by the worst-slice loss.
+// core.ScheduleGeometric, steered by the worst-slice loss. Every slice of
+// every rung writes its features into one scratch feature set, sized for
+// the identity partition: no partition has more groups than cells.
 func spatialPhase(c *Cube, lb lossBasis, budget float64) (*core.Partition, float64, error) {
 	mean := meanGrid(c)
 	if err := grid.ValidateAttrs(mean.Attrs); err != nil {
 		return nil, 0, err
 	}
-	norm, _ := mean.Normalized()
-	field := core.BuildField(norm, 1)
+	field := core.BuildField(mean, 1)
 	ladder := field.Ladder()
 
+	scratch := newFeatureSet(mean.NumCells(), mean.NumAttrs())
 	worstSliceIFL := func(part *core.Partition) float64 {
 		worst := 0.0
 		for t := 0; t < c.T(); t++ {
-			feats := segmentFeatures(c, part, t, t)
+			feats := segmentFeatures(c, part, t, t, scratch)
 			if ifl := segmentIFL(c, lb, part, t, t, feats); ifl > worst {
 				worst = ifl
 			}
@@ -246,19 +251,36 @@ func meanGrid(c *Cube) *grid.Grid {
 	return out
 }
 
+// featureSet holds the feature vectors of a partition's groups: a slice of
+// vectors, one backing array holding a vector per group, and the value
+// scratch core.AllocateAttr sorts.
+type featureSet struct {
+	feats   [][]float64
+	backing []float64
+	vals    []float64
+}
+
+// newFeatureSet returns a feature set for up to groups groups of p
+// attributes.
+func newFeatureSet(groups, p int) *featureSet {
+	return &featureSet{feats: make([][]float64, groups), backing: make([]float64, groups*p)}
+}
+
 // segmentFeatures allocates one feature vector per group from all cells of
 // the group across slices [tb, te]: every attribute but a sum takes
 // core.AllocateAttr over the group's valid values in (t, r, c) order, and a
 // sum averages the slices' group sums, so a segment's value represents one
-// slice's worth.
-func segmentFeatures(c *Cube, part *core.Partition, tb, te int) [][]float64 {
+// slice's worth. It writes into fs, which must have room for the
+// partition's groups, and returns its vectors, which the next call into fs
+// overwrites.
+func segmentFeatures(c *Cube, part *core.Partition, tb, te int, fs *featureSet) [][]float64 {
 	p := c.Slices[0].NumAttrs()
 	attrs := c.Slices[0].Attrs
-	feats := make([][]float64, len(part.Groups))
-	vals := make([]float64, 0, 64)
+	feats := fs.feats[:len(part.Groups)]
+	vals := fs.vals
 	for gi, cg := range part.Groups {
 		anyValid := false
-		fv := make([]float64, p)
+		fv := fs.backing[gi*p : gi*p+p : gi*p+p]
 		for k := 0; k < p; k++ {
 			vals = vals[:0]
 			// For sum attributes, collect each SLICE's group sum so the
@@ -305,10 +327,12 @@ func segmentFeatures(c *Cube, part *core.Partition, tb, te int) [][]float64 {
 				fv[k] = core.AllocateAttr(attrs[k], vals)
 			}
 		}
+		feats[gi] = nil
 		if anyValid {
 			feats[gi] = fv
 		}
 	}
+	fs.vals = vals
 	return feats
 }
 
