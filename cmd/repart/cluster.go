@@ -23,7 +23,6 @@ type clusterConfig struct {
 	rows   int      // global grid rows (must match the workers' -stream-rows)
 	cols   int      // global grid columns
 	bbox   string   // global bounds (must match the workers' -bounds)
-	hedge  bool     // enable p99-derived hedged shard reads
 
 	drainTimeout time.Duration
 	obsv         *spatialrepart.Observer
@@ -83,7 +82,6 @@ func runCluster(cfg clusterConfig) error {
 	coord, err := cluster.New(cluster.Config{
 		Plan:     plan,
 		Backends: cfg.shards,
-		Hedge:    cfg.hedge,
 		Obs:      cfg.obsv,
 	})
 	if err != nil {
@@ -104,7 +102,7 @@ func runCluster(cfg clusterConfig) error {
 		return err
 	}
 	logger.Info("serving cluster coordinator", "addr", bound,
-		"shards", len(cfg.shards), "rows", cfg.rows, "cols", cfg.cols, "hedge", cfg.hedge)
+		"shards", len(cfg.shards), "rows", cfg.rows, "cols", cfg.cols)
 	if cfg.ready != nil {
 		cfg.ready(bound)
 	}

@@ -57,15 +57,15 @@
 //
 // Cluster mode shards the grid into horizontal row bands served by
 // independent worker processes and fronts them with a resilient coordinator
-// (per-shard circuit breakers, retries, optional hedged reads, partial
-// 200+Warning results when shards are down). Its only state is the last
-// stitched /view, revalidated against every shard's ETag on each read, so a
-// restarted coordinator just starts cold:
+// (per-shard circuit breakers, retries, partial 200+Warning results when
+// shards are down). Its only state is the last stitched /view, revalidated
+// against every shard's ETag on each read, so a restarted coordinator just
+// starts cold:
 //
 //	repart -stream-records points.csv ... -shard 0/2 -serve :8081 &
 //	repart -stream-records points.csv ... -shard 1/2 -serve :8082 &
 //	repart -cluster :8080 -shards http://localhost:8081,http://localhost:8082 \
-//	       -stream-rows 32 -stream-cols 32 -bounds 40,41,-74,-73 [-hedge]
+//	       -stream-rows 32 -stream-cols 32 -bounds 40,41,-74,-73
 package main
 
 import (
@@ -115,7 +115,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "streaming mode: serve row band i of an n-shard cluster as \"i/n\" (geometry from -stream-rows/-stream-cols/-bounds)")
 	clusterAddr := flag.String("cluster", "", "cluster mode: serve a coordinator on this address over the -shards backends (it keeps only the last stitched /view, revalidated against the shards' ETags on every read)")
 	shardsList := flag.String("shards", "", "cluster mode: comma-separated shard base URLs, one per row band, in band order")
-	hedge := flag.Bool("hedge", false, "cluster mode: hedge slow shard reads after the backend's observed p99 latency")
 	flag.Parse()
 
 	if *version {
@@ -153,12 +152,11 @@ func main() {
 			err = runCluster(clusterConfig{
 				addr: *clusterAddr, shards: shards,
 				rows: *streamRows, cols: *streamCols, bbox: *bbox,
-				hedge: *hedge, drainTimeout: *drainTimeout,
-				obsv: obsv, logger: logger,
+				drainTimeout: *drainTimeout, obsv: obsv, logger: logger,
 			})
 		}
-	} else if *shardsList != "" || *hedge {
-		err = fmt.Errorf("-shards/-hedge require -cluster")
+	} else if *shardsList != "" {
+		err = fmt.Errorf("-shards requires -cluster")
 	} else if *streamRecords != "" {
 		err = runStream(streamConfig{
 			records: *streamRecords, attrsSpec: *streamAttrs,

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/obs"
@@ -55,13 +53,9 @@ func answered(err error) bool {
 	return err == nil || errors.As(err, &oe)
 }
 
-// latRingSize is the per-backend latency reservoir size. 128 successful
-// samples are plenty for a p99 hedge threshold while keeping the sort cheap.
-const latRingSize = 128
-
-// backend is the coordinator's per-shard client state: the base URL, the
-// circuit breaker, and the success-latency ring behind the hedge delay. All
-// mutable state is guarded by mu — the breaker itself is not self-locking.
+// backend is the coordinator's per-shard client state: the base URL and the
+// circuit breaker. All mutable state is guarded by mu — the breaker itself
+// is not self-locking.
 type backend struct {
 	index   int
 	base    string
@@ -69,40 +63,8 @@ type backend struct {
 
 	mu      sync.Mutex
 	brk     *breaker.Breaker
-	lat     [latRingSize]time.Duration
-	latN    int // total samples ever recorded
-	latPos  int
 	fails   int // attempts recorded as breaker failures (chaos reconciliation)
 	refused int // fetches refused by the open breaker
-}
-
-// recordLatency folds one successful round-trip duration into the ring.
-func (b *backend) recordLatency(d time.Duration) {
-	b.mu.Lock()
-	b.lat[b.latPos] = d
-	b.latPos = (b.latPos + 1) % latRingSize
-	b.latN++
-	b.mu.Unlock()
-}
-
-// hedgeDelay returns the p99 of the recorded success latencies, and whether
-// enough samples exist (hedgeMinSamples) to hedge at all. Hedging off a
-// handful of samples would fire spurious duplicate reads on a cold cluster.
-func (b *backend) hedgeDelay() (time.Duration, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := min(b.latN, latRingSize)
-	if n < hedgeMinSamples {
-		return 0, false
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, b.lat[:n])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := (n*99 + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return samples[idx], true
 }
 
 // fetchResult is one shard response: status, headers and body, verbatim.
@@ -112,23 +74,13 @@ type fetchResult struct {
 	Body   []byte
 }
 
-// outcome is one round-trip's result on the hedge channel.
-type outcome struct {
-	res     fetchResult
-	err     error
-	hedged  bool
-	elapsed time.Duration
-}
-
 // fetch performs one defended idempotent read against a backend: breaker
 // admission, up to 1+retryMax attempts with the breaker's capped jittered
-// backoff between them, per-attempt shard deadline, and optional hedging
-// (attempt launches a duplicate request after the backend's p99 delay and
-// takes whichever answers first). A non-empty etag goes out in If-None-Match
-// on every attempt and hedge. 304, 4xx and answers over the body cap are
-// successes to the breaker — the shard answered (a 304 has no body, so the
-// cap never applies to it); only transport errors and 5xx count as failures.
-// An answer over the cap comes back as its *oversizeError.
+// backoff between them, and a per-attempt shard deadline. A non-empty etag
+// goes out in If-None-Match on every attempt. 304, 4xx and answers over the
+// body cap are successes to the breaker — the shard answered (a 304 has no
+// body, so the cap never applies to it); only transport errors and 5xx count
+// as failures. An answer over the cap comes back as its *oversizeError.
 func (c *Coordinator) fetch(ctx context.Context, b *backend, pq, etag string) (fetchResult, error) {
 	ctx, sp := c.obs.StartSpanCtx(ctx, "cluster.fetch", "backend", strconv.Itoa(b.index), "path", pq)
 	defer sp.End()
@@ -155,12 +107,11 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq, etag string) (f
 			c.count("cluster.backend.retries", label)
 		}
 
-		res, elapsed, err := c.attempt(ctx, b, pq, etag)
+		res, err := c.attempt(ctx, b, pq, etag)
 		if answered(err) && res.Status < 500 {
 			b.mu.Lock()
 			b.brk.Success()
 			b.mu.Unlock()
-			b.recordLatency(elapsed)
 			c.gaugeBreaker(b, breaker.Closed)
 			c.count("cluster.backend.success", label)
 			return res, err
@@ -196,55 +147,15 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, pq, etag string) (f
 	return fetchResult{}, lastErr
 }
 
-// attempt performs one (possibly hedged) round trip within the shard
-// deadline. The result channel is buffered for both racers, so the losing
-// goroutine always completes its send and exits — nothing leaks even when
-// the caller has long moved on.
-func (c *Coordinator) attempt(ctx context.Context, b *backend, pq, etag string) (fetchResult, time.Duration, error) {
+// attempt performs one round trip within the shard deadline, on the
+// caller's goroutine.
+func (c *Coordinator) attempt(ctx context.Context, b *backend, pq, etag string) (fetchResult, error) {
 	if ferr := c.flt.Hit("cluster.fetch"); ferr != nil {
-		return fetchResult{}, 0, fmt.Errorf("cluster: shard %d: %w", b.index, ferr)
+		return fetchResult{}, fmt.Errorf("cluster: shard %d: %w", b.index, ferr)
 	}
 	actx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
-
-	ch := make(chan outcome, 2)
-	do := func(hedged bool) {
-		start := c.Clock().Now()
-		res, err := c.roundTrip(actx, b, pq, etag)
-		ch <- outcome{res: res, err: err, hedged: hedged, elapsed: c.Clock().Now().Sub(start)}
-	}
-	go do(false)
-
-	var hedgeTimer <-chan time.Time
-	if c.hedge {
-		if d, ok := b.hedgeDelay(); ok {
-			hedgeTimer = c.Clock().After(d)
-		}
-	}
-
-	pending := 1
-	for {
-		select {
-		case out := <-ch:
-			pending--
-			if answered(out.err) {
-				if out.hedged {
-					c.count("cluster.backend.hedge_wins", strconv.Itoa(b.index))
-				}
-				return out.res, out.elapsed, out.err
-			}
-			if pending == 0 {
-				return fetchResult{}, 0, out.err
-			}
-			// The other racer is still in flight; its answer may yet save
-			// the attempt.
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			c.count("cluster.backend.hedges", strconv.Itoa(b.index))
-			pending++
-			go do(true)
-		}
-	}
+	return c.roundTrip(actx, b, pq, etag)
 }
 
 // roundTrip is one plain HTTP GET against the backend, conditional on etag

@@ -35,9 +35,6 @@ const (
 	// jitterSeed seeds the backoff jitter: backend i draws from the stream
 	// seeded jitterSeed+i+1.
 	jitterSeed = 1
-	// hedgeMinSamples recorded successes gate hedging, so the p99 it hedges
-	// after is a real estimate.
-	hedgeMinSamples = 8
 )
 
 // Config parameterizes a Coordinator. Plan and Backends are required and
@@ -52,13 +49,9 @@ type Config struct {
 	// cloned default transport, so Shutdown's CloseIdleConnections never
 	// touches unrelated traffic).
 	Client *http.Client
-	// Hedge enables hedged reads: once a backend has hedgeMinSamples
-	// recorded successes, a duplicate request launches after its observed
-	// p99 latency and the first answer wins.
-	Hedge bool
 
 	// Obs, when non-nil, receives the coordinator metrics (per-backend
-	// breaker gauges, retry/hedge counters, the envelope's admission and
+	// breaker gauges, retry counters, the envelope's admission and
 	// RED series under cluster.*) and spans.
 	Obs *obs.Observer
 	// Fault, when non-nil, is consulted at "cluster.request" (after
@@ -80,7 +73,6 @@ type Config struct {
 // /view?groups=false summary reads only their summaries.
 type Coordinator struct {
 	*server.Envelope
-	hedge    bool
 	plan     Plan
 	backends []*backend
 	client   *http.Client
@@ -108,7 +100,6 @@ func New(cfg Config) (*Coordinator, error) {
 	env := server.NewEnvelope("cluster", cfg.Obs, cfg.Fault, cfg.Clock, nil)
 	c := &Coordinator{
 		Envelope: env,
-		hedge:    cfg.Hedge,
 		plan:     cfg.Plan,
 		obs:      cfg.Obs,
 		flt:      cfg.Fault,

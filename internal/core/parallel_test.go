@@ -83,14 +83,14 @@ func TestRepartitionWorkersByteIdentical(t *testing.T) {
 
 // TestRepartitionMemoMatchesRecompute: the rung memo must be invisible in
 // the result. Every evaluated rung's IFL equals a fresh extract, Algorithm 2
-// and IFL pass bit for bit; the accepted rung's features equal a fresh
-// Algorithm 2 pass over its partition; and the memo's hit and group counts
-// are the same for every Workers value — with hits, so the memo really
-// served rectangles.
+// and IFL pass bit for bit; replayed through one memo at Workers 1 and 4,
+// the evaluated rungs leave every group's stored loss sum with the bits of
+// Eq. 3 over the seed loop's vector (memoMatchesSeedLoop); and the memo's
+// hit and group counts are the same for every Workers value — with hits, so
+// the memo really served rectangles.
 func TestRepartitionMemoMatchesRecompute(t *testing.T) {
 	for gi, g := range fanOutGrids() {
-		norm, _ := g.Normalized()
-		field := BuildField(norm, 1)
+		field := BuildField(g, 1)
 		for _, tc := range fanOutCases {
 			var ref *RunReport
 			for _, w := range []int{1, 2, 4, 0} {
@@ -108,8 +108,8 @@ func TestRepartitionMemoMatchesRecompute(t *testing.T) {
 						}
 					}
 				}
-				if !reflect.DeepEqual(rp.Features, AllocateFeatures(g, rp.Partition)) {
-					t.Errorf("%s: features differ from AllocateFeatures over the accepted partition", label)
+				if w == 1 || w == 4 {
+					memoMatchesSeedLoop(t, label, g, field, rep, w)
 				}
 				if want := IFL(g, rp.Partition, rp.Features); rp.IFL != want {
 					t.Errorf("%s: IFL %v, recomputed %v", label, rp.IFL, want)
@@ -123,6 +123,33 @@ func TestRepartitionMemoMatchesRecompute(t *testing.T) {
 					t.Errorf("%s: %d hits of %d groups, Workers 1 had %d of %d",
 						label, rep.MemoHits, rep.GroupsEvaluated, ref.MemoHits, ref.GroupsEvaluated)
 				}
+			}
+		}
+	}
+}
+
+// memoMatchesSeedLoop replays the rungs of rep, in rung order, through one
+// rung memo over g sharded for workers. After each allocate pass, every
+// group's stored loss sum must have the bits of RectLoss over
+// seedAllocateFeatures' vector for that group: the memo's per-miss vectors
+// decide every loss sum, and this holds them to an independent Algorithm 2.
+func memoMatchesSeedLoop(t *testing.T, label string, g *grid.Grid, field *VariationField, rep *RunReport, workers int) {
+	t.Helper()
+	memo := newRungMemo(g, field, workers)
+	var rects []rect
+	for _, e := range rep.Trajectory {
+		rects = field.extractGroups(rects[:0], memo.top, e.MinAdjVariation)
+		memo.allocate(rects)
+		part := &Partition{Rows: g.Rows, Cols: g.Cols, Groups: make([]CellGroup, len(rects))}
+		for i, rc := range rects {
+			part.Groups[i] = field.group(rc)
+		}
+		seed := seedAllocateFeatures(g, part)
+		for i := range part.Groups {
+			cg := &part.Groups[i]
+			want := RectLoss(0, g, cg, seed[i], cg.Size(), field.spans)
+			if got := memo.lossOf(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s rung %d group %d %+v: memo loss sum %v, seed loop %v", label, e.Rung, i, *cg, got, want)
 			}
 		}
 	}

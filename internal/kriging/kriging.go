@@ -28,9 +28,6 @@ type Options struct {
 	// semivariogram (default 2_000_000); larger datasets subsample
 	// deterministically by striding.
 	MaxPairs int
-	// Model selects the theoretical variogram family (default Spherical;
-	// Auto picks the best-fitting of spherical/exponential/gaussian).
-	Model VariogramKind
 }
 
 func (o *Options) defaults() {
@@ -48,42 +45,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// VariogramKind selects the theoretical semivariogram family.
-type VariogramKind int
-
-const (
-	// Spherical reaches its sill exactly at Range (the geostatistics
-	// default, and the model Table I's Pyinterpolate settings imply).
-	Spherical VariogramKind = iota
-	// Exponential approaches the sill asymptotically (practical range ≈ 3a).
-	Exponential
-	// Gaussian has parabolic near-origin behavior (very smooth fields).
-	Gaussian
-	// Auto fits all three families and keeps the lowest-SSE one.
-	Auto
-)
-
-// String implements fmt.Stringer.
-func (k VariogramKind) String() string {
-	switch k {
-	case Spherical:
-		return "spherical"
-	case Exponential:
-		return "exponential"
-	case Gaussian:
-		return "gaussian"
-	case Auto:
-		return "auto"
-	}
-	return fmt.Sprintf("VariogramKind(%d)", int(k))
-}
-
-// Variogram is a fitted semivariogram model.
+// Variogram is a fitted spherical semivariogram model — the family Table
+// I's Pyinterpolate settings imply.
 type Variogram struct {
-	Kind   VariogramKind
 	Nugget float64 // γ at h → 0⁺
 	Sill   float64 // partial sill (the model plateaus at Nugget + Sill)
-	Range  float64 // distance scale (sill reached at Range for spherical)
+	Range  float64 // distance at which the model reaches its plateau
 }
 
 // At evaluates the model at lag h.
@@ -91,19 +58,17 @@ func (v Variogram) At(h float64) float64 {
 	if h <= 0 {
 		return 0
 	}
-	switch v.Kind {
-	case Exponential:
-		return v.Nugget + v.Sill*(1-math.Exp(-3*h/v.Range))
-	case Gaussian:
-		r := h / v.Range
-		return v.Nugget + v.Sill*(1-math.Exp(-3*r*r))
+	return v.Nugget + v.Sill*spherical(h, v.Range)
+}
+
+// spherical is the spherical shape at lag h for range a: 1.5r − 0.5r³ with
+// r = h/a, reaching 1 exactly at a and staying there.
+func spherical(h, a float64) float64 {
+	if h >= a {
+		return 1
 	}
-	// Spherical.
-	if h >= v.Range {
-		return v.Nugget + v.Sill
-	}
-	r := h / v.Range
-	return v.Nugget + v.Sill*(1.5*r-0.5*r*r*r)
+	r := h / a
+	return 1.5*r - 0.5*r*r*r
 }
 
 // Kriging is a fitted ordinary kriging interpolator.
@@ -173,43 +138,19 @@ func FitKriging(lat, lon, y []float64, opts Options) (*Kriging, error) {
 		return nil, fmt.Errorf("kriging: no point pairs within max range %v", opts.MaxRange)
 	}
 
-	var model Variogram
-	if opts.Model == Auto {
-		bestSSE := math.Inf(1)
-		for _, kind := range []VariogramKind{Spherical, Exponential, Gaussian} {
-			if v, sse := fitModel(kind, hs, gs, opts.MaxRange); sse < bestSSE {
-				model, bestSSE = v, sse
-			}
-		}
-	} else {
-		model, _ = fitModel(opts.Model, hs, gs, opts.MaxRange)
-	}
+	model, _ := fitModel(hs, gs, opts.MaxRange)
 	return &Kriging{Model: model, lat: lat, lon: lon, y: y, numNeighbors: opts.NumNeighbors}, nil
 }
 
-// fitModel least-squares-fits (nugget, sill) for each candidate range of the
-// given family and keeps the best, refining around the winner. Returns the
-// fitted model and its SSE against the empirical points.
-func fitModel(kind VariogramKind, hs, gs []float64, maxRange float64) (Variogram, float64) {
-	shape := func(h, a float64) float64 {
-		switch kind {
-		case Exponential:
-			return 1 - math.Exp(-3*h/a)
-		case Gaussian:
-			r := h / a
-			return 1 - math.Exp(-3*r*r)
-		}
-		if h >= a {
-			return 1
-		}
-		r := h / a
-		return 1.5*r - 0.5*r*r*r
-	}
+// fitModel least-squares-fits (nugget, sill) for each candidate range and
+// keeps the best, refining around the winner. Returns the fitted model and
+// its SSE against the empirical points.
+func fitModel(hs, gs []float64, maxRange float64) (Variogram, float64) {
 	eval := func(a float64) (Variogram, float64) {
 		// Linear LS on basis [1, f_a(h)] with nonnegativity clamps.
 		var s11, s12, s22, b1, b2 float64
 		for i, h := range hs {
-			f := shape(h, a)
+			f := spherical(h, a)
 			s11 += 1
 			s12 += f
 			s22 += f * f
@@ -237,7 +178,7 @@ func fitModel(kind VariogramKind, hs, gs []float64, maxRange float64) (Variogram
 				c0 = 0
 			}
 		}
-		v := Variogram{Kind: kind, Nugget: c0, Sill: c, Range: a}
+		v := Variogram{Nugget: c0, Sill: c, Range: a}
 		var sse float64
 		for i, h := range hs {
 			d := gs[i] - v.At(h)

@@ -5,106 +5,24 @@ import (
 	"testing"
 )
 
-func TestVariogramKindString(t *testing.T) {
-	cases := map[VariogramKind]string{
-		Spherical: "spherical", Exponential: "exponential", Gaussian: "gaussian", Auto: "auto",
-	}
-	for k, want := range cases {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
-		}
-	}
-	if VariogramKind(99).String() == "" {
-		t.Error("unknown kind should stringify")
-	}
-}
-
-func TestVariogramFamilies(t *testing.T) {
-	for _, kind := range []VariogramKind{Spherical, Exponential, Gaussian} {
-		v := Variogram{Kind: kind, Nugget: 0.1, Sill: 0.9, Range: 0.5}
-		if v.At(0) != 0 {
-			t.Errorf("%v: At(0) = %v, want 0", kind, v.At(0))
-		}
-		// Monotone non-decreasing.
-		prev := 0.0
-		for h := 0.001; h < 2; h += 0.01 {
-			g := v.At(h)
-			if g < prev-1e-12 {
-				t.Fatalf("%v: decreased at h=%v", kind, h)
-			}
-			prev = g
-		}
-		// Approaches (or reaches) nugget+sill.
-		if got := v.At(5); math.Abs(got-1.0) > 0.01 {
-			t.Errorf("%v: At(far) = %v, want ≈ 1", kind, got)
-		}
-	}
-}
-
-func TestVariogramNearOriginBehavior(t *testing.T) {
-	// Gaussian is the smoothest near 0: γ(h) = O(h²); exponential and
-	// spherical rise linearly. At a small lag the gaussian value must be the
-	// smallest.
-	h := 0.02
-	sph := Variogram{Kind: Spherical, Sill: 1, Range: 0.5}.At(h)
-	exp := Variogram{Kind: Exponential, Sill: 1, Range: 0.5}.At(h)
-	gau := Variogram{Kind: Gaussian, Sill: 1, Range: 0.5}.At(h)
-	if gau >= sph || gau >= exp {
-		t.Errorf("gaussian %v should be below spherical %v and exponential %v near 0", gau, sph, exp)
-	}
-}
-
 func TestFitModelRecoversFamily(t *testing.T) {
-	// Synthesize empirical points from a known model; Auto must fit tightly
-	// and beat (or match) every single-family fit.
-	truth := Variogram{Kind: Exponential, Nugget: 0.05, Sill: 1.2, Range: 0.4}
+	// Synthesize empirical points from a known spherical model; the fit
+	// must recover its sill and its range, which lies between two of the
+	// grid's candidate ranges, so only the refinement can reach it.
+	truth := Variogram{Nugget: 0.05, Sill: 1.2, Range: 0.37}
 	var hs, gs []float64
 	for h := 0.01; h < 1.0; h += 0.02 {
 		hs = append(hs, h)
 		gs = append(gs, truth.At(h))
 	}
-	expFit, expSSE := fitModel(Exponential, hs, gs, 1.0)
-	if expSSE > 1e-3 {
-		t.Errorf("exponential self-fit SSE = %v, want tiny", expSSE)
+	fit, sse := fitModel(hs, gs, 1.0)
+	if sse > 1e-3 {
+		t.Errorf("spherical self-fit SSE = %v, want < 1e-3", sse)
 	}
-	if math.Abs(expFit.Sill-truth.Sill) > 0.2 {
-		t.Errorf("sill = %v, want ≈ %v", expFit.Sill, truth.Sill)
+	if math.Abs(fit.Sill-truth.Sill) > 1e-3 {
+		t.Errorf("sill = %v, want ≈ %v", fit.Sill, truth.Sill)
 	}
-	_, sphSSE := fitModel(Spherical, hs, gs, 1.0)
-	if sphSSE < expSSE {
-		t.Errorf("spherical fit (%v) should not beat the generating family (%v)", sphSSE, expSSE)
-	}
-}
-
-func TestAutoSelectsBestFamily(t *testing.T) {
-	lat, lon, y := synthSurface(21, 300)
-	k, err := FitKriging(lat, lon, y, Options{MaxRange: 1.2, Model: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Auto must pick one of the three concrete families.
-	if k.Model.Kind != Spherical && k.Model.Kind != Exponential && k.Model.Kind != Gaussian {
-		t.Errorf("Auto selected %v", k.Model.Kind)
-	}
-	// And predictions stay sound.
-	pred, err := k.Predict(lat[:10], lon[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pred {
-		if p != y[i] {
-			t.Errorf("exactness violated at %d", i)
-		}
-	}
-}
-
-func TestDefaultModelIsSpherical(t *testing.T) {
-	lat, lon, y := synthSurface(22, 100)
-	k, err := FitKriging(lat, lon, y, Options{MaxRange: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Model.Kind != Spherical {
-		t.Errorf("default family = %v, want spherical", k.Model.Kind)
+	if math.Abs(fit.Range-truth.Range) > 1e-3 {
+		t.Errorf("range = %v, want ≈ %v", fit.Range, truth.Range)
 	}
 }

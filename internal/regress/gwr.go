@@ -15,59 +15,28 @@ import (
 // the paper's `fixed: False` setting). k is chosen by minimizing the
 // corrected Akaike information criterion (criterion: AICc).
 type GWR struct {
-	K      int // adaptive bandwidth neighbor count
-	Kernel GWRKernel
+	K int // adaptive bandwidth neighbor count
 
 	x        [][]float64
 	y        []float64
 	lat, lon []float64
 }
 
-// weight evaluates the kernel at squared distance d2 with squared bandwidth
-// b2.
-func (g *GWR) weight(d2, b2 float64) float64 {
-	if g.Kernel == BisquareKernel {
-		if d2 >= b2 {
-			return 0
-		}
-		u := 1 - d2/b2
-		return u * u
-	}
+// weight evaluates the Gaussian kernel exp(−½ (d/b)²) — the paper's Table I
+// setting — at squared distance d2 with squared bandwidth b2.
+func weight(d2, b2 float64) float64 {
 	return math.Exp(-0.5 * d2 / b2)
 }
 
-// GWRKernel selects the distance-decay weighting function.
-type GWRKernel int
-
-const (
-	// GaussianKernel is exp(−½ (d/b)²) — the paper's Table I setting.
-	GaussianKernel GWRKernel = iota
-	// BisquareKernel is (1 − (d/b)²)² for d < b and 0 beyond — compactly
-	// supported, the other standard GWR choice.
-	BisquareKernel
-)
-
-// String implements fmt.Stringer.
-func (k GWRKernel) String() string {
-	switch k {
-	case GaussianKernel:
-		return "gaussian"
-	case BisquareKernel:
-		return "bisquare"
-	}
-	return fmt.Sprintf("GWRKernel(%d)", int(k))
-}
+// aiccSample caps the number of training points used to evaluate AICc during
+// bandwidth selection. Leverages and residuals are averaged over the sample
+// and extrapolated, keeping selection O(sample·n).
+const aiccSample = 400
 
 // GWROptions configures FitGWR.
 type GWROptions struct {
 	// K fixes the adaptive bandwidth neighbor count; 0 selects it by AICc.
 	K int
-	// AICcSample caps the number of training points used to evaluate AICc
-	// during bandwidth selection (0 = 400). Leverages and residuals are
-	// averaged over the sample and extrapolated, keeping selection O(sample·n).
-	AICcSample int
-	// Kernel selects the weighting function (default Gaussian, per Table I).
-	Kernel GWRKernel
 }
 
 // FitGWR stores the training data and selects the adaptive bandwidth.
@@ -80,23 +49,13 @@ func FitGWR(x [][]float64, y, lat, lon []float64, opts GWROptions) (*GWR, error)
 		return nil, fmt.Errorf("regress: GWR needs at least one instance")
 	}
 	p := len(x[0]) + 1
-	g := &GWR{Kernel: opts.Kernel, x: x, y: y, lat: lat, lon: lon}
+	g := &GWR{x: x, y: y, lat: lat, lon: lon}
 	if opts.K > 0 {
 		g.K = opts.K
 		return g, nil
 	}
 
-	sample := opts.AICcSample
-	if sample <= 0 {
-		sample = 400
-	}
-	if sample > n {
-		sample = n
-	}
-	stride := n / sample
-	if stride < 1 {
-		stride = 1
-	}
+	stride := n / min(aiccSample, n)
 
 	// Candidate neighbor counts from small local fits to the global fit.
 	minK := p + 2
@@ -193,7 +152,7 @@ func (g *GWR) localFit(xq []float64, clat, clon float64, k int, wantLeverage boo
 	bv := make([]float64, p)
 	xi := make([]float64, p)
 	for j := 0; j < n; j++ {
-		w := g.weight(d2[j], b2)
+		w := weight(d2[j], b2)
 		if w < 1e-12 {
 			continue
 		}

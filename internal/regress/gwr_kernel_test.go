@@ -1,67 +1,18 @@
 package regress
 
-import (
-	"math"
-	"testing"
-
-	"spatialrepart/internal/metrics"
-)
-
-func TestGWRKernelString(t *testing.T) {
-	if GaussianKernel.String() != "gaussian" || BisquareKernel.String() != "bisquare" {
-		t.Error("kernel names wrong")
-	}
-	if GWRKernel(9).String() == "" {
-		t.Error("unknown kernel should stringify")
-	}
-}
+import "testing"
 
 func TestGWRWeightShapes(t *testing.T) {
-	gauss := &GWR{Kernel: GaussianKernel}
-	bisq := &GWR{Kernel: BisquareKernel}
-	// At distance 0 both are 1.
-	if gauss.weight(0, 1) != 1 || bisq.weight(0, 1) != 1 {
+	// At distance 0 the weight is 1.
+	if weight(0, 1) != 1 {
 		t.Error("weight at 0 should be 1")
 	}
-	// Bisquare has compact support; gaussian does not.
-	if bisq.weight(1.5, 1) != 0 {
-		t.Errorf("bisquare beyond bandwidth = %v, want 0", bisq.weight(1.5, 1))
-	}
-	if gauss.weight(1.5, 1) <= 0 {
+	// The Gaussian has no compact support.
+	if weight(1.5, 1) <= 0 {
 		t.Error("gaussian should stay positive")
 	}
-	// Both decrease with distance.
-	if bisq.weight(0.5, 1) >= bisq.weight(0.25, 1) {
-		t.Error("bisquare not decreasing")
-	}
-	if gauss.weight(0.5, 1) >= gauss.weight(0.25, 1) {
+	// It decreases with distance.
+	if weight(0.5, 1) >= weight(0.25, 1) {
 		t.Error("gaussian not decreasing")
-	}
-}
-
-func TestGWRBisquareFitsVaryingCoefficients(t *testing.T) {
-	x, y, lat, lon := synthGWRData(31, 300)
-	g, err := FitGWR(x, y, lat, lon, GWROptions{Kernel: BisquareKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Kernel != BisquareKernel {
-		t.Fatal("kernel not propagated")
-	}
-	pred, err := g.Predict(x, lat, lon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, _ := metrics.RMSE(pred, y)
-	ols, _ := FitOLS(x, y)
-	op, _ := ols.Predict(x)
-	orms, _ := metrics.RMSE(op, y)
-	if rmse >= orms {
-		t.Errorf("bisquare GWR RMSE %v should beat OLS %v", rmse, orms)
-	}
-	for _, p := range pred {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			t.Fatal("non-finite prediction")
-		}
 	}
 }

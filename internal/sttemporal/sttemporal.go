@@ -66,10 +66,10 @@ func (s Segment) Len() int { return s.TEnd - s.TBeg + 1 }
 type Options struct {
 	// Threshold is the cube-wide information-loss budget θ ∈ [0, 1].
 	Threshold float64
-	// SpatialShare is the fraction of the budget given to the spatial phase
-	// (0 means the default 0.5).
-	SpatialShare float64
 }
+
+// spatialShare is the fraction of the budget given to the spatial phase.
+const spatialShare = 0.5
 
 // Result is the spatio-temporal re-partitioning output.
 type Result struct {
@@ -94,16 +94,9 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 	if opts.Threshold < 0 || opts.Threshold > 1 {
 		return nil, fmt.Errorf("sttemporal: threshold %v outside [0,1]", opts.Threshold)
 	}
-	share := opts.SpatialShare
-	if share == 0 {
-		share = 0.5
-	}
-	if share < 0 || share > 1 {
-		return nil, fmt.Errorf("sttemporal: spatial share %v outside [0,1]", share)
-	}
 
 	lb := newLossBasis(c)
-	part, spatialIFL, err := spatialPhase(c, lb, opts.Threshold*share)
+	part, spatialIFL, err := spatialPhase(c, lb, opts.Threshold*spatialShare)
 	if err != nil {
 		return nil, err
 	}
@@ -111,25 +104,28 @@ func Repartition(c *Cube, opts Options) (*Result, error) {
 	res := &Result{Cube: c, Partition: part, SpatialIFL: spatialIFL}
 
 	// Temporal phase: grow segments greedily while the cube-wide IFL of the
-	// representation so far stays within the full threshold. Each segment
-	// and each candidate gets a new feature set, since the result keeps the
-	// accepted ones.
+	// representation so far stays within the full threshold. The segment
+	// and its candidate extension fill two scratch feature sets, which swap
+	// when the extension is accepted; the result keeps a copy of each
+	// accepted segment's vectors.
 	groups, p := len(part.Groups), c.Slices[0].NumAttrs()
+	cur, next := newFeatureSet(groups, p), newFeatureSet(groups, p)
 	t := 0
 	for t < c.T() {
 		end := t
-		feats := segmentFeatures(c, part, t, end, newFeatureSet(groups, p))
+		feats := segmentFeatures(c, part, t, end, cur)
 		// Try to extend the segment one slice at a time.
 		for end+1 < c.T() {
-			candidate := segmentFeatures(c, part, t, end+1, newFeatureSet(groups, p))
+			candidate := segmentFeatures(c, part, t, end+1, next)
 			if segmentIFL(c, lb, part, t, end+1, candidate) > opts.Threshold {
 				break
 			}
 			end++
 			feats = candidate
+			cur, next = next, cur
 		}
 		res.Segments = append(res.Segments, Segment{TBeg: t, TEnd: end})
-		res.Features = append(res.Features, feats)
+		res.Features = append(res.Features, copyFeatures(feats, p))
 		t = end + 1
 	}
 
@@ -264,6 +260,20 @@ type featureSet struct {
 // attributes.
 func newFeatureSet(groups, p int) *featureSet {
 	return &featureSet{feats: make([][]float64, groups), backing: make([]float64, groups*p)}
+}
+
+// copyFeatures copies a segment's vectors of p attributes into one backing
+// array, keeping nil for null groups.
+func copyFeatures(feats [][]float64, p int) [][]float64 {
+	out := make([][]float64, len(feats))
+	backing := make([]float64, len(feats)*p)
+	for gi, fv := range feats {
+		if fv != nil {
+			out[gi] = backing[gi*p : gi*p+p : gi*p+p]
+			copy(out[gi], fv)
+		}
+	}
+	return out
 }
 
 // segmentFeatures allocates one feature vector per group from all cells of

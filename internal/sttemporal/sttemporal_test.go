@@ -123,9 +123,6 @@ func TestRepartitionThresholdValidation(t *testing.T) {
 	if _, err := Repartition(c, Options{Threshold: -1}); err == nil {
 		t.Error("want threshold error")
 	}
-	if _, err := Repartition(c, Options{Threshold: 0.1, SpatialShare: 2}); err == nil {
-		t.Error("want share error")
-	}
 }
 
 func TestValueAtReconstruction(t *testing.T) {

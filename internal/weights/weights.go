@@ -142,26 +142,26 @@ func (w *W) GearysC(x []float64) (float64, error) {
 	return float64(n-1) / (2 * sw) * num / den, nil
 }
 
-// IslandCount returns the number of instances without neighbors.
-func (w *W) IslandCount() int {
-	n := 0
-	for _, list := range w.Neighbors {
-		if len(list) == 0 {
-			n++
+// RookNeighbors builds 4-neighbor (rook contiguity) adjacency for a
+// rows×cols lattice.
+func RookNeighbors(rows, cols int) *W {
+	neighbors := make([][]int, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			idx := r*cols + c
+			if r > 0 {
+				neighbors[idx] = append(neighbors[idx], idx-cols)
+			}
+			if r < rows-1 {
+				neighbors[idx] = append(neighbors[idx], idx+cols)
+			}
+			if c > 0 {
+				neighbors[idx] = append(neighbors[idx], idx-1)
+			}
+			if c < cols-1 {
+				neighbors[idx] = append(neighbors[idx], idx+1)
+			}
 		}
 	}
-	return n
-}
-
-// SpectralRadiusUpperBound returns an upper bound on the spectral radius of
-// the row-standardized weights matrix. For row-standardized W the bound is 1
-// when at least one instance has a neighbor; 0 otherwise. Spatial lag models
-// use this to bound the valid range of the autoregressive parameter ρ.
-func (w *W) SpectralRadiusUpperBound() float64 {
-	for _, list := range w.Neighbors {
-		if len(list) > 0 {
-			return 1
-		}
-	}
-	return 0
+	return New(neighbors)
 }

@@ -12,28 +12,6 @@ func grid2x2() *W {
 	return New([][]int{{1, 2}, {0, 3}, {0, 3}, {1, 2}})
 }
 
-func gridW(rows, cols int) *W {
-	neighbors := make([][]int, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			i := r*cols + c
-			if r > 0 {
-				neighbors[i] = append(neighbors[i], i-cols)
-			}
-			if r < rows-1 {
-				neighbors[i] = append(neighbors[i], i+cols)
-			}
-			if c > 0 {
-				neighbors[i] = append(neighbors[i], i-1)
-			}
-			if c < cols-1 {
-				neighbors[i] = append(neighbors[i], i+1)
-			}
-		}
-	}
-	return New(neighbors)
-}
-
 func TestValidate(t *testing.T) {
 	if err := grid2x2().Validate(); err != nil {
 		t.Errorf("valid W rejected: %v", err)
@@ -81,14 +59,11 @@ func TestLagIsland(t *testing.T) {
 	if lag[0] != 0 || lag[1] != 0 {
 		t.Errorf("island lag = %v, want zeros", lag)
 	}
-	if w.IslandCount() != 2 {
-		t.Errorf("IslandCount = %d, want 2", w.IslandCount())
-	}
 }
 
 func TestMoransIPositiveAutocorrelation(t *testing.T) {
 	// A smooth gradient has strong positive spatial autocorrelation.
-	w := gridW(8, 8)
+	w := RookNeighbors(8, 8)
 	x := make([]float64, 64)
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
@@ -106,7 +81,7 @@ func TestMoransIPositiveAutocorrelation(t *testing.T) {
 
 func TestMoransINegativeAutocorrelation(t *testing.T) {
 	// A checkerboard has strong negative autocorrelation.
-	w := gridW(8, 8)
+	w := RookNeighbors(8, 8)
 	x := make([]float64, 64)
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
@@ -138,7 +113,7 @@ func TestMoransIErrors(t *testing.T) {
 }
 
 func TestGearysCDirections(t *testing.T) {
-	w := gridW(8, 8)
+	w := RookNeighbors(8, 8)
 	grad := make([]float64, 64)
 	checker := make([]float64, 64)
 	for r := 0; r < 8; r++ {
@@ -171,7 +146,7 @@ func TestMoranGearyConsistencyProperty(t *testing.T) {
 	// invariant that both are finite on random fields.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := gridW(5, 5)
+		w := RookNeighbors(5, 5)
 		x := make([]float64, 25)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -188,11 +163,13 @@ func TestMoranGearyConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestSpectralRadiusUpperBound(t *testing.T) {
-	if got := grid2x2().SpectralRadiusUpperBound(); got != 1 {
-		t.Errorf("bound = %v, want 1", got)
+func TestRookNeighborCounts(t *testing.T) {
+	w := RookNeighbors(3, 3)
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if got := New([][]int{{}, {}}).SpectralRadiusUpperBound(); got != 0 {
-		t.Errorf("bound = %v, want 0 for empty W", got)
+	// Center cell: 4 neighbors; corner: 2.
+	if len(w.Neighbors[4]) != 4 || len(w.Neighbors[0]) != 2 {
+		t.Errorf("center %d, corner %d neighbors, want 4 and 2", len(w.Neighbors[4]), len(w.Neighbors[0]))
 	}
 }
